@@ -1,10 +1,13 @@
 """Boros-Moll coefficient rows: four independent exact generators, three evaluators.
 
 The degree-m Boros-Moll polynomial P_m(a) = sum_i d_i(m) a^i has strictly
-positive coefficients with 4^m * d_i(m) an integer, so a row {d_i(m)} is
-stored as canonical dyadic rationals.  The generation routes are
+positive coefficients with 4^m * d_i(m) an integer, so a row carries the
+integer vector e_i = 4^m * d_i(m) (``CoeffRow.scaled``); the canonical dyadic
+rationals d_i(m) (``CoeffRow.coeffs``) are a view built from it on first
+access.  The generation routes are
 
-  closed form   d_i(m) = 4^-m * sum_{k=i..m} 2^k C(2m-2k, m-k) C(m+k, k) C(k, i)
+  closed form   4^m d_i(m) = sum_{k=i..m} w_k C(k, i),
+                w_k = 2^k C(2m-2k, m-k) C(m+k, k)
   recu1         d_i(m+1) from d_{i-1}(m), d_i(m)
   recu2         d_i(m+1) from d_i(m), d_{i+1}(m)   (top entry from the
                 boundary identity d_n(n) = 2^-n C(2n, n))
@@ -13,9 +16,12 @@ stored as canonical dyadic rationals.  The generation routes are
 plus the four-term contiguous relation recu4, which must vanish identically
 on every valid row and therefore doubles as a corruption detector.
 
-Internally each generator works on the integer vector 4^m * d_i(m); every
-recurrence step then is one exact integer division, which is asserted exact.
-Out-of-range entries follow the convention d_{-1}(m) = d_{m+1}(m) = 0.
+The closed form is a Taylor shift: sum_i e_i x^i = sum_k w_k (x+1)^k, which
+Horner's rule in (x+1) evaluates with bigint additions only.  The weights come
+from one central binomial by exact term ratios.  Every recurrence step works
+on the integer vectors directly and is one exact integer division, which is
+asserted exact.  Out-of-range entries follow the convention
+d_{-1}(m) = d_{m+1}(m) = 0.
 
 P_m can also be evaluated exactly at any rational point by three routes that
 must agree: the defining (j,k) double sum, the terminating 2F1-style series
@@ -25,9 +31,10 @@ generated row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .exactnum import BinomialCache, Dyadic, decimal_string, default_cache
@@ -60,26 +67,59 @@ class Method(str, Enum):
     DOUBLE_SUM = "double-sum"
 
 
-@dataclass(frozen=True)
 class CoeffRow:
-    """The sequence {d_i(m)} for one m, immutable after generation."""
+    """The sequence {d_i(m)} for one m, immutable after generation.
+
+    ``scaled`` is the integer vector 4^m * d_i(m), the form every generator
+    and hot path works on; ``coeffs`` holds the same entries as canonical
+    dyadics, built on first access.  ``CoeffRow(m, coeffs, method)`` builds a
+    row from dyadics; :meth:`from_scaled` builds one from the integer vector.
+    """
+
+    __slots__ = ("m", "scaled", "method", "_coeffs")
 
     m: int
-    coeffs: tuple[Dyadic, ...]
+    scaled: tuple[int, ...]
     method: Method
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        if len(self.coeffs) != self.m + 1:
-            raise ValueError(
-                f"row for m={self.m} needs {self.m + 1} entries, got {len(self.coeffs)}"
-            )
-        for i, c in enumerate(self.coeffs):
+    def __init__(self, m: int, coeffs: Sequence[Dyadic], method: Method) -> None:
+        coeffs = tuple(coeffs)
+        _check_length(m, coeffs)
+        for i, c in enumerate(coeffs):
             if c.num <= 0:
-                raise ValueError(f"d_{i}({self.m}) = {c} is not positive")
-            if c.exp > 2 * self.m:
-                raise ValueError(f"d_{i}({self.m}) = {c} is not an integer over 4^m")
+                raise ValueError(f"d_{i}({m}) = {c} is not positive")
+            if c.exp > 2 * m:
+                raise ValueError(f"d_{i}({m}) = {c} is not an integer over 4^m")
+        scaled = tuple(c.num << (2 * m - c.exp) for c in coeffs)
+        self._init(m, scaled, method, coeffs)
+
+    @classmethod
+    def from_scaled(cls, m: int, scaled: Sequence[int], method: Method) -> "CoeffRow":
+        """The row whose entries are ``scaled[i] / 4^m``."""
+        scaled = tuple(scaled)
+        _check_length(m, scaled)
+        for i, e in enumerate(scaled):
+            if e <= 0:
+                raise ValueError(f"d_{i}({m}) = {e}/4^{m} is not positive")
+        row = cls.__new__(cls)
+        row._init(m, scaled, method, None)
+        return row
+
+    def _init(self, m, scaled, method, coeffs) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CoeffRow is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Dyadic, ...]:
+        if self._coeffs is None:
+            two_m = 2 * self.m
+            object.__setattr__(self, "_coeffs", tuple(Dyadic(e, two_m) for e in self.scaled))
+        return self._coeffs
 
     def d(self, i: int) -> Dyadic:
         """d_i(m), with zero outside 0 <= i <= m."""
@@ -93,15 +133,23 @@ class CoeffRow:
     def __iter__(self):
         return iter(self.coeffs)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoeffRow):
+            return NotImplemented
+        return (self.m, self.method, self.scaled) == (other.m, other.method, other.scaled)
 
-def _scaled(row: CoeffRow) -> list[int]:
-    """The integer vector 4^m * d_i(m)."""
-    two_m = 2 * row.m
-    return [c.num << (two_m - c.exp) for c in row.coeffs]
+    def __hash__(self) -> int:
+        return hash((self.m, self.method, self.scaled))
+
+    def __repr__(self) -> str:
+        return f"CoeffRow(m={self.m}, coeffs={self.coeffs!r}, method={self.method!r})"
 
 
-def _from_scaled(m: int, scaled: Sequence[int], method: Method) -> CoeffRow:
-    return CoeffRow(m, tuple(Dyadic(e, 2 * m) for e in scaled), method)
+def _check_length(m: int, entries: tuple) -> None:
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    if len(entries) != m + 1:
+        raise ValueError(f"row for m={m} needs {m + 1} entries, got {len(entries)}")
 
 
 def _exact_div(num: int, den: int, context: str) -> int:
@@ -111,28 +159,36 @@ def _exact_div(num: int, den: int, context: str) -> int:
     return q
 
 
-def closed_form_row(m: int, cache: BinomialCache | None = None) -> CoeffRow:
-    """Generate {d_i(m)} from the single-sum closed form."""
+def closed_form_row(m: int) -> CoeffRow:
+    """Generate {d_i(m)} from the single-sum closed form, as a Taylor shift.
+
+    The weights w_k = 2^k C(2m-2k, m-k) C(m+k, k) of C(k, i) follow from
+    C(2m, m) by the term ratio (m-k)(m+k+1) / (2(2m-2k-1)(k+1)), with the 2^k
+    applied separately; Horner's rule p <- p*(x+1) + w_k then yields
+    sum_k w_k (x+1)^k, whose coefficients are the e_i = 4^m d_i(m).
+    """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    cache = cache or default_cache()
-    cache.ensure_rows(2 * m)
-    # weight of C(k, i) in 4^m d_i(m)
-    weights = [
-        (1 << k) * cache.binomial(2 * m - 2 * k, m - k) * cache.binomial(m + k, k)
-        for k in range(m + 1)
-    ]
-    scaled = [
-        sum(weights[k] * cache.binomial(k, i) for k in range(i, m + 1))
-        for i in range(m + 1)
-    ]
-    return _from_scaled(m, scaled, Method.CLOSED_FORM)
+    v = math.comb(2 * m, m)  # C(2m-2k, m-k) C(m+k, k) at k = 0
+    weights = [v]
+    for k in range(m):
+        v = _exact_div(
+            v * (m - k) * (m + k + 1),
+            2 * (2 * m - 2 * k - 1) * (k + 1),
+            f"closed form m={m} k={k + 1}",
+        )
+        weights.append(v << (k + 1))
+    p = [weights[m]]
+    for w in reversed(weights[:m]):
+        # p*(x+1) + w: entry i becomes p_i + p_{i-1}, with p_{-1} = w
+        p = list(map(add, p + [0], [w] + p))
+    return CoeffRow.from_scaled(m, p, Method.CLOSED_FORM)
 
 
 def recu1_row(prev: CoeffRow) -> CoeffRow:
     """Row m+1 from row m via the two-term same-level recurrence."""
     m = prev.m
-    e = _scaled(prev)
+    e = prev.scaled
 
     def at(i: int) -> int:
         return e[i] if 0 <= i <= m else 0
@@ -145,7 +201,7 @@ def recu1_row(prev: CoeffRow) -> CoeffRow:
         )
         for i in range(m + 2)
     ]
-    return _from_scaled(m + 1, scaled, Method.RECU1)
+    return CoeffRow.from_scaled(m + 1, scaled, Method.RECU1)
 
 
 def recu2_row(prev: CoeffRow, cache: BinomialCache | None = None) -> CoeffRow:
@@ -156,7 +212,7 @@ def recu2_row(prev: CoeffRow, cache: BinomialCache | None = None) -> CoeffRow:
     """
     m = prev.m
     cache = cache or default_cache()
-    e = _scaled(prev)
+    e = prev.scaled
 
     def at(i: int) -> int:
         return e[i] if 0 <= i <= m else 0
@@ -170,7 +226,7 @@ def recu2_row(prev: CoeffRow, cache: BinomialCache | None = None) -> CoeffRow:
         for i in range(m + 1)
     ]
     scaled.append((1 << (m + 1)) * cache.binomial(2 * m + 2, m + 1))
-    return _from_scaled(m + 1, scaled, Method.RECU2)
+    return CoeffRow.from_scaled(m + 1, scaled, Method.RECU2)
 
 
 def recu3_row(
@@ -185,9 +241,9 @@ def recu3_row(
     if prev1.m != m + 1:
         raise ValueError(f"need consecutive rows, got m={m} and m={prev1.m}")
     cache = cache or default_cache()
-    e0, e1 = _scaled(prev2), _scaled(prev1)
+    e0, e1 = prev2.scaled, prev1.scaled
 
-    def at(e: list[int], top: int, i: int) -> int:
+    def at(e: tuple[int, ...], top: int, i: int) -> int:
         return e[i] if 0 <= i <= top else 0
 
     scaled = [
@@ -200,7 +256,7 @@ def recu3_row(
         for i in range(m + 2)
     ]
     scaled.append((1 << (m + 2)) * cache.binomial(2 * m + 4, m + 2))
-    return _from_scaled(m + 2, scaled, Method.RECU3)
+    return CoeffRow.from_scaled(m + 2, scaled, Method.RECU3)
 
 
 def recu4_residual(row: CoeffRow, i: int) -> Dyadic:
@@ -212,11 +268,17 @@ def recu4_residual(row: CoeffRow, i: int) -> Dyadic:
     m = row.m
     if not 0 <= i <= m + 1:
         raise ValueError(f"residual index {i} outside 0..{m + 1}")
-    return (
-        (m + 2 - i) * (m + i - 1) * row.d(i - 2)
-        - (i - 1) * (2 * m + 1) * row.d(i - 1)
-        + i * (i - 1) * row.d(i)
+    e = row.scaled
+
+    def at(j: int) -> int:
+        return e[j] if 0 <= j <= m else 0
+
+    scaled = (
+        (m + 2 - i) * (m + i - 1) * at(i - 2)
+        - (i - 1) * (2 * m + 1) * at(i - 1)
+        + i * (i - 1) * at(i)
     )
+    return Dyadic(scaled, 2 * m)
 
 
 def rows(method: Method | str, m_max: int, cache: BinomialCache | None = None) -> list[CoeffRow]:
@@ -224,12 +286,12 @@ def rows(method: Method | str, m_max: int, cache: BinomialCache | None = None) -
 
     The recurrence routes are seeded from the closed form where the route
     itself cannot start (m=0, and additionally m=1 for the two-step route).
+    ``cache`` serves the boundary entries of recu2 and recu3.
     """
     method = Method(method)
-    cache = cache or default_cache()
     if method is Method.CLOSED_FORM:
-        return [closed_form_row(m, cache) for m in range(m_max + 1)]
-    out = [closed_form_row(0, cache)]
+        return [closed_form_row(m) for m in range(m_max + 1)]
+    out = [closed_form_row(0)]
     if method is Method.RECU1:
         for _ in range(m_max):
             out.append(recu1_row(out[-1]))
@@ -238,7 +300,7 @@ def rows(method: Method | str, m_max: int, cache: BinomialCache | None = None) -
             out.append(recu2_row(out[-1], cache))
     elif method is Method.RECU3:
         if m_max >= 1:
-            out.append(closed_form_row(1, cache))
+            out.append(closed_form_row(1))
         while len(out) <= m_max:
             out.append(recu3_row(out[-2], out[-1], cache))
     else:
@@ -296,12 +358,18 @@ def hypergeometric_eval(
 
 
 def eval_poly(row: CoeffRow, a: Fraction | Dyadic | int) -> Fraction:
-    """P_m(a) by Horner evaluation of a generated row, exactly."""
+    """P_m(a) by Horner evaluation of a generated row, exactly.
+
+    With a = p/q the sum runs on integers: q^m 4^m P_m(a) = sum_i e_i p^i q^(m-i).
+    """
     af = _as_fraction(a)
-    acc = Fraction(0)
-    for c in reversed(row.coeffs):
-        acc = acc * af + c.as_fraction()
-    return acc
+    p, q = af.numerator, af.denominator
+    acc = 0
+    q_pow = 1
+    for e in reversed(row.scaled):
+        acc = acc * p + e * q_pow
+        q_pow *= q
+    return Fraction(acc, q**row.m << (2 * row.m))
 
 
 # -- serialization ------------------------------------------------------------

@@ -125,6 +125,17 @@ def _record(i: int, relation: str, lhs: Fraction, rhs: Fraction) -> BoundRecord:
     return BoundRecord(i, relation, lhs, rhs, holds, margin)
 
 
+def _d(row: CoeffRow, i: int) -> Fraction:
+    """d_i(m), read from the row's integer vector 4^m d_i(m).
+
+    The shared powers of two are shifted out first, so the Fraction is built
+    from coprime parts and its normalising gcd is trivial.
+    """
+    e, two_m = row.scaled[i], 2 * row.m
+    twos = min((e & -e).bit_length() - 1, two_m)
+    return Fraction(e >> twos, 1 << (two_m - twos))
+
+
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
     if row_next.m != row_m.m + 1:
         raise ValueError(f"need rows m and m+1, got m={row_m.m} and m={row_next.m}")
@@ -145,11 +156,12 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
         raise ValueError(f"requires m >= 1, got m={m}")
     report = BoundReport("thm21", m)
     for i in range(1, m):
-        d_m = row_m.coeffs[i].as_fraction()
-        d_next = row_next.coeffs[i].as_fraction()
+        d_m = _d(row_m, i)
+        d_next = _d(row_next, i)
         coeff = Fraction(4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1))
-        report.records.append(_record(i, ">=", d_next, coeff * d_m))
-        ratio = coeff * d_m / d_next
+        bound = coeff * d_m
+        report.records.append(_record(i, ">=", d_next, bound))
+        ratio = bound / d_next
         if report.min_ratio is None or ratio < report.min_ratio:
             report.min_ratio = ratio
     return report
@@ -164,8 +176,8 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     cache = default_cache()
     report = BoundReport("thm22", m)
     for i in range(1, m):
-        d_m = row_m.coeffs[i].as_fraction()
-        d_next = row_next.coeffs[i].as_fraction()
+        d_m = _d(row_m, i)
+        d_next = _d(row_next, i)
         coeff = Fraction(4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1))
         report.records.append(_record(i, ">", d_next, coeff * d_m))
     # boundary equalities
@@ -173,24 +185,24 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
         _record(
             0,
             "==",
-            row_next.coeffs[0].as_fraction(),
-            Fraction(4 * m + 3, 2 * (m + 1)) * row_m.coeffs[0].as_fraction(),
+            _d(row_next, 0),
+            Fraction(4 * m + 3, 2 * (m + 1)) * _d(row_m, 0),
         )
     )
     report.records.append(
         _record(
             m,
             "==",
-            row_next.coeffs[m].as_fraction(),
+            _d(row_next, m),
             Fraction((2 * m + 3) * (2 * m + 1), 2 * (m + 1))
-            * row_m.coeffs[m].as_fraction(),
+            * _d(row_m, m),
         )
     )
     report.records.append(
         _record(
             m,
             "==",
-            row_m.coeffs[m].as_fraction(),
+            _d(row_m, m),
             Fraction(cache.binomial(2 * m, m), 1 << m),
         )
     )
@@ -205,7 +217,7 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     report = BoundReport("l31", m)
     for j in range(1, m):
         lhs = Fraction(m - j, j + 1)
-        rhs = row.coeffs[j + 1].as_fraction() / row.coeffs[j].as_fraction()
+        rhs = Fraction(row.scaled[j + 1], row.scaled[j])
         report.records.append(_record(j, ">", lhs, rhs))
     return report
 
@@ -218,8 +230,8 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
         raise ValueError(f"requires m >= 2, got m={m}")
     report = BoundReport("l32", m)
     for i in range(m + 1):
-        lhs = row_next.coeffs[i].as_fraction()
-        rhs = growth_upper_bound(m, i) * row_m.coeffs[i].as_fraction()
+        lhs = _d(row_next, i)
+        rhs = growth_upper_bound(m, i) * _d(row_m, i)
         report.records.append(_record(i, "<=", lhs, rhs))
     return report
 
@@ -243,8 +255,8 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
             _record(
                 j,
                 "<=",
-                row.coeffs[j - 1].as_fraction(),
-                coeff * row.coeffs[j].as_fraction(),
+                _d(row, j - 1),
+                coeff * _d(row, j),
             )
         )
     return report
@@ -270,8 +282,8 @@ def check_endpoint_ratios(row: CoeffRow, cache: BinomialCache | None = None) -> 
         raise ValueError(f"requires m >= 2, got m={m}")
     cache = cache or default_cache()
     report = BoundReport("sec4", m)
-    low = row.coeffs[1].as_fraction() / row.coeffs[0].as_fraction()
-    high = row.coeffs[m - 1].as_fraction() / row.coeffs[m].as_fraction()
+    low = Fraction(row.scaled[1], row.scaled[0])
+    high = Fraction(row.scaled[m - 1], row.scaled[m])
     report.records.append(_record(1, "<", low, Fraction(m)))
     report.records.append(_record(m - 1, ">", high, Fraction(m)))
     central = cache.binomial(2 * m, m)
@@ -291,7 +303,7 @@ def run_checks(
         raise ValueError(f"unknown bound ids: {', '.join(unknown)}")
     cache = cache or default_cache()
     needs_rows = {"thm21", "thm22", "l31", "l32", "l33", "sec4"} & set(which)
-    row = closed_form_row(m, cache) if needs_rows else None
+    row = closed_form_row(m) if needs_rows else None
     row_next = (
         recu1_row(row) if row is not None and {"thm21", "thm22", "l32"} & set(which) else None
     )

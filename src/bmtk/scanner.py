@@ -11,12 +11,13 @@ squared-difference operator.  Verdicts are appended to a JSON-lines ledger:
      "witness": ..., "wall_time": ..., "timestamp": ...}
 
 The ledger is append-only and line-granular (each record is flushed with its
-newline), so an interrupted scan leaves a valid file; re-running skips every
-m that already has a terminal record.  Resuming with different parameters is
-refused with the exact difference.  Workers may verify distinct m
-concurrently; all appends go through the single coordinating process, and
-verdicts are order-independent, so interrupt patterns and worker counts never
-change the outcome.
+newline), so an interrupted scan leaves a valid file, at worst with a torn
+last line, which loading skips and a resume cuts off before it appends;
+re-running skips every m that already has a terminal record.  Resuming with
+different parameters is refused with the exact difference.  Workers may
+verify distinct m concurrently; all appends go through the single
+coordinating process, and verdicts are order-independent, so interrupt
+patterns and worker counts never change the outcome.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
@@ -158,7 +159,12 @@ def verify_cell(m: int, depth: int, strict: bool) -> ScanRecord:
     """Generate the row for m and check ratio monotonicity to ``depth``."""
     start = time.perf_counter()
     row = closed_form_row(m)
-    verdict = k_property(row.coeffs, depth, RATIO_MONOTONE, strict)
+    # Every predicate and L are homogeneous, so the integer vector 4^m d_i(m)
+    # gives the verdicts of the dyadic row; a witness records exact values of
+    # the dyadic iterates, so a failing row is re-checked in that form.
+    verdict = k_property(row.scaled, depth, RATIO_MONOTONE, strict)
+    if not verdict.holds:
+        verdict = k_property(row.coeffs, depth, RATIO_MONOTONE, strict)
     elapsed = time.perf_counter() - start
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if verdict.holds:
@@ -202,6 +208,31 @@ def load_ledger(path: Path | str) -> ScanLedger:
     return ledger
 
 
+def _end_last_line(path: Path) -> None:
+    """Make the ledger end with a newline before records are appended.
+
+    An interrupted append can leave a last line without its newline.  If that
+    line is a complete record, :func:`load_ledger` has counted it, so it gets
+    its newline; otherwise it is a torn fragment, which load_ledger skipped,
+    and it is cut off.
+    """
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:])
+        complete = True
+    except ValueError:
+        complete = False
+    with path.open("r+b") as fh:
+        if complete:
+            fh.seek(0, 2)
+            fh.write(b"\n")
+        else:
+            fh.truncate(cut)
+
+
 def _param_diff(existing: ScanParams, wanted: ScanParams) -> str:
     parts = []
     for name in ("m_from", "m_to", "depth", "strict"):
@@ -240,6 +271,7 @@ def scan(
     if not todo:
         return ledger
 
+    _end_last_line(path)
     with path.open("a") as fh:
 
         def append(record: ScanRecord) -> None:

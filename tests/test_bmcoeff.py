@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bmtk
 from bmtk import (
+    BinomialCache,
     CoeffRow,
     Dyadic,
     Method,
@@ -132,6 +138,61 @@ def test_row_validation():
         CoeffRow(1, (Dyadic(1), Dyadic(-1)), Method.CLOSED_FORM)  # not positive
     with pytest.raises(ValueError):
         CoeffRow(1, (Dyadic(1), Dyadic(1, 3)), Method.CLOSED_FORM)  # not over 4^m
+
+
+def test_row_from_scaled_matches_row_from_dyadics():
+    row = closed_form_row(8)
+    rebuilt = CoeffRow(8, dyadics(ROW_8), Method.CLOSED_FORM)
+    assert rebuilt.scaled == row.scaled
+    assert rebuilt == row
+    assert CoeffRow.from_scaled(8, row.scaled, Method.RECU1).coeffs == dyadics(ROW_8)
+    assert row.coeffs is row.coeffs  # built once
+    with pytest.raises(AttributeError):
+        row.m = 9
+
+
+def test_row_from_scaled_validation():
+    with pytest.raises(ValueError):
+        CoeffRow.from_scaled(2, (4, 4), Method.CLOSED_FORM)  # wrong length
+    with pytest.raises(ValueError):
+        CoeffRow.from_scaled(1, (4, 0), Method.CLOSED_FORM)  # not positive
+    with pytest.raises(ValueError):
+        CoeffRow.from_scaled(-1, (), Method.CLOSED_FORM)
+
+
+def _binomial_sum_row(m, table):
+    """4^m d_i(m) by the defining sum over k, evaluated term by term from a
+    binomial table: the O(m^2) reference for the Taylor shift."""
+    table.ensure_rows(2 * m)
+    weights = [
+        (1 << k) * table.binomial(2 * m - 2 * k, m - k) * table.binomial(m + k, k)
+        for k in range(m + 1)
+    ]
+    return tuple(
+        sum(weights[k] * table.binomial(k, i) for k in range(i, m + 1))
+        for i in range(m + 1)
+    )
+
+
+def test_taylor_shift_matches_binomial_sum():
+    table = BinomialCache()
+    for m in [*range(201), 400]:
+        assert closed_form_row(m).scaled == _binomial_sum_row(m, table), f"m={m}"
+
+
+def test_closed_form_builds_no_binomial_table():
+    src = str(Path(bmtk.__file__).resolve().parent.parent)
+    code = (
+        "from bmtk import closed_form_row, default_cache\n"
+        "closed_form_row(300)\n"
+        "print(default_cache().row_count)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "1"
 
 
 def test_double_sum_examples():

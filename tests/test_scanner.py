@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from bmtk import CoeffRow, Dyadic, Method, k_property, scanner
+from bmtk.seqprops import RATIO_MONOTONE
 from bmtk.scanner import (
+    VERDICT_FAILED,
+    VERDICT_POSITIVITY,
     VERDICT_VERIFIED,
     LedgerMismatchError,
     deep_probe,
@@ -67,6 +71,56 @@ def test_scan_tolerates_partial_trailing_line(tmp_path):
     assert sorted(ledger.records) == list(range(2, 9))
     resumed = scan(2, 8, 1, True, path)  # same parameters: clean resume
     assert resumed.all_verified
+
+
+def _ledger_ms(path):
+    """m of every cell line; each line must parse on its own."""
+    return [json.loads(line)["m"] for line in path.read_text().splitlines()[1:]]
+
+
+def test_scan_resumes_unfinished_range_after_torn_write(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fresh = {m: r.verdict for m, r in scan(2, 12, 2, True, path).records.items()}
+    lines = path.read_text().splitlines(keepends=True)
+    # header and four cells, then half of the fifth cell's line
+    path.write_text("".join(lines[:5]) + lines[5][: len(lines[5]) // 2])
+    scan(2, 12, 2, True, path)
+    reloaded = load_ledger(path)
+    assert {m: r.verdict for m, r in reloaded.records.items()} == fresh
+    assert sorted(_ledger_ms(path)) == list(range(2, 13))
+
+
+def test_scan_resume_keeps_complete_record_missing_its_newline(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 12, 2, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5]).rstrip("\n"))
+    scan(2, 12, 2, True, path)
+    assert sorted(_ledger_ms(path)) == list(range(2, 13))
+    assert load_ledger(path).all_verified
+
+
+# Rows for m=4 that are not strictly ratio monotone at level 0; non-strictly,
+# the first fails a comparison at level 1 and the second positivity there.
+FAILING_ROWS = (
+    (2, 5, 6, 5, 2),
+    (1, 2, 4, 2, 1),
+)
+
+
+@pytest.mark.parametrize("nums", FAILING_ROWS)
+@pytest.mark.parametrize("strict", (True, False))
+def test_failing_cell_keeps_its_exact_witness(monkeypatch, nums, strict):
+    row = CoeffRow(4, tuple(Dyadic(x, 3) for x in nums), Method.CLOSED_FORM)
+    monkeypatch.setattr(scanner, "closed_form_row", lambda m: row)
+    expected = k_property(row.coeffs, 3, RATIO_MONOTONE, strict)
+    assert not expected.holds
+    record = verify_cell(4, 3, strict)
+    assert record.witness == expected.witness.to_json()
+    assert record.level == expected.level
+    assert record.verdict == (
+        VERDICT_POSITIVITY if expected.witness.kind == "positivity" else VERDICT_FAILED
+    )
 
 
 def test_scan_parameter_mismatch_refused(tmp_path):

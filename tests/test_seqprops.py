@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bmtk import (
+    Dyadic,
     closed_form_row,
     is_log_concave,
     is_ratio_monotone,
@@ -15,7 +16,7 @@ from bmtk import (
     k_property,
     l_operator,
 )
-from bmtk.seqprops import LOG_CONCAVE, RATIO_MONOTONE
+from bmtk.seqprops import LOG_CONCAVE, RATIO_MONOTONE, UNIMODAL_MIDPEAK
 
 from known_values import LEVEL1_8, ROW_8, dyadics
 
@@ -152,3 +153,36 @@ def test_mixed_fraction_sequences_work():
     seq = tuple(Fraction(x, 7) for x in SPIRAL_NOT_LC)
     assert is_spiral(seq).holds
     assert not is_log_concave(seq).holds
+
+
+def _expand_roots(roots):
+    """Coefficients of prod (x + r): a real-rooted positive sequence, so its
+    L-iterates stay positive and the deeper levels get exercised."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a * r + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+int_seqs = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=9),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=8).map(_expand_roots),
+)
+
+
+def _outcome(verdict):
+    w = verdict.witness
+    return verdict.holds, verdict.level, w and w.kind, w and w.indices
+
+
+@given(
+    int_seqs,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from((RATIO_MONOTONE, LOG_CONCAVE, UNIMODAL_MIDPEAK)),
+    st.booleans(),
+)
+def test_k_property_on_ints_matches_dyadics(seq, shift, depth, prop, strict):
+    on_ints = k_property(seq, depth, prop, strict)
+    on_dyadics = k_property([Dyadic(x, shift) for x in seq], depth, prop, strict)
+    assert _outcome(on_ints) == _outcome(on_dyadics)
