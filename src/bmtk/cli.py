@@ -133,12 +133,13 @@ def _cmd_check(args: argparse.Namespace) -> Output:
     if args.m is not None:
         if args.m < 0:
             raise ValueError(f"--m must be nonnegative, got {args.m}")
-        seq: Sequence = bmcoeff.closed_form_row(args.m).coeffs
+        row = bmcoeff.closed_form_row(args.m)
         label = f"coefficient row m={args.m}"
+        verdicts = [scanner.row_property(row, args.depth, p, args.strict) for p in props]
     else:
         seq = _parse_seq(args.seq)
         label = f"sequence of length {len(seq)}"
-    verdicts = [seqprops.k_property(seq, args.depth, prop, args.strict) for prop in props]
+        verdicts = [seqprops.k_property(seq, args.depth, p, args.strict) for p in props]
     plain = [f"checking {label} to depth {args.depth}:"]
     csv = ["property,strict,holds,level,witness"]
     for v in verdicts:

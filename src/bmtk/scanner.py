@@ -14,10 +14,16 @@ The ledger is append-only and line-granular (each record is flushed with its
 newline), so an interrupted scan leaves a valid file, at worst with a torn
 last line, which loading skips and a resume cuts off before it appends;
 re-running skips every m that already has a terminal record.  Resuming with
-different parameters is refused with the exact difference.  Workers may
+different parameters is refused with the exact difference.  A scan holds an
+exclusive advisory lock on the ledger while it appends, so a second scan on
+the same ledger fails at once instead of interleaving records.  Workers may
 verify distinct m concurrently; all appends go through the single
 coordinating process, and verdicts are order-independent, so interrupt
 patterns and worker counts never change the outcome.
+
+Rows are checked as the integer vector 4^m d_i(m) divided by its gcd (see
+:func:`row_property`), so the comparisons take the fast int path of
+:mod:`bmtk.seqprops`.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
@@ -27,24 +33,34 @@ why iteration stopped.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bmcoeff import closed_form_row
-from .seqprops import RATIO_MONOTONE, is_ratio_monotone, k_property, l_operator
+from .bmcoeff import CoeffRow, closed_form_row
+from .seqprops import (
+    RATIO_MONOTONE,
+    PropertyVerdict,
+    is_ratio_monotone,
+    k_property,
+    l_operator,
+)
 
 __all__ = [
     "ScanParams",
     "ScanRecord",
     "ScanLedger",
     "LedgerMismatchError",
+    "LedgerLockedError",
     "VERDICT_VERIFIED",
     "VERDICT_FAILED",
     "VERDICT_POSITIVITY",
+    "row_property",
     "verify_cell",
     "scan",
     "scan_resume",
@@ -62,6 +78,10 @@ VERDICT_POSITIVITY = "positivity-failed"
 
 class LedgerMismatchError(ValueError):
     """Existing ledger was written with different parameters."""
+
+
+class LedgerLockedError(ValueError):
+    """Another scan holds the ledger's append lock."""
 
 
 @dataclass(frozen=True)
@@ -155,16 +175,25 @@ class ScanLedger:
         }
 
 
+def row_property(row: CoeffRow, depth: int, prop: str, strict: bool) -> PropertyVerdict:
+    """:func:`~bmtk.seqprops.k_property` of the row's coefficients.
+
+    Every predicate is invariant under positive scaling and L is homogeneous
+    of degree 2, so the integer vector 4^m d_i(m), divided by its gcd, gives
+    the verdicts of the dyadic row.  A witness records exact values of the
+    dyadic iterates, so a failing row is checked again in that form.
+    """
+    g = math.gcd(*row.scaled)
+    verdict = k_property(tuple(x // g for x in row.scaled), depth, prop, strict)
+    if not verdict.holds:
+        verdict = k_property(row.coeffs, depth, prop, strict)
+    return verdict
+
+
 def verify_cell(m: int, depth: int, strict: bool) -> ScanRecord:
     """Generate the row for m and check ratio monotonicity to ``depth``."""
     start = time.perf_counter()
-    row = closed_form_row(m)
-    # Every predicate and L are homogeneous, so the integer vector 4^m d_i(m)
-    # gives the verdicts of the dyadic row; a witness records exact values of
-    # the dyadic iterates, so a failing row is re-checked in that form.
-    verdict = k_property(row.scaled, depth, RATIO_MONOTONE, strict)
-    if not verdict.holds:
-        verdict = k_property(row.coeffs, depth, RATIO_MONOTONE, strict)
+    verdict = row_property(closed_form_row(m), depth, RATIO_MONOTONE, strict)
     elapsed = time.perf_counter() - start
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if verdict.holds:
@@ -188,7 +217,10 @@ def load_ledger(path: Path | str) -> ScanLedger:
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"ledger {path} is empty")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"ledger {path} line 1: {exc.msg} at column {exc.colno}") from exc
     if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
         raise ValueError(f"ledger {path} has no valid header line")
     ledger = ScanLedger(path, ScanParams.from_header(header))
@@ -197,10 +229,12 @@ def load_ledger(path: Path | str) -> ScanLedger:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
             if idx == len(lines) - 1:
                 break  # interrupted mid-append; the cell will be redone
-            raise
+            raise ValueError(
+                f"ledger {path} line {idx + 1}: {exc.msg} at column {exc.colno}"
+            ) from exc
         if obj.get("record") != "cell":
             raise ValueError(f"ledger {path} line {idx + 1}: unexpected record")
         record = ScanRecord.from_json(obj)
@@ -271,8 +305,14 @@ def scan(
     if not todo:
         return ledger
 
-    _end_last_line(path)
     with path.open("a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise LedgerLockedError(
+                f"ledger {path} is locked by another scan"
+            ) from None
+        _end_last_line(path)
 
         def append(record: ScanRecord) -> None:
             ledger.records[record.m] = record

@@ -11,9 +11,13 @@ exact and comparable):
                        a_m/a_0 <= a_{m-1}/a_1 <= ... <= a_{m-floor((m-1)/2)}/a_{floor((m-1)/2)} <= 1
   unimodal mid-peak  strict rise to index floor(m/2), then strict fall
 
-Ratio monotonicity implies both log-concavity and the spiral property, and
-all comparisons here are exact (cross-multiplied, never via ratios).  The
-chain predicates hold vacuously on sequences of length <= 2.
+Ratio monotonicity implies both log-concavity and the spiral property.
+Every comparison is a cross-multiplied product comparison, never a ratio.
+On sequences of plain ints it is first decided by a certified filter on the
+top 64 bits of each operand; only when the filter cannot decide are the
+exact products formed, and any violation and its witness come from those
+exact products.  Dyadic and rational entries always take the exact path.
+The chain predicates hold vacuously on sequences of length <= 2.
 
 The squared-difference operator maps a_i to a_i^2 - a_{i-1} a_{i+1} (with
 zero boundary terms); iterating it defines the depth-k variants checked by
@@ -106,14 +110,82 @@ def _verdict(prop: str, strict: bool, witness: Witness | None) -> PropertyVerdic
     return PropertyVerdict(prop, strict, witness is None, witness=witness)
 
 
+# The filter keeps this many leading bits of each operand.
+_FILTER_BITS = 64
+
+
+def _filter_bounds(seq: ExactSequence) -> list[tuple[int, int]] | None:
+    """Per entry x, ``(lo, k)`` with ``lo·2^k <= x < (lo + 1)·2^k``,
+    where ``lo`` is the top 64 bits of x (all of x when it is shorter).
+
+    None unless every entry is a plain int: a Dyadic or Fraction witness
+    needs the exact product, so those comparisons stay exact.
+    """
+    bounds = []
+    for x in seq:
+        if type(x) is not int:
+            return None
+        k = max(x.bit_length() - _FILTER_BITS, 0)
+        bounds.append((x >> k, k))
+    return bounds
+
+
+def _product(seq: ExactSequence, indices: tuple[int, ...]) -> ExactValue:
+    value = seq[indices[0]]
+    for j in indices[1:]:
+        value = value * seq[j]
+    return value
+
+
+def _violation(
+    seq: ExactSequence,
+    bounds: list[tuple[int, int]] | None,
+    lhs: tuple[int, ...],
+    rhs: tuple[int, ...],
+    strict: bool,
+) -> tuple[ExactValue, ExactValue] | None:
+    """None when the product of the entries at ``lhs`` is below (strict) or
+    at most the product of those at ``rhs``; otherwise both exact products.
+
+    With ``bounds`` the comparison is first certified from the top bits: the
+    left product is strictly below the product of the upper bounds, the right
+    one at least the product of the lower bounds, so when the first bound is
+    at most the second, lhs < rhs holds, strict or not.  Only a filter miss
+    forms the exact products.
+    """
+    if bounds is not None:
+        upper, lower, shift = 1, 1, 0
+        for j in lhs:
+            lo, k = bounds[j]
+            upper *= lo + 1
+            shift += k
+        for j in rhs:
+            lo, k = bounds[j]
+            lower *= lo
+            shift -= k
+        if upper << shift <= lower if shift >= 0 else upper <= lower << -shift:
+            return None
+    left, right = _product(seq, lhs), _product(seq, rhs)
+    if left < right if strict else left <= right:
+        return None
+    return left, right
+
+
 def _chain_witness(
-    pairs: Sequence[tuple[tuple[int, ...], ExactValue, ExactValue]], strict: bool
+    seq: ExactSequence,
+    pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    strict: bool,
 ) -> Witness | None:
-    """First violated comparison lhs <= rhs (or < rhs when strict)."""
-    for indices, lhs, rhs in pairs:
-        ok = lhs < rhs if strict else lhs <= rhs
-        if not ok:
-            return Witness("comparison", indices, lhs=str(lhs), rhs=str(rhs))
+    """First violated comparison lhs <= rhs (or < rhs when strict).
+
+    Each pair holds the indices of the entries whose products form lhs and
+    rhs; the witness lists the lhs indices, then the rhs indices.
+    """
+    bounds = _filter_bounds(seq)
+    for lhs, rhs in pairs:
+        bad = _violation(seq, bounds, lhs, rhs, strict)
+        if bad is not None:
+            return Witness("comparison", lhs + rhs, lhs=str(bad[0]), rhs=str(bad[1]))
     return None
 
 
@@ -122,11 +194,11 @@ def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
     pos = _positivity_witness(seq)
     if pos:
         return _verdict(LOG_CONCAVE, strict, pos)
+    bounds = _filter_bounds(seq)
     for i in range(1, len(seq) - 1):
-        square = seq[i] * seq[i]
-        product = seq[i - 1] * seq[i + 1]
-        ok = square > product if strict else square >= product
-        if not ok:
+        bad = _violation(seq, bounds, (i - 1, i + 1), (i, i), strict)
+        if bad is not None:
+            product, square = bad
             w = Witness("comparison", (i, i - 1, i + 1), lhs=str(square), rhs=str(product))
             return _verdict(LOG_CONCAVE, strict, w)
     return _verdict(LOG_CONCAVE, strict, None)
@@ -149,11 +221,8 @@ def is_spiral(seq: ExactSequence) -> PropertyVerdict:
             order.append(lo)
         hi -= 1
         lo += 1
-    pairs = [
-        ((order[t], order[t + 1]), seq[order[t]], seq[order[t + 1]])
-        for t in range(len(order) - 1)
-    ]
-    return _verdict(SPIRAL, False, _chain_witness(pairs, strict=False))
+    pairs = [((order[t],), (order[t + 1],)) for t in range(len(order) - 1)]
+    return _verdict(SPIRAL, False, _chain_witness(seq, pairs, strict=False))
 
 
 def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
@@ -168,22 +237,15 @@ def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdi
     m = len(seq) - 1
     if m < 2:
         return _verdict(RATIO_MONOTONE, strict, None)
-    pairs: list[tuple[tuple[int, ...], ExactValue, ExactValue]] = []
     # front chain: a_{i-1}/a_{m-i} <= a_i/a_{m-1-i}, then last ratio <= 1
     half = m // 2
-    for i in range(1, half):
-        pairs.append(
-            ((i - 1, m - 1 - i, i, m - i), seq[i - 1] * seq[m - 1 - i], seq[i] * seq[m - i])
-        )
-    pairs.append(((half - 1, m - half), seq[half - 1], seq[m - half]))
+    pairs = [((i - 1, m - 1 - i), (i, m - i)) for i in range(1, half)]
+    pairs.append(((half - 1,), (m - half,)))
     # reflected chain: a_{m-i}/a_i <= a_{m-1-i}/a_{i+1}, then last ratio <= 1
     rhalf = (m - 1) // 2
-    for i in range(rhalf):
-        pairs.append(
-            ((m - i, i + 1, m - 1 - i, i), seq[m - i] * seq[i + 1], seq[m - 1 - i] * seq[i])
-        )
-    pairs.append(((m - rhalf, rhalf), seq[m - rhalf], seq[rhalf]))
-    return _verdict(RATIO_MONOTONE, strict, _chain_witness(pairs, strict))
+    pairs += [((m - i, i + 1), (m - 1 - i, i)) for i in range(rhalf)]
+    pairs.append(((m - rhalf,), (rhalf,)))
+    return _verdict(RATIO_MONOTONE, strict, _chain_witness(seq, pairs, strict))
 
 
 def is_unimodal_midpeak(seq: ExactSequence) -> PropertyVerdict:
@@ -195,12 +257,9 @@ def is_unimodal_midpeak(seq: ExactSequence) -> PropertyVerdict:
     if m < 2:
         return _verdict(UNIMODAL_MIDPEAK, True, None)
     peak = m // 2
-    pairs: list[tuple[tuple[int, ...], ExactValue, ExactValue]] = []
-    for i in range(peak):
-        pairs.append(((i, i + 1), seq[i], seq[i + 1]))
-    for i in range(peak, m):
-        pairs.append(((i + 1, i), seq[i + 1], seq[i]))
-    return _verdict(UNIMODAL_MIDPEAK, True, _chain_witness(pairs, strict=True))
+    pairs = [((i,), (i + 1,)) for i in range(peak)]
+    pairs += [((i + 1,), (i,)) for i in range(peak, m)]
+    return _verdict(UNIMODAL_MIDPEAK, True, _chain_witness(seq, pairs, strict=True))
 
 
 def l_operator(seq: ExactSequence) -> tuple[ExactValue, ...]:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from bmtk.cli import main
+from bmtk import closed_form_row, k_property, scanner
+from bmtk.cli import PROP_TOKENS, main
 
 from known_values import ROW_8
 
@@ -88,6 +89,28 @@ def test_check_depth_flag(capsys):
     assert json.loads(out)[0]["level"] == 1
 
 
+@pytest.mark.parametrize("strict", (True, False))
+def test_check_row_path_matches_dyadic_path(strict):
+    for m in range(31):
+        row = closed_form_row(m)
+        for prop in PROP_TOKENS.values():
+            for depth in (1, 2, 3):
+                expected = k_property(row.coeffs, depth, prop, strict)
+                assert scanner.row_property(row, depth, prop, strict) == expected
+
+
+def test_check_json_matches_dyadic_verdicts(capsys):
+    code, out, _ = run(
+        capsys, "check", "--m", "12", "--props", "ratio,unimodal,logconcave,spiral",
+        "--depth", "3", "--format", "json",
+    )
+    coeffs = closed_form_row(12).coeffs
+    expected = [k_property(coeffs, 3, PROP_TOKENS[t], False).to_json()
+                for t in ("ratio", "unimodal", "logconcave", "spiral")]
+    assert json.loads(out) == expected
+    assert code == (0 if all(v["holds"] for v in expected) else 1)
+
+
 def test_check_usage_errors(capsys):
     assert run(capsys, "check", "--seq", "1,2,x", "--props", "spiral")[0] == 2
     assert run(capsys, "check", "--seq", "1,2", "--props", "bogus")[0] == 2
@@ -163,6 +186,19 @@ def test_scan_command(capsys, tmp_path):
     )
     assert code == 2
     assert "depth" in err
+
+
+def test_scan_corrupt_ledger_line_exits_2_with_its_line(capsys, tmp_path):
+    ledger = tmp_path / "scan.jsonl"
+    argv = ("scan", "--from", "2", "--to", "8", "--depth", "1", "--strict",
+            "--ledger", str(ledger))
+    assert run(capsys, *argv)[0] == 0
+    lines = ledger.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:5] + "\n"
+    ledger.write_text("".join(lines))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "line 3:" in err
 
 
 def test_binomial_cache_env_var(capsys, monkeypatch):

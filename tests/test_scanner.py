@@ -1,15 +1,17 @@
 """Tests for the range scanner and its resumable ledger."""
 
+import fcntl
 import json
 
 import pytest
 
-from bmtk import CoeffRow, Dyadic, Method, k_property, scanner
+from bmtk import CoeffRow, Dyadic, Method, closed_form_row, k_property, scanner
 from bmtk.seqprops import RATIO_MONOTONE
 from bmtk.scanner import (
     VERDICT_FAILED,
     VERDICT_POSITIVITY,
     VERDICT_VERIFIED,
+    LedgerLockedError,
     LedgerMismatchError,
     deep_probe,
     load_ledger,
@@ -121,6 +123,55 @@ def test_failing_cell_keeps_its_exact_witness(monkeypatch, nums, strict):
     assert record.verdict == (
         VERDICT_POSITIVITY if expected.witness.kind == "positivity" else VERDICT_FAILED
     )
+
+
+def _stable(record):
+    return {k: v for k, v in record.to_json().items() if k not in ("wall_time", "timestamp")}
+
+
+def _unreduced_record(m, depth, strict):
+    """verify_cell without the gcd: the integer vector 4^m d_i(m) as is."""
+    row = closed_form_row(m)
+    verdict = k_property(row.scaled, depth, RATIO_MONOTONE, strict)
+    if not verdict.holds:
+        verdict = k_property(row.coeffs, depth, RATIO_MONOTONE, strict)
+    if verdict.holds:
+        return scanner.ScanRecord(m, depth, depth, VERDICT_VERIFIED, None, None, 0.0, "")
+    kind = VERDICT_POSITIVITY if verdict.witness.kind == "positivity" else VERDICT_FAILED
+    return scanner.ScanRecord(
+        m, depth, verdict.level, kind, verdict.level, verdict.witness.to_json(), 0.0, ""
+    )
+
+
+@pytest.mark.parametrize("strict", (True, False))
+def test_gcd_reduced_cells_match_unreduced_records(strict):
+    for m in range(2, 41):
+        assert _stable(verify_cell(m, 3, strict)) == _stable(_unreduced_record(m, 3, strict))
+
+
+def test_corrupt_middle_line_reports_its_file_line(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "{not json\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"ledger .* line 4: "):
+        load_ledger(path)
+
+
+def test_second_writer_fails_fast_and_leaves_ledger_unchanged(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 12, 2, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    # an unfinished range ending in a torn line, which a resume would cut off
+    path.write_text("".join(lines[:5]) + lines[5][:10])
+    before = path.read_bytes()
+    with path.open("a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(LedgerLockedError, match="locked"):
+            scan(2, 12, 2, True, path)
+    assert path.read_bytes() == before
+    assert scan(2, 12, 2, True, path).all_verified  # lock released: resumes
 
 
 def test_scan_parameter_mismatch_refused(tmp_path):
