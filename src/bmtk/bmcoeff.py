@@ -18,7 +18,9 @@ on every valid row and therefore doubles as a corruption detector.
 
 The closed form is a Taylor shift: sum_i e_i x^i = sum_k w_k (x+1)^k, which
 Horner's rule in (x+1) evaluates with bigint additions only.  The weights come
-from one central binomial by exact term ratios.  Every recurrence step works
+from one central binomial by exact term ratios.  No route keeps a binomial
+table: the top entries of recu2 and recu3 take one ``math.comb`` per row, and
+the double sum builds its binomials by term ratios.  Every recurrence step works
 on the integer vectors directly and is one exact integer division, which is
 asserted exact.  Out-of-range entries follow the convention
 d_{-1}(m) = d_{m+1}(m) = 0.
@@ -37,7 +39,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-from .exactnum import BinomialCache, Dyadic, decimal_string, default_cache
+from .exactnum import Dyadic, decimal_string
 
 __all__ = [
     "Method",
@@ -204,14 +206,13 @@ def recu1_row(prev: CoeffRow) -> CoeffRow:
     return CoeffRow.from_scaled(m + 1, scaled, Method.RECU1)
 
 
-def recu2_row(prev: CoeffRow, cache: BinomialCache | None = None) -> CoeffRow:
+def recu2_row(prev: CoeffRow) -> CoeffRow:
     """Row m+1 from row m via the downward recurrence.
 
     This route only reaches 0 <= i <= m (its denominator vanishes at
     i = m+1); the top entry is filled from d_n(n) = 2^-n C(2n, n).
     """
     m = prev.m
-    cache = cache or default_cache()
     e = prev.scaled
 
     def at(i: int) -> int:
@@ -225,13 +226,11 @@ def recu2_row(prev: CoeffRow, cache: BinomialCache | None = None) -> CoeffRow:
         )
         for i in range(m + 1)
     ]
-    scaled.append((1 << (m + 1)) * cache.binomial(2 * m + 2, m + 1))
+    scaled.append(math.comb(2 * m + 2, m + 1) << (m + 1))
     return CoeffRow.from_scaled(m + 1, scaled, Method.RECU2)
 
 
-def recu3_row(
-    prev2: CoeffRow, prev1: CoeffRow, cache: BinomialCache | None = None
-) -> CoeffRow:
+def recu3_row(prev2: CoeffRow, prev1: CoeffRow) -> CoeffRow:
     """Row m+2 from rows m and m+1 via the two-step recurrence.
 
     Reaches 0 <= i <= m+1; the top entry is filled from the same boundary
@@ -240,7 +239,6 @@ def recu3_row(
     m = prev2.m
     if prev1.m != m + 1:
         raise ValueError(f"need consecutive rows, got m={m} and m={prev1.m}")
-    cache = cache or default_cache()
     e0, e1 = prev2.scaled, prev1.scaled
 
     def at(e: tuple[int, ...], top: int, i: int) -> int:
@@ -255,7 +253,7 @@ def recu3_row(
         )
         for i in range(m + 2)
     ]
-    scaled.append((1 << (m + 2)) * cache.binomial(2 * m + 4, m + 2))
+    scaled.append(math.comb(2 * m + 4, m + 2) << (m + 2))
     return CoeffRow.from_scaled(m + 2, scaled, Method.RECU3)
 
 
@@ -281,12 +279,12 @@ def recu4_residual(row: CoeffRow, i: int) -> Dyadic:
     return Dyadic(scaled, 2 * m)
 
 
-def rows(method: Method | str, m_max: int, cache: BinomialCache | None = None) -> list[CoeffRow]:
+def rows(method: Method | str, m_max: int) -> list[CoeffRow]:
     """All rows for 0 <= m <= m_max by one generation route.
 
     The recurrence routes are seeded from the closed form where the route
     itself cannot start (m=0, and additionally m=1 for the two-step route).
-    ``cache`` serves the boundary entries of recu2 and recu3.
+    The top entries of recu2 and recu3 take one ``math.comb`` per row.
     """
     method = Method(method)
     if method is Method.CLOSED_FORM:
@@ -297,12 +295,12 @@ def rows(method: Method | str, m_max: int, cache: BinomialCache | None = None) -
             out.append(recu1_row(out[-1]))
     elif method is Method.RECU2:
         for _ in range(m_max):
-            out.append(recu2_row(out[-1], cache))
+            out.append(recu2_row(out[-1]))
     elif method is Method.RECU3:
         if m_max >= 1:
             out.append(closed_form_row(1))
         while len(out) <= m_max:
-            out.append(recu3_row(out[-2], out[-1], cache))
+            out.append(recu3_row(out[-2], out[-1]))
     else:
         raise ValueError(f"no row generator for method {method.value}")
     return out[: m_max + 1]
@@ -317,28 +315,32 @@ def _as_fraction(a: Fraction | Dyadic | int) -> Fraction:
     return Fraction(a)
 
 
-def double_sum_eval(
-    m: int, a: Fraction | Dyadic | int, cache: BinomialCache | None = None
-) -> Fraction:
-    """P_m(a) by the defining double sum over (j, k), exactly."""
+def double_sum_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
+    """P_m(a) by the defining double sum over (j, k), exactly.
+
+    The binomials C(2m+1, 2j), C(m-j, k) and C(2s, s) come from exact term ratios.
+    """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    cache = cache or default_cache()
-    cache.ensure_rows(2 * m + 1)
+    central = [1]  # C(2s, s) for 0 <= s <= m
+    for s in range(m):
+        central.append(central[s] * 2 * (2 * s + 1) // (s + 1))
     af = _as_fraction(a)
     up, down = af + 1, af - 1
     total = Fraction(0)
+    n = 2 * m + 1
+    cj = 1  # C(2m+1, 2j)
     for j in range(m + 1):
-        cj = cache.binomial(2 * m + 1, 2 * j)
+        ck = 1  # C(m-j, k)
         for k in range(m - j + 1):
-            w = cj * cache.binomial(m - j, k) * cache.binomial(2 * k + 2 * j, k + j)
+            w = cj * ck * central[k + j]
             total += w * up**j * down**k / Fraction(1 << (3 * (k + j)))
+            ck = ck * (m - j - k) // (k + 1)
+        cj = cj * (n - 2 * j) * (n - 2 * j - 1) // ((2 * j + 1) * (2 * j + 2))
     return total
 
 
-def hypergeometric_eval(
-    m: int, a: Fraction | Dyadic | int, cache: BinomialCache | None = None
-) -> Fraction:
+def hypergeometric_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
     """P_m(a) as a terminating hypergeometric-style series, exactly.
 
     The m+1 terms are accumulated by incremental term ratios; the half-odd
@@ -347,14 +349,13 @@ def hypergeometric_eval(
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    cache = cache or default_cache()
     z = (_as_fraction(a) + 1) / 2
     term = Fraction(1)
     total = Fraction(1)
     for k in range(m):
         term *= Fraction(2 * (k - m) * (m + 1 + k), (2 * k - 2 * m + 1) * (k + 1)) * z
         total += term
-    return Fraction(cache.binomial(2 * m, m), 1 << (2 * m)) * total
+    return Fraction(math.comb(2 * m, m), 1 << (2 * m)) * total
 
 
 def eval_poly(row: CoeffRow, a: Fraction | Dyadic | int) -> Fraction:

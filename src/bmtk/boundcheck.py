@@ -1,8 +1,11 @@
 """Exact verification of the coefficient-row inequalities at concrete m.
 
 Each check evaluates one family of inequalities (or boundary equalities) on
-actual generated rows, entirely in rational arithmetic, and reports per-index
-records with exact margins so tightness studies are reproducible.  The only
+actual generated rows, exactly, and reports per-index records with exact
+margins so tightness studies are reproducible.  Both sides of a comparison are
+integer (numerator, denominator) pairs read from the rows' integer vectors
+4^m d_i(m), and one cross-multiplied integer difference decides it; the
+record's Fraction values are built once, from the same integers.  The only
 decimal output is the informational minimum-ratio string; decimals never feed
 a verdict.
 
@@ -27,12 +30,13 @@ i <= floor(m/2) for integer i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
-from .exactnum import BinomialCache, decimal_string, default_cache
+from .exactnum import decimal_string
 from .polyident import ratio_bound_denominator, ratio_bound_numerator
 
 __all__ = [
@@ -108,8 +112,13 @@ class BoundReport:
         }
 
 
-def _record(i: int, relation: str, lhs: Fraction, rhs: Fraction) -> BoundRecord:
-    diff = lhs - rhs
+Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
+
+
+def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
+    """Decide ``lhs relation rhs`` from the sign of one integer difference."""
+    (a, b), (c, d) = lhs, rhs
+    diff = a * d - c * b  # (lhs - rhs) * b * d
     if relation == ">=":
         holds, margin = diff >= 0, diff
     elif relation == ">":
@@ -122,18 +131,14 @@ def _record(i: int, relation: str, lhs: Fraction, rhs: Fraction) -> BoundRecord:
         holds, margin = diff == 0, -abs(diff)
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    return BoundRecord(i, relation, lhs, rhs, holds, margin)
+    return BoundRecord(
+        i, relation, Fraction(a, b), Fraction(c, d), holds, Fraction(margin, b * d)
+    )
 
 
-def _d(row: CoeffRow, i: int) -> Fraction:
-    """d_i(m), read from the row's integer vector 4^m d_i(m).
-
-    The shared powers of two are shifted out first, so the Fraction is built
-    from coprime parts and its normalising gcd is trivial.
-    """
-    e, two_m = row.scaled[i], 2 * row.m
-    twos = min((e & -e).bit_length() - 1, two_m)
-    return Fraction(e >> twos, 1 << (two_m - twos))
+def _entry(row: CoeffRow, i: int, num: int = 1, den: int = 1) -> Pair:
+    """(num/den) d_i(m) as a pair, read from the integer vector 4^m d_i(m)."""
+    return num * row.scaled[i], den << (2 * row.m)
 
 
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
@@ -148,6 +153,11 @@ def growth_upper_bound(m: int, i: int) -> Fraction:
     return Fraction(ratio_bound_numerator(m, i), ratio_bound_denominator(m, i))
 
 
+def _growth_lower_coefficient(m: int, i: int) -> Pair:
+    """(4m^2+7m+i+3) / (2(m+1-i)(m+1)), the thm21 factor on d_i(m)."""
+    return 4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1)
+
+
 def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
     """thm21 on 0 < i < m; also reports the minimum of the tightness ratio."""
     _require_consecutive(row_m, row_next)
@@ -155,15 +165,16 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={m}")
     report = BoundReport("thm21", m)
+    low = None  # the least bound/d_i(m+1) so far, as a pair
     for i in range(1, m):
-        d_m = _d(row_m, i)
-        d_next = _d(row_next, i)
-        coeff = Fraction(4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1))
-        bound = coeff * d_m
-        report.records.append(_record(i, ">=", d_next, bound))
-        ratio = bound / d_next
-        if report.min_ratio is None or ratio < report.min_ratio:
-            report.min_ratio = ratio
+        lhs = _entry(row_next, i)
+        bound = _entry(row_m, i, *_growth_lower_coefficient(m, i))
+        report.records.append(_record(i, ">=", lhs, bound))
+        ratio = bound[0] * lhs[1], bound[1] * lhs[0]
+        if low is None or ratio[0] * low[1] < low[0] * ratio[1]:
+            low = ratio
+    if low is not None:
+        report.min_ratio = Fraction(*low)
     return report
 
 
@@ -173,39 +184,17 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     m = row_m.m
     if m < 2:
         raise ValueError(f"requires m >= 2, got m={m}")
-    cache = default_cache()
     report = BoundReport("thm22", m)
     for i in range(1, m):
-        d_m = _d(row_m, i)
-        d_next = _d(row_next, i)
-        coeff = Fraction(4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1))
-        report.records.append(_record(i, ">", d_next, coeff * d_m))
+        bound = _entry(row_m, i, *_growth_lower_coefficient(m, i))
+        report.records.append(_record(i, ">", _entry(row_next, i), bound))
     # boundary equalities
-    report.records.append(
-        _record(
-            0,
-            "==",
-            _d(row_next, 0),
-            Fraction(4 * m + 3, 2 * (m + 1)) * _d(row_m, 0),
-        )
-    )
-    report.records.append(
-        _record(
-            m,
-            "==",
-            _d(row_next, m),
-            Fraction((2 * m + 3) * (2 * m + 1), 2 * (m + 1))
-            * _d(row_m, m),
-        )
-    )
-    report.records.append(
-        _record(
-            m,
-            "==",
-            _d(row_m, m),
-            Fraction(cache.binomial(2 * m, m), 1 << m),
-        )
-    )
+    top_step = (2 * m + 3) * (2 * m + 1), 2 * (m + 1)
+    report.records += [
+        _record(0, "==", _entry(row_next, 0), _entry(row_m, 0, 4 * m + 3, 2 * (m + 1))),
+        _record(m, "==", _entry(row_next, m), _entry(row_m, m, *top_step)),
+        _record(m, "==", _entry(row_m, m), (math.comb(2 * m, m), 1 << m)),
+    ]
     return report
 
 
@@ -216,9 +205,8 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
         raise ValueError(f"requires m >= 2, got m={m}")
     report = BoundReport("l31", m)
     for j in range(1, m):
-        lhs = Fraction(m - j, j + 1)
-        rhs = Fraction(row.scaled[j + 1], row.scaled[j])
-        report.records.append(_record(j, ">", lhs, rhs))
+        rhs = row.scaled[j + 1], row.scaled[j]
+        report.records.append(_record(j, ">", (m - j, j + 1), rhs))
     return report
 
 
@@ -230,16 +218,15 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
         raise ValueError(f"requires m >= 2, got m={m}")
     report = BoundReport("l32", m)
     for i in range(m + 1):
-        lhs = _d(row_next, i)
-        rhs = growth_upper_bound(m, i) * _d(row_m, i)
-        report.records.append(_record(i, "<=", lhs, rhs))
+        bound = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
+        report.records.append(_record(i, "<=", _entry(row_next, i), _entry(row_m, i, *bound)))
     return report
 
 
-def _predecessor_coefficient(m: int, j: int) -> tuple[Fraction, Fraction]:
-    """(numerator 2(m+1)B(m,j)-(4m+2j+3), full coefficient over 2(m+j))."""
-    numerator = 2 * (m + 1) * growth_upper_bound(m, j) - (4 * m + 2 * j + 3)
-    return numerator, numerator / (2 * (m + j))
+def _predecessor_numerator(m: int, j: int) -> Pair:
+    """2(m+1)B(m,j) - (4m+2j+3) as a pair over the denominator of B(m,j)."""
+    den = ratio_bound_denominator(m, j)
+    return 2 * (m + 1) * ratio_bound_numerator(m, j) - (4 * m + 2 * j + 3) * den, den
 
 
 def check_predecessor_bound(row: CoeffRow) -> BoundReport:
@@ -249,16 +236,10 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
         raise ValueError(f"requires m >= 2, got m={m}")
     report = BoundReport("l33", m)
     for j in range(1, m + 1):
-        numerator, coeff = _predecessor_coefficient(m, j)
-        report.records.append(_record(j, ">", numerator, Fraction(0)))
-        report.records.append(
-            _record(
-                j,
-                "<=",
-                _d(row, j - 1),
-                coeff * _d(row, j),
-            )
-        )
+        num, den = _predecessor_numerator(m, j)
+        report.records.append(_record(j, ">", (num, den), (0, 1)))
+        coeff = _entry(row, j, num, 2 * (m + j) * den)
+        report.records.append(_record(j, "<=", _entry(row, j - 1), coeff))
     return report
 
 
@@ -268,40 +249,35 @@ def check_reflected_ratio_gap(m: int) -> BoundReport:
         raise ValueError(f"requires m >= 1, got m={m}")
     report = BoundReport("l34", m)
     for i in range(m // 2 + 1):
-        denom = 2 * (m + 1) * growth_upper_bound(m, m - i) - (6 * m - 2 * i + 3)
-        lhs = Fraction(2 * (2 * m - i)) / denom
-        _, rhs = _predecessor_coefficient(m, i)
-        report.records.append(_record(i, ">", lhs, rhs))
+        # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
+        # expands to 2j(m+1) times a polynomial with positive coefficients
+        num, den = _predecessor_numerator(m, m - i)
+        lhs = 2 * (2 * m - i) * den, num
+        num, den = _predecessor_numerator(m, i)
+        report.records.append(_record(i, ">", lhs, (num, 2 * (m + i) * den)))
     return report
 
 
-def check_endpoint_ratios(row: CoeffRow, cache: BinomialCache | None = None) -> BoundReport:
+def check_endpoint_ratios(row: CoeffRow) -> BoundReport:
     """sec4: d_1/d_0 < m < d_{m-1}/d_m, and the top ratio's closed form."""
     m = row.m
     if m < 2:
         raise ValueError(f"requires m >= 2, got m={m}")
-    cache = cache or default_cache()
     report = BoundReport("sec4", m)
-    low = Fraction(row.scaled[1], row.scaled[0])
-    high = Fraction(row.scaled[m - 1], row.scaled[m])
-    report.records.append(_record(1, "<", low, Fraction(m)))
-    report.records.append(_record(m - 1, ">", high, Fraction(m)))
-    central = cache.binomial(2 * m, m)
-    closed = Fraction(cache.binomial(2 * m - 1, m) + m * central, central)
+    high = row.scaled[m - 1], row.scaled[m]
+    report.records.append(_record(1, "<", (row.scaled[1], row.scaled[0]), (m, 1)))
+    report.records.append(_record(m - 1, ">", high, (m, 1)))
+    central = math.comb(2 * m, m)
+    closed = math.comb(2 * m - 1, m) + m * central, central
     report.records.append(_record(m - 1, "==", high, closed))
     return report
 
 
-def run_checks(
-    m: int,
-    which: Sequence[str] = BOUND_IDS,
-    cache: BinomialCache | None = None,
-) -> list[BoundReport]:
+def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
     """Run the requested checks at one m, generating the rows once."""
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:
         raise ValueError(f"unknown bound ids: {', '.join(unknown)}")
-    cache = cache or default_cache()
     needs_rows = {"thm21", "thm22", "l31", "l32", "l33", "sec4"} & set(which)
     row = closed_form_row(m) if needs_rows else None
     row_next = (
@@ -324,5 +300,5 @@ def run_checks(
         elif token == "l34":
             reports.append(check_reflected_ratio_gap(m))
         elif token == "sec4":
-            reports.append(check_endpoint_ratios(row, cache))
+            reports.append(check_endpoint_ratios(row))
     return reports

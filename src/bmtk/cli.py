@@ -8,23 +8,19 @@ witness), 2 for usage or domain errors.
 JSON reports are built with fixed key order and canonical exact-value strings
 so repeated runs diff cleanly.  Decimal renderings are informational and are
 always accompanied by the exact strings; verdicts never consume decimals.
-
-The environment variable BMTK_BINOMIAL_CACHE, when set to an integer,
-pre-sizes the shared binomial table before dispatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import bmcoeff, boundcheck, polyident, quadoracle, scanner, seqprops
-from .exactnum import Dyadic, decimal_string, default_cache
+from .exactnum import Dyadic, decimal_string
 
 __all__ = ["main", "build_parser"]
 
@@ -264,14 +260,6 @@ def _render(output: Output, fmt: str) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    presize = os.environ.get("BMTK_BINOMIAL_CACHE")
-    if presize:
-        try:
-            default_cache().ensure_rows(int(presize))
-        except ValueError:
-            print(f"invalid BMTK_BINOMIAL_CACHE value: {presize!r}", file=sys.stderr)
-            return 2
 
     try:
         output = _HANDLERS[args.command](args)

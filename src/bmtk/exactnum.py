@@ -7,9 +7,10 @@ rationals are handled by :class:`fractions.Fraction`, re-exported here as
 ``Rational``; it already guarantees the invariants we need (positive
 denominator, lowest terms).
 
-All values are immutable and safe to share between threads or processes.  The
-:class:`BinomialCache` grows on demand under a lock, so one instance may be
-shared by concurrent readers, or workers may simply build their own.
+All values are immutable and safe to share between threads or processes.
+:class:`BinomialCache` (with :func:`default_cache` and :func:`binomial`) is a
+reference utility that no toolkit code path uses: an additive-recurrence
+table, grown on demand under a lock, independent of ``math.comb``.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class Dyadic:
         return Fraction(self.num, 1 << self.exp)
 
     def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}"
+        return f"{_int_str(self.num)}/2^{self.exp}"
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.exp})"
@@ -266,6 +267,16 @@ def default_cache() -> BinomialCache:
 def binomial(n: int, k: int) -> int:
     """Exact ``C(n, k)`` from the shared table (0 outside ``0 <= k <= n``)."""
     return _DEFAULT_CACHE.binomial(n, k)
+
+
+def _int_str(n: int) -> str:
+    """``str(n)``, also past the interpreter's limit on int-to-decimal digits.
+
+    CPython refuses ``str()`` of an int with more than 4,300 digits by
+    default; the decimal module's conversion has no such cap and gives the
+    same digits.
+    """
+    return str(Decimal(n))
 
 
 def decimal_string(value: Dyadic | Fraction | int, digits: int = 20) -> str:

@@ -223,22 +223,26 @@ def load_ledger(path: Path | str) -> ScanLedger:
         raise ValueError(f"ledger {path} line 1: {exc.msg} at column {exc.colno}") from exc
     if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
         raise ValueError(f"ledger {path} has no valid header line")
-    ledger = ScanLedger(path, ScanParams.from_header(header))
-    for idx, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if idx == len(lines) - 1:
-                break  # interrupted mid-append; the cell will be redone
-            raise ValueError(
-                f"ledger {path} line {idx + 1}: {exc.msg} at column {exc.colno}"
-            ) from exc
-        if obj.get("record") != "cell":
-            raise ValueError(f"ledger {path} line {idx + 1}: unexpected record")
-        record = ScanRecord.from_json(obj)
-        ledger.records.setdefault(record.m, record)
+    lineno = 1  # the file line being parsed
+    try:
+        ledger = ScanLedger(path, ScanParams.from_header(header))
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if lineno == len(lines):
+                    break  # interrupted mid-append; the cell will be redone
+                raise ValueError(
+                    f"ledger {path} line {lineno}: {exc.msg} at column {exc.colno}"
+                ) from exc
+            if obj.get("record") != "cell":
+                raise ValueError(f"ledger {path} line {lineno}: unexpected record")
+            record = ScanRecord.from_json(obj)
+            ledger.records.setdefault(record.m, record)
+    except KeyError as exc:
+        raise ValueError(f"ledger {path} line {lineno}: missing field {exc.args[0]!r}") from None
     return ledger
 
 

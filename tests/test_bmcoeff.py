@@ -180,19 +180,32 @@ def test_taylor_shift_matches_binomial_sum():
         assert closed_form_row(m).scaled == _binomial_sum_row(m, table), f"m={m}"
 
 
+NO_TABLE_RUNS = (
+    "from bmtk import closed_form_row\n"
+    "closed_form_row(300)\n",
+    # every other route to a binomial: the recurrences' top entries, the
+    # bound checks, both evaluators and the bounds command
+    "from bmtk import double_sum_eval, hypergeometric_eval, rows\n"
+    "from bmtk.boundcheck import run_checks\n"
+    "from bmtk.cli import main\n"
+    "for method in ('closed-form', 'recu1', 'recu2', 'recu3'):\n"
+    "    rows(method, 60)\n"
+    "run_checks(60)\n"
+    "double_sum_eval(30, 3)\n"
+    "hypergeometric_eval(30, 3)\n"
+    "main(['bounds', '--m', '60'])\n",
+)
+
+
 def test_closed_form_builds_no_binomial_table():
     src = str(Path(bmtk.__file__).resolve().parent.parent)
-    code = (
-        "from bmtk import closed_form_row, default_cache\n"
-        "closed_form_row(300)\n"
-        "print(default_cache().row_count)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "1"
+    for code in NO_TABLE_RUNS:
+        out = subprocess.run(
+            [sys.executable, "-c", f"import bmtk\n{code}print(bmtk.default_cache().row_count)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.splitlines()[-1] == "1", code
 
 
 def test_double_sum_examples():

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bmtk import closed_form_row, recu1_row
+from bmtk import CoeffRow, binomial, closed_form_row, recu1_row
 from bmtk.boundcheck import (
     BOUND_IDS,
+    BoundRecord,
+    BoundReport,
     check_endpoint_ratios,
     check_growth_lower_bound,
     check_growth_upper_bound,
@@ -211,3 +213,130 @@ def test_margin_sign_consistency_and_json():
             else:  # pragma: no cover - suite holds everywhere
                 assert rec.margin <= 0
     assert report.bound_id in BOUND_IDS
+
+
+# -- the integer-pair checks against a Fraction-chain reference -------------------
+
+
+def _reference_record(i, relation, lhs, rhs):
+    diff = lhs - rhs
+    holds, margin = {
+        ">=": (diff >= 0, diff),
+        ">": (diff > 0, diff),
+        "<=": (diff <= 0, -diff),
+        "<": (diff < 0, -diff),
+        "==": (diff == 0, -abs(diff)),
+    }[relation]
+    return BoundRecord(i, relation, lhs, rhs, holds, margin)
+
+
+def _reference_reports(row, nxt):
+    """All seven checks as chains of Fraction operations on d_i(m)."""
+    m, rec = row.m, _reference_record
+    d = [c.as_fraction() for c in row.coeffs]
+    dn = [c.as_fraction() for c in nxt.coeffs]
+
+    def lower(i):
+        return Fraction(4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1))
+
+    def predecessor(j):
+        numerator = 2 * (m + 1) * growth_upper_bound(m, j) - (4 * m + 2 * j + 3)
+        return numerator, numerator / (2 * (m + j))
+
+    thm21 = BoundReport("thm21", m)
+    for i in range(1, m):
+        bound = lower(i) * d[i]
+        thm21.records.append(rec(i, ">=", dn[i], bound))
+        if thm21.min_ratio is None or bound / dn[i] < thm21.min_ratio:
+            thm21.min_ratio = bound / dn[i]
+    thm22 = BoundReport("thm22", m, [rec(i, ">", dn[i], lower(i) * d[i]) for i in range(1, m)])
+    thm22.records += [
+        rec(0, "==", dn[0], Fraction(4 * m + 3, 2 * (m + 1)) * d[0]),
+        rec(m, "==", dn[m], Fraction((2 * m + 3) * (2 * m + 1), 2 * (m + 1)) * d[m]),
+        rec(m, "==", d[m], Fraction(binomial(2 * m, m), 1 << m)),
+    ]
+    l31 = BoundReport(
+        "l31", m, [rec(j, ">", Fraction(m - j, j + 1), d[j + 1] / d[j]) for j in range(1, m)]
+    )
+    l32 = BoundReport(
+        "l32", m, [rec(i, "<=", dn[i], growth_upper_bound(m, i) * d[i]) for i in range(m + 1)]
+    )
+    l33 = BoundReport("l33", m)
+    for j in range(1, m + 1):
+        numerator, coeff = predecessor(j)
+        l33.records += [rec(j, ">", numerator, Fraction(0)), rec(j, "<=", d[j - 1], coeff * d[j])]
+    l34 = BoundReport("l34", m)
+    for i in range(m // 2 + 1):
+        denom = 2 * (m + 1) * growth_upper_bound(m, m - i) - (6 * m - 2 * i + 3)
+        l34.records.append(rec(i, ">", Fraction(2 * (2 * m - i)) / denom, predecessor(i)[1]))
+    central = binomial(2 * m, m)
+    closed = Fraction(binomial(2 * m - 1, m) + m * central, central)
+    sec4 = BoundReport("sec4", m, [
+        rec(1, "<", d[1] / d[0], Fraction(m)),
+        rec(m - 1, ">", d[m - 1] / d[m], Fraction(m)),
+        rec(m - 1, "==", d[m - 1] / d[m], closed),
+    ])
+    return [thm21, thm22, l31, l32, l33, l34, sec4]
+
+
+def _checks(row, nxt):
+    return [
+        check_growth_lower_bound(row, nxt),
+        check_strict_growth_bound(row, nxt),
+        check_successor_ratio_bound(row),
+        check_growth_upper_bound(row, nxt),
+        check_predecessor_bound(row),
+        check_reflected_ratio_gap(row.m),
+        check_endpoint_ratios(row),
+    ]
+
+
+def _assert_same(reports, reference):
+    assert len(reports) == len(reference)
+    for report, ref in zip(reports, reference):
+        assert report.to_json() == ref.to_json()
+        assert report.min_ratio == ref.min_ratio
+
+
+def test_integer_pair_checks_match_fraction_reference():
+    for m in range(2, 61):
+        row = closed_form_row(m)
+        _assert_same(run_checks(m), _reference_reports(row, recu1_row(row)))
+
+
+def _perturbed(row, i, change):
+    scaled = list(row.scaled)
+    scaled[i] = max(1, change(scaled[i]))
+    return CoeffRow.from_scaled(row.m, scaled, row.method)
+
+
+def _on_growth_bound(row, nxt, i):
+    """nxt with d_i(m+1) equal to the thm21 bound, if that is an entry."""
+    m = row.m
+    num = 4 * (4 * m * m + 7 * m + i + 3) * row.scaled[i]
+    den = 2 * (m + 1 - i) * (m + 1)
+    return None if num % den else _perturbed(nxt, i, lambda e: num // den)
+
+
+def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
+    changes = (lambda e: e // 2, lambda e: 2 * e, lambda e: e + 1, lambda e: e - 1)
+    failing, ties = set(), set()
+    for m in (2, 3, 8, 25):
+        row = closed_form_row(m)
+        nxt = recu1_row(row)
+        pairs = []
+        for change in changes:
+            pairs += [(_perturbed(row, i, change), nxt) for i in range(m + 1)]
+            pairs += [(row, _perturbed(nxt, i, change)) for i in range(m + 2)]
+        tied = (_on_growth_bound(row, nxt, i) for i in range(1, m))
+        pairs += [(row, t) for t in tied if t is not None]
+        pairs.append((_perturbed(row, 1, lambda e: m * row.scaled[0]), nxt))  # d_1/d_0 = m
+        for pair in pairs:
+            reports = _checks(*pair)
+            _assert_same(reports, _reference_reports(*pair))
+            records = [r for rep in reports for r in rep.records]
+            failing |= {r.relation for r in records if r.margin < 0}
+            ties |= {(r.relation, r.holds) for r in records if r.margin == 0}
+    assert failing == {">=", ">", "<=", "<", "=="}
+    # on a tie the non-strict relation holds and the strict one fails
+    assert {(">=", True), (">", False), ("<=", True), ("<", False)} <= ties

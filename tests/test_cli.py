@@ -201,8 +201,13 @@ def test_scan_corrupt_ledger_line_exits_2_with_its_line(capsys, tmp_path):
     assert "line 3:" in err
 
 
-def test_binomial_cache_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("BMTK_BINOMIAL_CACHE", "64")
-    assert run(capsys, "gen", "--m", "2")[0] == 0
-    monkeypatch.setenv("BMTK_BINOMIAL_CACHE", "junk")
-    assert run(capsys, "gen", "--m", "2")[0] == 2
+def test_scan_ledger_cell_missing_a_field_exits_2_with_its_line(capsys, tmp_path):
+    ledger = tmp_path / "scan.jsonl"
+    argv = ("scan", "--from", "2", "--to", "8", "--depth", "1", "--strict",
+            "--ledger", str(ledger))
+    assert run(capsys, *argv)[0] == 0
+    with ledger.open("a") as fh:
+        fh.write('{"record": "cell", "m": 9}\n')
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "line 9: missing field 'depth_requested'" in err

@@ -159,6 +159,21 @@ def test_corrupt_middle_line_reports_its_file_line(tmp_path):
         load_ledger(path)
 
 
+def test_record_missing_a_field_reports_its_file_line(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    good = path.read_text()
+    path.write_text(good + '{"record": "cell", "m": 9}\n')
+    with pytest.raises(ValueError, match=r"ledger .* line 9: missing field 'depth_requested'"):
+        load_ledger(path)
+    header, rest = good.split("\n", 1)
+    obj = json.loads(header)
+    del obj["m_from"]
+    path.write_text(json.dumps(obj) + "\n" + rest)
+    with pytest.raises(ValueError, match=r"ledger .* line 1: missing field 'm_from'"):
+        load_ledger(path)
+
+
 def test_second_writer_fails_fast_and_leaves_ledger_unchanged(tmp_path):
     path = tmp_path / "ledger.jsonl"
     scan(2, 12, 2, True, path)

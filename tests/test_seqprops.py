@@ -198,24 +198,23 @@ def test_k_property_on_ints_matches_dyadics(seq, shift, depth, prop, strict):
 # -- the top-bits filter against an exact reference ------------------------------
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _long_witness_strings():
-    """Witnesses print exact products of up to 20,000 bits, more decimal
-    digits than the interpreter's default int-to-str limit allows."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(old)
+def _digits(n):
+    """Decimal digits of an int in 1000-digit chunks, each one short enough
+    for ``str()`` under the interpreter's default int-to-str limit."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
 
 
 def _exact_comparisons(strict, comparisons):
     """Reference chain: every product formed exactly, first violation wins."""
     for indices, lhs, rhs in comparisons:
         if not (lhs < rhs if strict else lhs <= rhs):
-            return Witness("comparison", indices, lhs=str(lhs), rhs=str(rhs))
+            return Witness("comparison", indices, lhs=_digits(lhs), rhs=_digits(rhs))
     return None
 
 
@@ -246,7 +245,7 @@ def _exact_log_concave(seq, strict):
     for i in range(1, len(seq) - 1):
         square, product = seq[i] * seq[i], seq[i - 1] * seq[i + 1]
         if not (square > product if strict else square >= product):
-            w = Witness("comparison", (i, i - 1, i + 1), lhs=str(square), rhs=str(product))
+            w = Witness("comparison", (i, i - 1, i + 1), lhs=_digits(square), rhs=_digits(product))
             return PropertyVerdict(LOG_CONCAVE, strict, False, witness=w)
     return PropertyVerdict(LOG_CONCAVE, strict, True)
 
@@ -372,7 +371,7 @@ def test_filter_products_one_apart(bits):
     for strict in (True, False):
         verdict = is_log_concave((a * a + 1, a, 1), strict)
         assert verdict == _exact_log_concave((a * a + 1, a, 1), strict)
-        assert (verdict.witness.lhs, verdict.witness.rhs) == (str(a * a), str(a * a + 1))
+        assert (verdict.witness.lhs, verdict.witness.rhs) == (_digits(a * a), _digits(a * a + 1))
     # ratio chain of m=4, first comparison a_0 a_2 against a_1 a_3 = a^2
     below = (a - 1, a, a + 1, a, 1)  # a^2 - 1 passes; the last ratio a_3/a_1 ties
     above = (1, a, a * a + 1, a, 1)  # a^2 + 1 fails
@@ -382,3 +381,20 @@ def test_filter_products_one_apart(bits):
     assert is_ratio_monotone(below).holds
     assert is_ratio_monotone(below, strict=True).witness.indices == (3, 1)
     assert is_ratio_monotone(above).witness.indices == (0, 2, 1, 3)
+
+
+def test_witness_digits_past_the_int_to_str_limit():
+    a = 1 << 15000
+    square, product = a * a, a * a + 1  # 9,031 digits each
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert 0 < sys.get_int_max_str_digits() < 9031  # the default limit is on
+        with pytest.raises(ValueError):
+            str(product)
+    verdict = is_log_concave((product, a, 1))
+    assert (verdict.witness.lhs, verdict.witness.rhs) == (_digits(square), _digits(product))
+    # the same digits from Fraction and Dyadic entries, formats unchanged
+    thirds = is_log_concave(tuple(Fraction(x, 3) for x in (product, a, 1))).witness
+    assert (thirds.lhs, thirds.rhs) == (_digits(square) + "/9", _digits(product) + "/9")
+    halves = is_log_concave(tuple(Dyadic(x, 1) for x in (product, a, 1))).witness
+    # a/2 = 2^14999 is canonically an integer, so the square is one too
+    assert (halves.lhs, halves.rhs) == (_digits(square >> 2) + "/2^0", _digits(product) + "/2^2")
