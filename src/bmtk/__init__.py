@@ -24,8 +24,6 @@ from .bmcoeff import (
 from .exactnum import (
     BinomialCache,
     Dyadic,
-    NotDyadicError,
-    Rational,
     binomial,
     decimal_string,
     default_cache,
@@ -48,9 +46,7 @@ __all__ = [
     "CoeffRow",
     "Dyadic",
     "Method",
-    "NotDyadicError",
     "PropertyVerdict",
-    "Rational",
     "Witness",
     "binomial",
     "closed_form_row",

@@ -1,10 +1,11 @@
 """Boros-Moll coefficient rows: four independent exact generators, three evaluators.
 
 The degree-m Boros-Moll polynomial P_m(a) = sum_i d_i(m) a^i has strictly
-positive coefficients with 4^m * d_i(m) an integer, so a row carries the
-integer vector e_i = 4^m * d_i(m) (``CoeffRow.scaled``); the canonical dyadic
-rationals d_i(m) (``CoeffRow.coeffs``) are a view built from it on first
-access.  The generation routes are
+positive coefficients with 4^m * d_i(m) an integer, so a row is the integer
+vector e_i = 4^m * d_i(m): ``CoeffRow(m, scaled, method)``.  The canonical
+dyadic rationals d_i(m) (``CoeffRow.coeffs``) are a view built from it on
+first access, for printing; :func:`row_from_json` is the one place where
+dyadics become a row.  The generation routes are
 
   closed form   4^m d_i(m) = sum_{k=i..m} w_k C(k, i),
                 w_k = 2^k C(2m-2k, m-k) C(m+k, k)
@@ -34,10 +35,12 @@ generated row.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactnum import Dyadic, decimal_string
 
@@ -69,89 +72,34 @@ class Method(str, Enum):
     DOUBLE_SUM = "double-sum"
 
 
+@dataclass(frozen=True)
 class CoeffRow:
-    """The sequence {d_i(m)} for one m, immutable after generation.
+    """The row {d_i(m)} for one m, as the integer vector 4^m * d_i(m).
 
-    ``scaled`` is the integer vector 4^m * d_i(m), the form every generator
-    and hot path works on; ``coeffs`` holds the same entries as canonical
-    dyadics, built on first access.  ``CoeffRow(m, coeffs, method)`` builds a
-    row from dyadics; :meth:`from_scaled` builds one from the integer vector.
+    ``scaled`` holds the integers e_i = 4^m * d_i(m), the form every
+    generator and check works on; the constructor takes that vector and
+    checks its length and that every entry is positive.  ``coeffs`` is the
+    same row as canonical dyadics, built on first access, for printing.
     """
-
-    __slots__ = ("m", "scaled", "method", "_coeffs")
 
     m: int
     scaled: tuple[int, ...]
     method: Method
 
-    def __init__(self, m: int, coeffs: Sequence[Dyadic], method: Method) -> None:
-        coeffs = tuple(coeffs)
-        _check_length(m, coeffs)
-        for i, c in enumerate(coeffs):
-            if c.num <= 0:
-                raise ValueError(f"d_{i}({m}) = {c} is not positive")
-            if c.exp > 2 * m:
-                raise ValueError(f"d_{i}({m}) = {c} is not an integer over 4^m")
-        scaled = tuple(c.num << (2 * m - c.exp) for c in coeffs)
-        self._init(m, scaled, method, coeffs)
-
-    @classmethod
-    def from_scaled(cls, m: int, scaled: Sequence[int], method: Method) -> "CoeffRow":
-        """The row whose entries are ``scaled[i] / 4^m``."""
-        scaled = tuple(scaled)
-        _check_length(m, scaled)
+    def __post_init__(self) -> None:
+        m, scaled = self.m, tuple(self.scaled)
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        if len(scaled) != m + 1:
+            raise ValueError(f"row for m={m} needs {m + 1} entries, got {len(scaled)}")
         for i, e in enumerate(scaled):
             if e <= 0:
                 raise ValueError(f"d_{i}({m}) = {e}/4^{m} is not positive")
-        row = cls.__new__(cls)
-        row._init(m, scaled, method, None)
-        return row
-
-    def _init(self, m, scaled, method, coeffs) -> None:
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "_coeffs", coeffs)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CoeffRow is immutable")
-
-    @property
+    @cached_property
     def coeffs(self) -> tuple[Dyadic, ...]:
-        if self._coeffs is None:
-            two_m = 2 * self.m
-            object.__setattr__(self, "_coeffs", tuple(Dyadic(e, two_m) for e in self.scaled))
-        return self._coeffs
-
-    def d(self, i: int) -> Dyadic:
-        """d_i(m), with zero outside 0 <= i <= m."""
-        if 0 <= i <= self.m:
-            return self.coeffs[i]
-        return Dyadic(0)
-
-    def __len__(self) -> int:
-        return self.m + 1
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffRow):
-            return NotImplemented
-        return (self.m, self.method, self.scaled) == (other.m, other.method, other.scaled)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.method, self.scaled))
-
-    def __repr__(self) -> str:
-        return f"CoeffRow(m={self.m}, coeffs={self.coeffs!r}, method={self.method!r})"
-
-
-def _check_length(m: int, entries: tuple) -> None:
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if len(entries) != m + 1:
-        raise ValueError(f"row for m={m} needs {m + 1} entries, got {len(entries)}")
+        return tuple(Dyadic(e, 2 * self.m) for e in self.scaled)
 
 
 def _exact_div(num: int, den: int, context: str) -> int:
@@ -184,26 +132,21 @@ def closed_form_row(m: int) -> CoeffRow:
     for w in reversed(weights[:m]):
         # p*(x+1) + w: entry i becomes p_i + p_{i-1}, with p_{-1} = w
         p = list(map(add, p + [0], [w] + p))
-    return CoeffRow.from_scaled(m, p, Method.CLOSED_FORM)
+    return CoeffRow(m, p, Method.CLOSED_FORM)
 
 
 def recu1_row(prev: CoeffRow) -> CoeffRow:
     """Row m+1 from row m via the two-term same-level recurrence."""
-    m = prev.m
-    e = prev.scaled
-
-    def at(i: int) -> int:
-        return e[i] if 0 <= i <= m else 0
-
+    m, e = prev.m, prev.scaled
     scaled = [
         _exact_div(
-            4 * (m + i) * at(i - 1) + 2 * (4 * m + 2 * i + 3) * at(i),
+            4 * (m + i) * below + 2 * (4 * m + 2 * i + 3) * here,
             m + 1,
             f"recu1 m={m} i={i}",
         )
-        for i in range(m + 2)
+        for i, (below, here) in enumerate(zip((0,) + e, e + (0,)))
     ]
-    return CoeffRow.from_scaled(m + 1, scaled, Method.RECU1)
+    return CoeffRow(m + 1, scaled, Method.RECU1)
 
 
 def recu2_row(prev: CoeffRow) -> CoeffRow:
@@ -212,22 +155,17 @@ def recu2_row(prev: CoeffRow) -> CoeffRow:
     This route only reaches 0 <= i <= m (its denominator vanishes at
     i = m+1); the top entry is filled from d_n(n) = 2^-n C(2n, n).
     """
-    m = prev.m
-    e = prev.scaled
-
-    def at(i: int) -> int:
-        return e[i] if 0 <= i <= m else 0
-
+    m, e = prev.m, prev.scaled
     scaled = [
         _exact_div(
-            2 * (4 * m - 2 * i + 3) * (m + i + 1) * at(i) - 4 * i * (i + 1) * at(i + 1),
+            2 * (4 * m - 2 * i + 3) * (m + i + 1) * here - 4 * i * (i + 1) * above,
             (m + 1) * (m + 1 - i),
             f"recu2 m={m} i={i}",
         )
-        for i in range(m + 1)
+        for i, (here, above) in enumerate(zip(e, e[1:] + (0,)))
     ]
     scaled.append(math.comb(2 * m + 2, m + 1) << (m + 1))
-    return CoeffRow.from_scaled(m + 1, scaled, Method.RECU2)
+    return CoeffRow(m + 1, scaled, Method.RECU2)
 
 
 def recu3_row(prev2: CoeffRow, prev1: CoeffRow) -> CoeffRow:
@@ -239,22 +177,17 @@ def recu3_row(prev2: CoeffRow, prev1: CoeffRow) -> CoeffRow:
     m = prev2.m
     if prev1.m != m + 1:
         raise ValueError(f"need consecutive rows, got m={m} and m={prev1.m}")
-    e0, e1 = prev2.scaled, prev1.scaled
-
-    def at(e: tuple[int, ...], top: int, i: int) -> int:
-        return e[i] if 0 <= i <= top else 0
-
     scaled = [
         _exact_div(
-            2 * (-4 * i * i + 8 * m * m + 24 * m + 19) * (m + 1) * at(e1, m + 1, i)
-            - 4 * (m + i + 1) * (4 * m + 3) * (4 * m + 5) * at(e0, m, i),
+            2 * (-4 * i * i + 8 * m * m + 24 * m + 19) * (m + 1) * e1
+            - 4 * (m + i + 1) * (4 * m + 3) * (4 * m + 5) * e0,
             (m + 2 - i) * (m + 1) * (m + 2),
             f"recu3 m={m} i={i}",
         )
-        for i in range(m + 2)
+        for i, (e1, e0) in enumerate(zip(prev1.scaled, prev2.scaled + (0,)))
     ]
     scaled.append(math.comb(2 * m + 4, m + 2) << (m + 2))
-    return CoeffRow.from_scaled(m + 2, scaled, Method.RECU3)
+    return CoeffRow(m + 2, scaled, Method.RECU3)
 
 
 def recu4_residual(row: CoeffRow, i: int) -> Dyadic:
@@ -266,15 +199,12 @@ def recu4_residual(row: CoeffRow, i: int) -> Dyadic:
     m = row.m
     if not 0 <= i <= m + 1:
         raise ValueError(f"residual index {i} outside 0..{m + 1}")
-    e = row.scaled
-
-    def at(j: int) -> int:
-        return e[j] if 0 <= j <= m else 0
-
+    # d_{i-2}, d_{i-1}, d_i, with the zero entries outside 0..m
+    two_below, below, here = ((0, 0) + row.scaled + (0,))[i : i + 3]
     scaled = (
-        (m + 2 - i) * (m + i - 1) * at(i - 2)
-        - (i - 1) * (2 * m + 1) * at(i - 1)
-        + i * (i - 1) * at(i)
+        (m + 2 - i) * (m + i - 1) * two_below
+        - (i - 1) * (2 * m + 1) * below
+        + i * (i - 1) * here
     )
     return Dyadic(scaled, 2 * m)
 
@@ -385,14 +315,20 @@ def row_to_json(row: CoeffRow) -> dict:
 
 
 def row_from_json(obj: dict) -> CoeffRow:
-    return CoeffRow(
-        int(obj["m"]),
-        tuple(Dyadic.parse(s) for s in obj["coeffs"]),
-        Method(obj["method"]),
-    )
+    """The row that :func:`row_to_json` wrote: the one place where dyadics
+    become a row, so it checks that each is a positive integer over 4^m (the
+    constructor checks the length)."""
+    m = int(obj["m"])
+    coeffs = [Dyadic.parse(s) for s in obj["coeffs"]]
+    for i, c in enumerate(coeffs):
+        if c.num <= 0:
+            raise ValueError(f"d_{i}({m}) = {c} is not positive")
+        if c.exp > 2 * m:
+            raise ValueError(f"d_{i}({m}) = {c} is not an integer over 4^m")
+    return CoeffRow(m, [c.num << (2 * m - c.exp) for c in coeffs], Method(obj["method"]))
 
 
-def row_csv_lines(row: CoeffRow, digits: int = 20) -> Iterable[str]:
+def row_csv_lines(row: CoeffRow) -> Iterable[str]:
     yield "m,i,dyadic,decimal"
     for i, c in enumerate(row.coeffs):
-        yield f"{row.m},{i},{c},{decimal_string(c, digits)}"
+        yield f"{row.m},{i},{c},{decimal_string(c)}"

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
-from .exactnum import decimal_string
+from .exactnum import decimal_string, exact_str
 from .polyident import ratio_bound_denominator, ratio_bound_numerator
 
 __all__ = [
@@ -77,10 +77,10 @@ class BoundRecord:
         return {
             "i": self.i,
             "relation": self.relation,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": exact_str(self.lhs),
+            "rhs": exact_str(self.rhs),
             "holds": self.holds,
-            "margin": str(self.margin),
+            "margin": exact_str(self.margin),
         }
 
 
@@ -106,7 +106,7 @@ class BoundReport:
             "bound": self.bound_id,
             "m": self.m,
             "all_hold": self.all_hold,
-            "min_ratio": None if self.min_ratio is None else str(self.min_ratio),
+            "min_ratio": None if self.min_ratio is None else exact_str(self.min_ratio),
             "min_ratio_decimal": self.min_ratio_decimal,
             "records": [r.to_json() for r in self.records],
         }

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bmcoeff, boundcheck, polyident, quadoracle, scanner, seqprops
-from .exactnum import Dyadic, decimal_string
+from .exactnum import decimal_string, exact_str, parse_exact
 
 __all__ = ["main", "build_parser"]
 
@@ -97,10 +97,7 @@ def _parse_seq(text: str) -> tuple[Fraction, ...]:
         token = token.strip()
         if not token:
             raise ValueError("empty entry in --seq")
-        if "/2^" in token:
-            values.append(Dyadic.parse(token).as_fraction())
-        else:
-            values.append(Fraction(token))
+        values.append(parse_exact(token))
     if not values:
         raise ValueError("--seq needs at least one entry")
     return tuple(values)
@@ -162,11 +159,12 @@ def _cmd_bounds(args: argparse.Namespace) -> Output:
         for rec in rep.records:
             if not rec.holds:
                 plain.append(
-                    f"  violated at i={rec.i}: {rec.lhs} {rec.relation} {rec.rhs}"
+                    f"  violated at i={rec.i}: {exact_str(rec.lhs)} {rec.relation} "
+                    f"{exact_str(rec.rhs)}"
                 )
             csv.append(
-                f"{rep.bound_id},{rep.m},{rec.i},{rec.relation},{rec.lhs},{rec.rhs},"
-                f"{rec.holds},{rec.margin}"
+                f"{rep.bound_id},{rep.m},{rec.i},{rec.relation},{exact_str(rec.lhs)},"
+                f"{exact_str(rec.rhs)},{rec.holds},{exact_str(rec.margin)}"
             )
     return Output(
         all(r.all_hold for r in reports), [r.to_json() for r in reports], plain, csv

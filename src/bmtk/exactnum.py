@@ -1,11 +1,15 @@
-"""Exact number foundations: dyadic rationals, general rationals, binomial tables.
+"""Exact number foundations: the boundary types and a reference binomial table.
 
-Every coefficient this toolkit manipulates is a dyadic rational (denominator a
-power of two), so the workhorse type is :class:`Dyadic`, a canonical
-``num / 2**exp`` pair with exact ring arithmetic and a total order.  General
-rationals are handled by :class:`fractions.Fraction`, re-exported here as
-``Rational``; it already guarantees the invariants we need (positive
-denominator, lowest terms).
+Rows and checks compute on plain ints (the integer vector 4^m d_i(m)); the
+types here are where exact values cross the edge of the toolkit.
+:class:`Dyadic`, a canonical ``num / 2**exp`` pair, is the text form of a row
+entry: it parses and prints ``<num>/2^<exp>``, converts to
+:class:`fractions.Fraction`, and keeps the ring operations and the total order
+that the squared-difference operator and the predicates need on dyadic
+sequences.  :func:`parse_exact` reads a rational token, :func:`exact_str`
+prints any exact value, and :func:`decimal_string` gives an informational
+decimal; all three work past the interpreter's 4,300-digit limit on int/str
+conversion.
 
 All values are immutable and safe to share between threads or processes.
 :class:`BinomialCache` (with :func:`default_cache` and :func:`binomial`) is a
@@ -22,19 +26,13 @@ from fractions import Fraction
 
 __all__ = [
     "Dyadic",
-    "NotDyadicError",
-    "Rational",
     "BinomialCache",
     "binomial",
     "default_cache",
     "decimal_string",
+    "exact_str",
+    "parse_exact",
 ]
-
-Rational = Fraction
-
-
-class NotDyadicError(ArithmeticError):
-    """A result is not representable with a power-of-two denominator."""
 
 
 _DYADIC_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
@@ -45,12 +43,8 @@ class Dyadic:
 
     Canonical form: ``exp == 0``, or ``num`` is odd; zero is ``0/2^0``.
     Addition, subtraction, multiplication and comparisons are exact at any
-    magnitude.  Division is exact division: if the true quotient is not
-    dyadic, :class:`NotDyadicError` is raised rather than silently promoting
-    to a general rational -- callers that want ``p/q`` results must convert
-    to ``Fraction`` explicitly.
-
-    ``int`` operands are accepted everywhere and promoted.
+    magnitude; there is no division.  ``int`` operands are accepted
+    everywhere and promoted.
     """
 
     __slots__ = ("num", "exp")
@@ -77,7 +71,7 @@ class Dyadic:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Dyadic is immutable")
 
-    # -- construction / conversion ------------------------------------------
+    # -- text and Fraction ---------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
@@ -85,14 +79,7 @@ class Dyadic:
         mo = _DYADIC_RE.match(text)
         if mo is None:
             raise ValueError(f"not a dyadic literal: {text!r}")
-        return cls(int(mo.group(1)), int(mo.group(2)))
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "Dyadic":
-        den = value.denominator
-        if den & (den - 1):
-            raise NotDyadicError(f"denominator {den} is not a power of two")
-        return cls(value.numerator, den.bit_length() - 1)
+        return cls(_parse_int(mo.group(1)), int(mo.group(2)))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
@@ -139,35 +126,8 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        # self/o = (num / odd(o.num)) * 2**(o.exp - self.exp - twos(o.num))
-        twos = (o.num & -o.num).bit_length() - 1
-        odd = abs(o.num) >> twos
-        q, r = divmod(abs(self.num), odd)
-        if r:
-            raise NotDyadicError(f"{self} / {o} is not dyadic")
-        if (self.num < 0) != (o.num < 0):
-            q = -q
-        return Dyadic(q, self.exp + twos - o.exp)
-
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.exp)
-
-    def __pos__(self) -> "Dyadic":
-        return self
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.num), self.exp)
-
-    def __pow__(self, power: int) -> "Dyadic":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers are exact")
-        return Dyadic(self.num**power, self.exp * power)
 
     def __bool__(self) -> bool:
         return self.num != 0
@@ -277,6 +237,44 @@ def _int_str(n: int) -> str:
     same digits.
     """
     return str(Decimal(n))
+
+
+def _parse_int(digits: str) -> int:
+    """``int(digits)`` for an optionally signed run of decimal digits, also
+    past the 4,300-digit limit, by the same route as :func:`_int_str`."""
+    return int(Decimal(digits))
+
+
+def exact_str(value: Dyadic | Fraction | int) -> str:
+    """``str(value)`` of an exact value, at any number of digits."""
+    if isinstance(value, Fraction):
+        num = _int_str(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_int_str(value.denominator)}"
+    return _int_str(value) if isinstance(value, int) else str(value)
+
+
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIO_RE = re.compile(rf"\s*([-+]?{_DIGITS})/({_DIGITS})\s*")
+_DECIMAL_RE = re.compile(
+    rf"\s*[-+]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?\s*"
+)
+
+
+def parse_exact(text: str) -> Fraction:
+    """The exact value of ``text``: the dyadic form ``<num>/2^<exp>``, or a
+    literal that ``Fraction(text)`` accepts (``p/q``, an integer, a decimal
+    with an optional exponent), at any number of digits."""
+    if "/2^" in text:
+        return Dyadic.parse(text).as_fraction()
+    mo = _RATIO_RE.fullmatch(text)
+    if mo is not None:
+        den = _parse_int(mo.group(2))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(_parse_int(mo.group(1)), den)
+    if _DECIMAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not an exact number: {text!r}")
+    return Fraction(Decimal(text))
 
 
 def decimal_string(value: Dyadic | Fraction | int, digits: int = 20) -> str:

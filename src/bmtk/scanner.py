@@ -84,6 +84,16 @@ class LedgerLockedError(ValueError):
     """Another scan holds the ledger's append lock."""
 
 
+def _field(obj: dict, name: str, kind: type):
+    """``kind(obj[name])``; a value that does not convert is a ValueError
+    naming the field."""
+    value = obj[name]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {name!r} is not {kind.__name__}: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ScanParams:
     m_from: int
@@ -112,7 +122,15 @@ class ScanParams:
 
     @classmethod
     def from_header(cls, obj: dict) -> "ScanParams":
-        return cls(int(obj["m_from"]), int(obj["m_to"]), int(obj["depth"]), bool(obj["strict"]))
+        strict = obj["strict"]
+        if not isinstance(strict, bool):  # bool("false") is True
+            raise ValueError(f"field 'strict' is not bool: {strict!r}")
+        return cls(
+            _field(obj, "m_from", int),
+            _field(obj, "m_to", int),
+            _field(obj, "depth", int),
+            strict,
+        )
 
 
 @dataclass(frozen=True)
@@ -142,13 +160,13 @@ class ScanRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "ScanRecord":
         return cls(
-            m=int(obj["m"]),
-            depth_requested=int(obj["depth_requested"]),
-            depth_verified=int(obj["depth_verified"]),
+            m=_field(obj, "m", int),
+            depth_requested=_field(obj, "depth_requested", int),
+            depth_verified=_field(obj, "depth_verified", int),
             verdict=str(obj["verdict"]),
             level=obj["level"],
             witness=obj["witness"],
-            wall_time=float(obj["wall_time"]),
+            wall_time=_field(obj, "wall_time", float),
             timestamp=str(obj["timestamp"]),
         )
 
@@ -207,43 +225,48 @@ def verify_cell(m: int, depth: int, strict: bool) -> ScanRecord:
     return ScanRecord(m, depth, verdict.level, kind, verdict.level, witness, elapsed, stamp)
 
 
-def _cell_worker(args: tuple[int, int, bool]) -> ScanRecord:
-    return verify_cell(*args)
-
-
 def load_ledger(path: Path | str) -> ScanLedger:
-    """Parse a ledger file; a trailing partially-written line is ignored."""
+    """Parse a ledger file; a trailing partially-written line is ignored.
+
+    Any other line that is not valid JSON, not a JSON object, or a record
+    with a missing or wrongly typed field is a ValueError naming its line.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"ledger {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"ledger {path} line 1: {exc.msg} at column {exc.colno}") from exc
-    if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
-        raise ValueError(f"ledger {path} has no valid header line")
     lineno = 1  # the file line being parsed
     try:
+        header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
+            raise ValueError("not a valid header")
         ledger = ScanLedger(path, ScanParams.from_header(header))
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except json.JSONDecodeError:
                 if lineno == len(lines):
                     break  # interrupted mid-append; the cell will be redone
-                raise ValueError(
-                    f"ledger {path} line {lineno}: {exc.msg} at column {exc.colno}"
-                ) from exc
+                raise
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
             if obj.get("record") != "cell":
-                raise ValueError(f"ledger {path} line {lineno}: unexpected record")
+                raise ValueError("unexpected record")
             record = ScanRecord.from_json(obj)
             ledger.records.setdefault(record.m, record)
+    except json.JSONDecodeError as exc:
+        problem = f"{exc.msg} at column {exc.colno}"
     except KeyError as exc:
-        raise ValueError(f"ledger {path} line {lineno}: missing field {exc.args[0]!r}") from None
-    return ledger
+        problem = f"missing field {exc.args[0]!r}"
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        return ledger
+    raise ValueError(f"ledger {path} line {lineno}: {problem}")
 
 
 def _end_last_line(path: Path) -> None:
@@ -328,7 +351,7 @@ def scan(
                 append(verify_cell(m, depth, strict))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_cell_worker, (m, depth, strict)) for m in todo]
+                futures = [pool.submit(verify_cell, m, depth, strict) for m in todo]
                 for future in as_completed(futures):
                     append(future.result())
     return ledger

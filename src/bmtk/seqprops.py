@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exactnum import Dyadic, _int_str
+from .exactnum import Dyadic, exact_str
 
 __all__ = [
     "ExactValue",
@@ -99,18 +99,10 @@ class PropertyVerdict:
         }
 
 
-def _exact_str(x: ExactValue) -> str:
-    """``str(x)``, at any number of digits."""
-    if isinstance(x, Fraction):
-        num = _int_str(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
-    return _int_str(x) if isinstance(x, int) else str(x)
-
-
 def _positivity_witness(seq: ExactSequence) -> Witness | None:
     for i, x in enumerate(seq):
         if not x > 0:
-            return Witness("positivity", (i,), lhs=_exact_str(x), rhs="0")
+            return Witness("positivity", (i,), lhs=exact_str(x), rhs="0")
     return None
 
 
@@ -193,7 +185,7 @@ def _chain_witness(
     for lhs, rhs in pairs:
         bad = _violation(seq, bounds, lhs, rhs, strict)
         if bad is not None:
-            left, right = map(_exact_str, bad)
+            left, right = map(exact_str, bad)
             return Witness("comparison", lhs + rhs, lhs=left, rhs=right)
     return None
 
@@ -207,7 +199,7 @@ def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
     for i in range(1, len(seq) - 1):
         bad = _violation(seq, bounds, (i - 1, i + 1), (i, i), strict)
         if bad is not None:
-            product, square = map(_exact_str, bad)
+            product, square = map(exact_str, bad)
             w = Witness("comparison", (i, i - 1, i + 1), lhs=square, rhs=product)
             return _verdict(LOG_CONCAVE, strict, w)
     return _verdict(LOG_CONCAVE, strict, None)

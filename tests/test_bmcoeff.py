@@ -1,5 +1,6 @@
 """Tests for row generation and exact polynomial evaluation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -120,9 +121,8 @@ def test_recu4_residual_weights_vanish_at_one():
 
 def test_recu4_residual_detects_corruption():
     row = closed_form_row(2)
-    tampered = CoeffRow(
-        2, (row.coeffs[0], row.coeffs[1] + 1, row.coeffs[2]), Method.CLOSED_FORM
-    )
+    e0, e1, e2 = row.scaled
+    tampered = CoeffRow(2, (e0, e1 + 4**2, e2), Method.CLOSED_FORM)  # d_1 + 1
     assert recu4_residual(tampered, 2) == Dyadic(-5, 0)
 
 
@@ -131,33 +131,59 @@ def test_recu4_residual_range():
         recu4_residual(closed_form_row(2), 4)
 
 
+def _dyadic_row(m, coeffs):
+    """A row read from dyadic strings, the way a JSON row is."""
+    return row_from_json({"m": m, "coeffs": [str(c) for c in coeffs], "method": "closed-form"})
+
+
 def test_row_validation():
-    with pytest.raises(ValueError):
-        CoeffRow(2, (Dyadic(1), Dyadic(1)), Method.CLOSED_FORM)  # wrong length
-    with pytest.raises(ValueError):
-        CoeffRow(1, (Dyadic(1), Dyadic(-1)), Method.CLOSED_FORM)  # not positive
-    with pytest.raises(ValueError):
-        CoeffRow(1, (Dyadic(1), Dyadic(1, 3)), Method.CLOSED_FORM)  # not over 4^m
+    with pytest.raises(ValueError, match="needs 3 entries"):
+        _dyadic_row(2, (Dyadic(1), Dyadic(1)))  # wrong length
+    with pytest.raises(ValueError, match="is not positive"):
+        _dyadic_row(1, (Dyadic(1), Dyadic(-1)))  # not positive
+    with pytest.raises(ValueError, match="is not an integer over 4"):
+        _dyadic_row(1, (Dyadic(1), Dyadic(1, 3)))  # not over 4^m
 
 
 def test_row_from_scaled_matches_row_from_dyadics():
     row = closed_form_row(8)
-    rebuilt = CoeffRow(8, dyadics(ROW_8), Method.CLOSED_FORM)
+    rebuilt = _dyadic_row(8, dyadics(ROW_8))
     assert rebuilt.scaled == row.scaled
     assert rebuilt == row
-    assert CoeffRow.from_scaled(8, row.scaled, Method.RECU1).coeffs == dyadics(ROW_8)
+    assert CoeffRow(8, row.scaled, Method.RECU1).coeffs == dyadics(ROW_8)
     assert row.coeffs is row.coeffs  # built once
     with pytest.raises(AttributeError):
         row.m = 9
 
 
 def test_row_from_scaled_validation():
-    with pytest.raises(ValueError):
-        CoeffRow.from_scaled(2, (4, 4), Method.CLOSED_FORM)  # wrong length
-    with pytest.raises(ValueError):
-        CoeffRow.from_scaled(1, (4, 0), Method.CLOSED_FORM)  # not positive
-    with pytest.raises(ValueError):
-        CoeffRow.from_scaled(-1, (), Method.CLOSED_FORM)
+    with pytest.raises(ValueError, match="needs 3 entries"):
+        CoeffRow(2, (4, 4), Method.CLOSED_FORM)  # wrong length
+    with pytest.raises(ValueError, match="is not positive"):
+        CoeffRow(1, (4, 0), Method.CLOSED_FORM)  # not positive
+    with pytest.raises(ValueError, match="is not positive"):
+        CoeffRow(1, (4, -4), Method.CLOSED_FORM)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CoeffRow(-1, (), Method.CLOSED_FORM)
+
+
+def test_row_is_a_frozen_record_of_its_integer_vector():
+    fields = [f.name for f in dataclasses.fields(CoeffRow)]
+    assert fields == ["m", "scaled", "method"]
+    row = CoeffRow(1, [1, 6], Method.RECU1)
+    assert row.scaled == (1, 6)  # stored as a tuple, so the row hashes
+    assert row == CoeffRow(1, (1, 6), Method.RECU1)
+    assert hash(row) == hash(CoeffRow(1, (1, 6), Method.RECU1))
+    assert row != CoeffRow(1, (1, 6), Method.RECU2)
+    assert row.coeffs == (Dyadic(1, 2), Dyadic(3, 1))  # 1/4, 6/4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.scaled = (4, 4)
+
+
+@pytest.mark.parametrize("method", ["closed-form", "recu1", "recu2", "recu3"])
+def test_json_round_trip_every_route(method):
+    for row in rows(method, 60):
+        assert row_from_json(json.loads(json.dumps(row_to_json(row)))) == row
 
 
 def _binomial_sum_row(m, table):

@@ -10,6 +10,7 @@ from bmtk.boundcheck import (
     BOUND_IDS,
     BoundRecord,
     BoundReport,
+    _record,
     check_endpoint_ratios,
     check_growth_lower_bound,
     check_growth_upper_bound,
@@ -307,7 +308,7 @@ def test_integer_pair_checks_match_fraction_reference():
 def _perturbed(row, i, change):
     scaled = list(row.scaled)
     scaled[i] = max(1, change(scaled[i]))
-    return CoeffRow.from_scaled(row.m, scaled, row.method)
+    return CoeffRow(row.m, scaled, row.method)
 
 
 def _on_growth_bound(row, nxt, i):
@@ -340,3 +341,21 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
     assert failing == {">=", ">", "<=", "<", "=="}
     # on a tie the non-strict relation holds and the strict one fails
     assert {(">=", True), (">", False), ("<=", True), ("<", False)} <= ties
+
+
+def test_record_and_report_json_past_the_digit_limit():
+    # str() of an int or Fraction with more than 4,300 digits raises by default
+    big, digits = 10**5000, "1" + "0" * 5000
+    record = _record(2, "<", (big, 7), (big + 1, 7))
+    assert record.to_json() == {
+        "i": 2,
+        "relation": "<",
+        "lhs": f"{digits}/7",
+        "rhs": f"{digits[:-1]}1/7",
+        "holds": True,
+        "margin": "1/7",
+    }
+    report = BoundReport("thm21", 2, [record], Fraction(big + 1, big))
+    obj = report.to_json()
+    assert obj["min_ratio"] == f"{digits[:-1]}1/{digits}"
+    assert obj["min_ratio_decimal"] == "1.0000000000000000000"

@@ -1,10 +1,15 @@
 """Tests for the command-line frontend."""
 
 import json
+import re
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bmtk import closed_form_row, k_property, scanner
+from bmtk import boundcheck, closed_form_row, k_property, scanner
+from bmtk.boundcheck import BoundReport
 from bmtk.cli import PROP_TOKENS, main
 
 from known_values import ROW_8
@@ -211,3 +216,91 @@ def test_scan_ledger_cell_missing_a_field_exits_2_with_its_line(capsys, tmp_path
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "line 9: missing field 'depth_requested'" in err
+
+
+@pytest.mark.parametrize("line", ["[]", '{"record": "cell", "m": null}'])
+def test_scan_wrong_shaped_ledger_line_exits_2_with_its_line(capsys, tmp_path, line):
+    ledger = tmp_path / "scan.jsonl"
+    argv = ("scan", "--from", "2", "--to", "8", "--depth", "1", "--strict",
+            "--ledger", str(ledger))
+    assert run(capsys, *argv)[0] == 0
+    with ledger.open("a") as fh:
+        fh.write(line + "\n" + line + "\n")  # the last line alone would count as torn
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "line 9: " in err
+    ledger.write_text("[]\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "line 1: not a JSON object" in err
+
+
+def test_check_seq_past_the_digit_limit(capsys):
+    # int() and str() of an int refuse more than 4,300 digits by default
+    digits = "1" + "0" * 5000
+    entries = [digits[:-1] + "1", "3" + digits[1:], "9" * 5001 + "/2"]
+    code, out, _ = run(
+        capsys, "check", "--seq", ",".join(entries), "--props", "logconcave,unimodal"
+    )
+    assert code == 1
+    assert "log-concave (strict=False): holds" in out
+    witness = f"i=2 lhs={'9' * 5001}/2 rhs=3{digits[1:]}]"  # d_2 < d_1 fails
+    assert f"unimodal-midpeak (strict=True): FAILS [witness at level 0: comparison {witness}" in out
+    code, out, _ = run(
+        capsys, "check", "--seq", f"1,{digits},1", "--props", "logconcave", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)[0]["holds"]
+
+
+def _huge_failing_report(m):
+    big = 10**5000
+    report = BoundReport("thm21", m)
+    report.records.append(boundcheck._record(1, ">=", (big + 1, 7), (big + 2, 7)))
+    report.min_ratio = Fraction(big + 2, big + 1)
+    return [report]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_bounds_report_past_the_digit_limit(capsys, monkeypatch, fmt):
+    # str() of a Fraction with more than 4,300 digits raises by default
+    monkeypatch.setattr(boundcheck, "run_checks", lambda m, which: _huge_failing_report(m))
+    code, out, _ = run(capsys, "bounds", "--m", "9", "--format", fmt)
+    assert code == 1
+    stem = "1" + "0" * 4999
+    lhs, rhs = f"{stem}1/7", f"{stem}2/7"
+    if fmt == "plain":
+        assert f"  violated at i=1: {lhs} >= {rhs}" in out.splitlines()
+    elif fmt == "csv":
+        assert out.splitlines()[1] == f"thm21,9,1,>=,{lhs},{rhs},False,-1/7"
+    else:
+        (report,) = json.loads(out)
+        assert report["min_ratio"] == f"{stem}2/{stem}1"
+        assert report["records"][0]["lhs"] == lhs
+        assert report["records"][0]["margin"] == "-1/7"
+
+
+def _readme_cli_commands():
+    """(argv, documented exit code) for each line of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        exit_code = re.search(r"\bexit (\d)", comment)
+        argv = shlex.split(command)
+        assert argv[0] == "bmtk"
+        commands.append((argv[1:], int(exit_code.group(1)) if exit_code else 0))
+    assert commands, "no commands in the README's CLI block"
+    return commands
+
+
+README_COMMANDS = _readme_cli_commands()
+
+
+@pytest.mark.parametrize(
+    "argv, code", README_COMMANDS, ids=[" ".join(argv) for argv, _ in README_COMMANDS]
+)
+def test_readme_cli_command_exits_as_documented(capsys, monkeypatch, tmp_path, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == code

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bmtk import CoeffRow, Dyadic, Method, closed_form_row, k_property, scanner
+from bmtk import CoeffRow, Method, closed_form_row, k_property, scanner
 from bmtk.seqprops import RATIO_MONOTONE
 from bmtk.scanner import (
     VERDICT_FAILED,
@@ -113,7 +113,7 @@ FAILING_ROWS = (
 @pytest.mark.parametrize("nums", FAILING_ROWS)
 @pytest.mark.parametrize("strict", (True, False))
 def test_failing_cell_keeps_its_exact_witness(monkeypatch, nums, strict):
-    row = CoeffRow(4, tuple(Dyadic(x, 3) for x in nums), Method.CLOSED_FORM)
+    row = CoeffRow(4, tuple(x << 5 for x in nums), Method.CLOSED_FORM)  # d_i = x/2^3
     monkeypatch.setattr(scanner, "closed_form_row", lambda m: row)
     expected = k_property(row.coeffs, 3, RATIO_MONOTONE, strict)
     assert not expected.holds
@@ -172,6 +172,52 @@ def test_record_missing_a_field_reports_its_file_line(tmp_path):
     path.write_text(json.dumps(obj) + "\n" + rest)
     with pytest.raises(ValueError, match=r"ledger .* line 1: missing field 'm_from'"):
         load_ledger(path)
+
+
+# file line, replacement text, expected problem; for ledgers of scan(2, 8, 1, True)
+WRONG_SHAPES = {
+    "header-not-object": (1, "[]", "not a JSON object"),
+    "header-wrong-record": (1, '{"record": "cell", "version": 1}', "not a valid header"),
+    "header-null-field": (
+        1,
+        '{"record": "header", "version": 1, "m_from": null, "m_to": 8, "depth": 1, "strict": true}',
+        "field 'm_from' is not int: None",
+    ),
+    "header-string-strict": (
+        1,
+        '{"record": "header", "version": 1, "m_from": 2, "m_to": 8, "depth": 1, "strict": "false"}',
+        "field 'strict' is not bool: 'false'",
+    ),
+    "cell-list": (4, "[]", "not a JSON object"),
+    "cell-number": (4, "3", "not a JSON object"),
+    "cell-wrong-record": (4, '{"record": "header"}', "unexpected record"),
+    "cell-null-m": (4, '{"record": "cell", "m": null}', "field 'm' is not int: None"),
+    "cell-string-m": (4, '{"record": "cell", "m": "x"}', "field 'm' is not int: 'x'"),
+}
+
+
+@pytest.mark.parametrize("lineno, text, problem", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
+def test_wrong_shaped_line_reports_its_file_line(tmp_path, lineno, text, problem):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = text + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_ledger(path)
+    assert str(info.value) == f"ledger {path} line {lineno}: {problem}"
+
+
+def test_wrongly_typed_cell_field_reports_its_file_line(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    cell = json.loads(lines[-1])
+    for field, value in (("depth_verified", [1]), ("wall_time", "soon"), ("wall_time", None)):
+        lines[-1] = json.dumps({**cell, field: value}) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"ledger .* line 8: field '{field}' is not"):
+            load_ledger(path)
 
 
 def test_second_writer_fails_fast_and_leaves_ledger_unchanged(tmp_path):
