@@ -63,13 +63,13 @@ __all__ = [
 
 
 class Method(str, Enum):
-    """Provenance tag for a generated row."""
+    """Provenance tag for a generated row: one member per generation route,
+    each of which :func:`rows` runs."""
 
     CLOSED_FORM = "closed-form"
     RECU1 = "recu1"
     RECU2 = "recu2"
     RECU3 = "recu3"
-    DOUBLE_SUM = "double-sum"
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,11 @@ class CoeffRow:
         return tuple(Dyadic(e, 2 * self.m) for e in self.scaled)
 
 
-def _exact_div(num: int, den: int, context: str) -> int:
+def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"{context}: {num} not divisible by {den}")
+        # str(num) raises past 4,300 digits, so the message names only den
+        raise ArithmeticError(f"inexact division by {den}")
     return q
 
 
@@ -125,7 +126,6 @@ def closed_form_row(m: int) -> CoeffRow:
         v = _exact_div(
             v * (m - k) * (m + k + 1),
             2 * (2 * m - 2 * k - 1) * (k + 1),
-            f"closed form m={m} k={k + 1}",
         )
         weights.append(v << (k + 1))
     p = [weights[m]]
@@ -142,7 +142,6 @@ def recu1_row(prev: CoeffRow) -> CoeffRow:
         _exact_div(
             4 * (m + i) * below + 2 * (4 * m + 2 * i + 3) * here,
             m + 1,
-            f"recu1 m={m} i={i}",
         )
         for i, (below, here) in enumerate(zip((0,) + e, e + (0,)))
     ]
@@ -160,7 +159,6 @@ def recu2_row(prev: CoeffRow) -> CoeffRow:
         _exact_div(
             2 * (4 * m - 2 * i + 3) * (m + i + 1) * here - 4 * i * (i + 1) * above,
             (m + 1) * (m + 1 - i),
-            f"recu2 m={m} i={i}",
         )
         for i, (here, above) in enumerate(zip(e, e[1:] + (0,)))
     ]
@@ -182,7 +180,6 @@ def recu3_row(prev2: CoeffRow, prev1: CoeffRow) -> CoeffRow:
             2 * (-4 * i * i + 8 * m * m + 24 * m + 19) * (m + 1) * e1
             - 4 * (m + i + 1) * (4 * m + 3) * (4 * m + 5) * e0,
             (m + 2 - i) * (m + 1) * (m + 2),
-            f"recu3 m={m} i={i}",
         )
         for i, (e1, e0) in enumerate(zip(prev1.scaled, prev2.scaled + (0,)))
     ]
@@ -226,13 +223,11 @@ def rows(method: Method | str, m_max: int) -> list[CoeffRow]:
     elif method is Method.RECU2:
         for _ in range(m_max):
             out.append(recu2_row(out[-1]))
-    elif method is Method.RECU3:
+    else:  # Method.RECU3
         if m_max >= 1:
             out.append(closed_form_row(1))
         while len(out) <= m_max:
             out.append(recu3_row(out[-2], out[-1]))
-    else:
-        raise ValueError(f"no row generator for method {method.value}")
     return out[: m_max + 1]
 
 

@@ -99,7 +99,7 @@ class BoundReport:
     def min_ratio_decimal(self) -> str | None:
         if self.min_ratio is None:
             return None
-        return decimal_string(self.min_ratio, 20)
+        return decimal_string(self.min_ratio)
 
     def to_json(self) -> dict:
         return {

@@ -149,6 +149,8 @@ def _cmd_check(args: argparse.Namespace) -> Output:
 
 def _cmd_bounds(args: argparse.Namespace) -> Output:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
+    if not which:
+        raise ValueError(f"--which names no bound id: {args.which!r}")
     reports = boundcheck.run_checks(args.m, which)
     plain = []
     csv = ["bound,m,i,relation,lhs,rhs,holds,margin"]

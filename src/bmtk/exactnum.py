@@ -277,9 +277,9 @@ def parse_exact(text: str) -> Fraction:
     return Fraction(Decimal(text))
 
 
-def decimal_string(value: Dyadic | Fraction | int, digits: int = 20) -> str:
-    """Render an exact value as a decimal string with ``digits`` significant
-    digits (informational only; correctly rounded, never used in verdicts)."""
+def decimal_string(value: Dyadic | Fraction | int) -> str:
+    """Render an exact value as a decimal string with 20 significant digits
+    (informational only; correctly rounded, never used in verdicts)."""
     if isinstance(value, Dyadic):
         num, den = value.num, 1 << value.exp
     elif isinstance(value, Fraction):
@@ -287,5 +287,5 @@ def decimal_string(value: Dyadic | Fraction | int, digits: int = 20) -> str:
     else:
         num, den = int(value), 1
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         return str(Decimal(num) / Decimal(den))

@@ -160,16 +160,17 @@ class MultiPoly:
             total += coeff * x**e0 * y**e1
         return total
 
-    def to_string(self, names: tuple[str, str] = ("n", "i")) -> str:
+    def to_string(self) -> str:
+        """The terms in descending exponent order, in the variables n and i."""
         if not self.terms:
             return "0"
         parts = []
         for (e0, e1), coeff in sorted(self.terms.items(), reverse=True):
             factors = [str(coeff)]
             if e0:
-                factors.append(names[0] if e0 == 1 else f"{names[0]}^{e0}")
+                factors.append("n" if e0 == 1 else f"n^{e0}")
             if e1:
-                factors.append(names[1] if e1 == 1 else f"{names[1]}^{e1}")
+                factors.append("i" if e1 == 1 else f"i^{e1}")
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -301,13 +302,6 @@ class IdentityResult:
     identity: str
     equal: bool
     difference: MultiPoly
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "equal": self.equal,
-            "difference": self.difference.to_string(),
-        }
 
 
 def _result(identity: str, difference: MultiPoly) -> IdentityResult:
@@ -502,18 +496,6 @@ class GridReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "region": self.region,
-            "bound": self.bound,
-            "points": self.points,
-            "ok": self.ok,
-            "violations": [
-                {"group": g, "x": x, "y": y, "value": v}
-                for g, x, y, v in self.violations
-            ],
-        }
 
 
 def _region_points(region: str, bound: int) -> Iterable[tuple[int, int]]:

@@ -19,6 +19,11 @@ The right-hand side is computed in exact rational arithmetic (the polynomial
 value at the exact binary rational the float a denotes) and converted to
 binary64 only for the final comparison.  Binary64 is ample: the integrands
 are smooth, positive and rapidly decaying, and the target is 1e-8 relative.
+Where it is not, because the integrand or the exact right-hand side overflows,
+underflows to zero or is not a number, :func:`quartic_integral` raises a
+ValueError naming m and a.
+
+The adaptive rule splits at most ``MAX_SPLITS`` (4096) panels per integral.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ __all__ = [
     "identity_sweep",
 ]
 
-DEFAULT_MAX_SPLITS = 4096
+MAX_SPLITS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,14 +77,14 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _adaptive_simpson(
-    f: Callable[[float], float], lo: float, hi: float, tol: float, max_splits: int
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float, bool]:
     """Worst-panel-first adaptive Simpson on [lo, hi].
 
     Each panel keeps its refined two-half Simpson value and the Richardson
     error estimate |S_halves - S_whole|/15; the panel with the largest
-    estimate is split until the summed estimate meets ``tol`` or the split
-    budget runs out.  Returns (value, error_estimate, converged).
+    estimate is split until the summed estimate meets ``tol`` or
+    ``MAX_SPLITS`` splits are spent.  Returns (value, error_estimate, converged).
     """
 
     def make_panel(a: float, b: float, fa: float, fm: float, fb: float):
@@ -97,7 +102,7 @@ def _adaptive_simpson(
     err0, data0 = make_panel(lo, hi, f(lo), f(mid), f(hi))
     heap = [(-err0, counter, data0)]
     total_err = err0
-    for _ in range(max_splits):
+    for _ in range(MAX_SPLITS):
         if total_err <= tol:
             break
         neg_err, _, data = heapq.heappop(heap)
@@ -123,17 +128,14 @@ def _exact_rhs(m: int, a_exact: Fraction) -> float:
     return math.pi * float(exact_part) / (2.0 * math.sqrt(2.0 * float(base)))
 
 
-def quartic_integral(
-    m: int,
-    a: float,
-    tol: float = 1e-10,
-    max_splits: int = DEFAULT_MAX_SPLITS,
-) -> QuadResult:
+def quartic_integral(m: int, a: float, tol: float = 1e-10) -> QuadResult:
     """Adaptive quadrature of the folded integrand, compared to the exact
     right-hand side.
 
-    Raises ValueError outside the domain (a <= -1, m < 0, tol <= 0) and
-    :class:`QuadratureConvergenceError` if the budget is exhausted first.
+    Raises ValueError outside the domain (a <= -1, m < 0, tol <= 0) or when
+    the integral or the right-hand side is not a finite, nonzero binary64
+    number, and :class:`QuadratureConvergenceError` if ``MAX_SPLITS`` splits
+    do not reach ``tol``.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -149,8 +151,13 @@ def quartic_integral(
         xx = x * x
         return (1.0 + x**power) / (xx * xx + two_a * xx + 1.0) ** (m + 1)
 
-    value, err, converged = _adaptive_simpson(integrand, 0.0, 1.0, tol, max_splits)
-    rhs = _exact_rhs(m, Fraction(a))
+    try:
+        value, err, converged = _adaptive_simpson(integrand, 0.0, 1.0, tol)
+        rhs = _exact_rhs(m, Fraction(a))
+    except (OverflowError, ZeroDivisionError):
+        value = rhs = math.nan
+    if not (0.0 < value < math.inf and 0.0 < rhs < math.inf):
+        raise ValueError(f"m={m}, a={a} leaves the binary64 range of the quadrature")
     result = QuadResult(
         m=m,
         a=a,
@@ -161,7 +168,7 @@ def quartic_integral(
     )
     if not converged:
         raise QuadratureConvergenceError(
-            f"tolerance {tol} not reached within {max_splits} splits "
+            f"tolerance {tol} not reached within {MAX_SPLITS} splits "
             f"(error estimate {err:.3e})",
             result,
         )
@@ -176,30 +183,19 @@ class SweepCell:
     error: str | None
     flagged: bool
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "result": self.result.to_json() if self.result else None,
-            "error": self.error,
-            "flagged": self.flagged,
-        }
-
 
 def identity_sweep(
-    m_max: int,
-    a_values: Sequence[float],
-    tol: float = 1e-10,
-    max_splits: int = DEFAULT_MAX_SPLITS,
+    m_max: int, a_values: Sequence[float], tol: float = 1e-10
 ) -> list[SweepCell]:
     """Run the identity check over the (m, a) grid, flagging any cell whose
-    relative deviation exceeds 10*tol; per-cell failures are recorded, not
-    raised."""
+    relative deviation exceeds 10*tol; per-cell failures, a convergence
+    failure or a ValueError from :func:`quartic_integral`, are recorded as
+    flagged cells, not raised."""
     cells = []
     for m in range(m_max + 1):
         for a in a_values:
             try:
-                result = quartic_integral(m, a, tol, max_splits)
+                result = quartic_integral(m, a, tol)
             except QuadratureConvergenceError as exc:
                 cells.append(SweepCell(m, a, exc.result, str(exc), True))
             except ValueError as exc:

@@ -27,8 +27,6 @@ Rows are checked as the integer vector 4^m d_i(m) divided by its gcd (see
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
-:func:`deep_probe` pushes one m as deep as a bit budget allows and reports
-why iteration stopped.
 """
 
 from __future__ import annotations
@@ -43,13 +41,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .bmcoeff import CoeffRow, closed_form_row
-from .seqprops import (
-    RATIO_MONOTONE,
-    PropertyVerdict,
-    is_ratio_monotone,
-    k_property,
-    l_operator,
-)
+from .seqprops import RATIO_MONOTONE, PropertyVerdict, k_property
+from .seqprops import l_operator  # noqa: F401  perfbench's tracer patches it here
 
 __all__ = [
     "ScanParams",
@@ -63,10 +56,7 @@ __all__ = [
     "row_property",
     "verify_cell",
     "scan",
-    "scan_resume",
     "load_ledger",
-    "ProbeReport",
-    "deep_probe",
 ]
 
 LEDGER_VERSION = 1
@@ -356,74 +346,3 @@ def scan(
                     append(future.result())
     return ledger
 
-
-def scan_resume(
-    ledger_path: Path | str,
-    m_from: int,
-    m_to: int,
-    depth: int,
-    strict: bool,
-    workers: int = 1,
-) -> ScanLedger:
-    """Like :func:`scan`, but the ledger must already exist."""
-    path = Path(ledger_path)
-    if not path.exists():
-        raise FileNotFoundError(f"no ledger at {path}")
-    return scan(m_from, m_to, depth, strict, path, workers)
-
-
-@dataclass
-class ProbeReport:
-    m: int
-    max_depth: int
-    bit_budget: int
-    confirmed_depth: int  # number of levels confirmed strictly ratio monotone
-    stop_reason: str  # "max-depth" | "bit-budget" | "failed" | "positivity-failed"
-    levels: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "max_depth": self.max_depth,
-            "bit_budget": self.bit_budget,
-            "confirmed_depth": self.confirmed_depth,
-            "stop_reason": self.stop_reason,
-            "levels": self.levels,
-        }
-
-
-def deep_probe(m: int, max_depth: int, bit_budget: int = 1 << 22) -> ProbeReport:
-    """Iterate the squared-difference operator on the row for m while every
-    entry stays positive and below ``bit_budget`` numerator bits, checking
-    strict ratio monotonicity at each level.
-
-    Entry magnitudes square at every level, so numerator bits roughly double;
-    the default budget of 2^22 bits per entry comfortably covers several
-    levels at m around 100.
-    """
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got {m}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    report = ProbeReport(m, max_depth, bit_budget, 0, "max-depth")
-    current = closed_form_row(m).coeffs
-    for level in range(max_depth):
-        bits = max(abs(x.num).bit_length() for x in current)
-        if bits > bit_budget:
-            report.stop_reason = "bit-budget"
-            return report
-        verdict = is_ratio_monotone(current, strict=True)
-        holds = verdict.holds
-        report.levels.append({"level": level, "max_bits": bits, "holds": holds})
-        if not holds:
-            report.stop_reason = (
-                "positivity-failed"
-                if verdict.witness and verdict.witness.kind == "positivity"
-                else "failed"
-            )
-            return report
-        report.confirmed_depth = level + 1
-        if level + 1 < max_depth:
-            current = l_operator(current)
-    report.stop_reason = "max-depth"
-    return report

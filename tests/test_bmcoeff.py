@@ -77,9 +77,12 @@ def test_cross_method_equality_small():
             assert got.coeffs == ref.coeffs, f"{method} differs at m={ref.m}"
 
 
-def test_rows_rejects_double_sum_method():
-    with pytest.raises(ValueError):
-        rows(Method.DOUBLE_SUM, 5)
+def test_inexact_division_past_the_int_to_str_limit():
+    # str() of an int with more than 4,300 digits raises by default; the
+    # error must still be the ArithmeticError of the inexact step
+    corrupt = CoeffRow(2, (10**5000 + 1, 1, 1), Method.RECU1)
+    with pytest.raises(ArithmeticError, match="inexact division by 3"):
+        recu1_row(corrupt)
 
 
 def test_top_entry_is_scaled_central_binomial():

@@ -148,6 +148,9 @@ def test_bounds_domain_errors(capsys):
     assert run(capsys, "bounds", "--m", "1")[0] == 2  # strict bound needs m >= 2
     assert run(capsys, "bounds", "--m", "1", "--which", "thm21")[0] == 0
     assert run(capsys, "bounds", "--m", "8", "--which", "thm99")[0] == 2
+    code, out, err = run(capsys, "bounds", "--m", "5", "--which", ",")
+    assert (code, out) == (2, "")
+    assert "--which names no bound id" in err
 
 
 def test_identities_command(capsys):
@@ -165,6 +168,13 @@ def test_quad_command(capsys):
     assert result["ok"] is True
     assert result["relative_deviation"] < 1e-8
     assert run(capsys, "quad", "--m", "0", "--a", "-1")[0] == 2
+
+
+@pytest.mark.parametrize("a", ["1e308", "1e100"])
+def test_quad_outside_binary64_exits_2(capsys, a):
+    code, out, err = run(capsys, "quad", "--m", "3", "--a", a)
+    assert (code, out) == (2, "")
+    assert err == f"error: m=3, a={float(a)} leaves the binary64 range of the quadrature\n"
 
 
 def test_scan_command(capsys, tmp_path):

@@ -174,5 +174,4 @@ def test_cache_concurrent_growth():
 def test_decimal_string():
     assert decimal_string(Dyadic(6435, 7)) == "50.2734375"
     assert decimal_string(Fraction(1, 3)) == "0.33333333333333333333"
-    assert decimal_string(Fraction(1, 3), digits=4) == "0.3333"
     assert decimal_string(7) == "7"

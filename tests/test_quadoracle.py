@@ -1,9 +1,11 @@
 """Tests for the floating-point quadrature cross-check."""
 
 import math
+import re
 
 import pytest
 
+from bmtk import quadoracle
 from bmtk.quadoracle import (
     QuadratureConvergenceError,
     identity_sweep,
@@ -57,9 +59,18 @@ def test_domain_errors():
         quartic_integral(0, 0.5, tol=0.0)
 
 
-def test_convergence_error_carries_best_estimate():
-    with pytest.raises(QuadratureConvergenceError) as excinfo:
-        quartic_integral(3, 0.3, tol=1e-30, max_splits=8)
+def test_out_of_binary64_range_is_a_value_error():
+    # the exact right side underflows to 0.0; the integrand overflows; the
+    # integrand's denominator underflows to 0.0
+    for m, a in ((3, 1e308), (3, 1e100), (40, -0.9999999999999998)):
+        with pytest.raises(ValueError, match=re.escape(f"m={m}, a={a} leaves the binary64")):
+            quartic_integral(m, a)
+
+
+def test_convergence_error_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadoracle, "MAX_SPLITS", 8)
+    with pytest.raises(QuadratureConvergenceError, match="within 8 splits") as excinfo:
+        quartic_integral(3, 0.3, tol=1e-30)
     result = excinfo.value.result
     assert result.integral_estimate > 0
     assert result.abs_error_estimate > 1e-30
@@ -67,15 +78,21 @@ def test_convergence_error_carries_best_estimate():
     assert result.relative_deviation < 1e-3
 
 
-def _error_with_budget(splits):
+def test_budget_message_names_4096_splits():
+    with pytest.raises(QuadratureConvergenceError, match="within 4096 splits"):
+        quartic_integral(3, 0.3, tol=1e-30)
+
+
+def _error_with_budget(monkeypatch, splits):
+    monkeypatch.setattr(quadoracle, "MAX_SPLITS", splits)
     try:
-        return quartic_integral(3, 0.7, tol=1e-30, max_splits=splits).abs_error_estimate
+        return quartic_integral(3, 0.7, tol=1e-30).abs_error_estimate
     except QuadratureConvergenceError as exc:
         return exc.result.abs_error_estimate
 
 
-def test_doubling_budget_never_increases_error_estimate():
-    errors = [_error_with_budget(2**k) for k in range(3, 9)]
+def test_doubling_budget_never_increases_error_estimate(monkeypatch):
+    errors = [_error_with_budget(monkeypatch, 2**k) for k in range(3, 9)]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse
 
@@ -97,11 +114,19 @@ def test_identity_sweep_empty():
     assert identity_sweep(3, []) == []
 
 
-def test_identity_sweep_records_cell_failures():
-    cells = identity_sweep(2, [0.5], tol=1e-12, max_splits=2)
+def test_identity_sweep_records_cell_failures(monkeypatch):
+    monkeypatch.setattr(quadoracle, "MAX_SPLITS", 2)
+    cells = identity_sweep(2, [0.5], tol=1e-12)
     assert len(cells) == 3
     assert all(cell.error is not None and cell.flagged for cell in cells)
     assert all(cell.result is not None for cell in cells)  # best estimates kept
+
+
+def test_identity_sweep_records_cells_outside_binary64():
+    for m, a in ((3, 1e100), (3, 1e308), (40, -0.9999999999999998)):
+        cell = identity_sweep(m, [a])[-1]
+        assert (cell.m, cell.a, cell.result, cell.flagged) == (m, a, None, True)
+        assert cell.error == f"m={m}, a={a} leaves the binary64 range of the quadrature"
 
 
 def test_quad_result_json_shape():

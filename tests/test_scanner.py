@@ -13,10 +13,9 @@ from bmtk.scanner import (
     VERDICT_VERIFIED,
     LedgerLockedError,
     LedgerMismatchError,
-    deep_probe,
     load_ledger,
+    row_property,
     scan,
-    scan_resume,
     verify_cell,
 )
 
@@ -56,7 +55,7 @@ def test_scan_resume_after_interrupt(tmp_path):
     # simulate an interrupt: keep the header and the first four cells
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
-    resumed = scan_resume(path, 2, 12, 2, True)
+    resumed = scan(2, 12, 2, True, path)
     assert sorted(resumed.records) == list(range(2, 13))
     assert {m: r.verdict for m, r in resumed.records.items()} == fresh
     # no duplicated cells
@@ -246,11 +245,6 @@ def test_scan_parameter_mismatch_refused(tmp_path):
         scan(2, 11, 2, True, path)
 
 
-def test_scan_resume_requires_existing_ledger(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        scan_resume(tmp_path / "missing.jsonl", 2, 10, 2, True)
-
-
 def test_scan_argument_validation(tmp_path):
     path = tmp_path / "ledger.jsonl"
     with pytest.raises(ValueError):
@@ -280,30 +274,15 @@ def test_ledger_verdicts_replayable(tmp_path):
         assert again.depth_verified == record.depth_verified
 
 
-def test_deep_probe_confirms_at_least_requested_depth():
-    report = deep_probe(8, 4, 10**6)
-    assert report.confirmed_depth >= 2
-    assert report.stop_reason in ("max-depth", "bit-budget")
-    assert report.levels[0]["holds"] is True
+def test_rows_strictly_ratio_monotone_to_depth_6():
+    for m in range(2, 41):
+        verdict = row_property(closed_form_row(m), 6, RATIO_MONOTONE, strict=True)
+        assert verdict.holds, m
 
 
-def test_deep_probe_bit_budget_stops_iteration():
-    report = deep_probe(2, 3, 4)
-    assert report.confirmed_depth == 0
-    assert report.stop_reason == "bit-budget"
-
-
-def test_deep_probe_depth_one_is_the_direct_check():
-    from bmtk import closed_form_row, is_ratio_monotone
-
-    report = deep_probe(9, 1, 10**6)
-    direct = is_ratio_monotone(closed_form_row(9).coeffs, strict=True)
-    assert (report.confirmed_depth == 1) == direct.holds
-    assert report.stop_reason == "max-depth"
-
-
-def test_deep_probe_validation():
-    with pytest.raises(ValueError):
-        deep_probe(1, 2, 100)
-    with pytest.raises(ValueError):
-        deep_probe(5, 0, 100)
+def test_row_property_at_depth_5_matches_the_dyadic_iteration():
+    for m in range(2, 13):
+        row = closed_form_row(m)
+        assert row_property(row, 5, RATIO_MONOTONE, True) == k_property(
+            row.coeffs, 5, RATIO_MONOTONE, True
+        ), m
