@@ -132,17 +132,18 @@ def quartic_integral(m: int, a: float, tol: float = 1e-10) -> QuadResult:
     """Adaptive quadrature of the folded integrand, compared to the exact
     right-hand side.
 
-    Raises ValueError outside the domain (a <= -1, m < 0, tol <= 0) or when
-    the integral or the right-hand side is not a finite, nonzero binary64
-    number, and :class:`QuadratureConvergenceError` if ``MAX_SPLITS`` splits
-    do not reach ``tol``.
+    Raises ValueError outside the domain (a <= -1, m < 0, tol not in
+    (0, 0.1), which also refuses nan and inf) or when the integral or the
+    right-hand side is not a finite, nonzero binary64 number, and
+    :class:`QuadratureConvergenceError` if ``MAX_SPLITS`` splits do not reach
+    ``tol``.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if not (math.isfinite(a) and a > -1.0):
         raise ValueError(f"the identity requires finite a > -1, got a={a}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < 0.1:  # the 10*tol flag threshold stays below 1
+        raise ValueError(f"tolerance must be in (0, 0.1), got {tol}")
 
     two_a = 2.0 * a
     power = 4 * m + 2

@@ -1,8 +1,8 @@
 """Range verification of iterated ratio monotonicity with a resumable ledger.
 
-For each m in a range the coefficient row is generated once and checked for
-(strict) ratio monotonicity on the first ``depth`` iterates of the
-squared-difference operator.  Verdicts are appended to a JSON-lines ledger:
+For each m in a range the coefficient row is checked for (strict) ratio
+monotonicity on the first ``depth`` iterates of the squared-difference
+operator.  Verdicts are appended to a JSON-lines ledger:
 
     {"record": "header", "version": 1, "m_from": ..., "m_to": ...,
      "depth": ..., "strict": ..., "property": "ratio-monotone"}
@@ -10,16 +10,28 @@ squared-difference operator.  Verdicts are appended to a JSON-lines ledger:
      "verdict": "verified" | "failed" | "positivity-failed", "level": ...,
      "witness": ..., "wall_time": ..., "timestamp": ...}
 
+``wall_time`` is the time :func:`verify_cell` spends checking the cell's row;
+generating the row is not part of it.
+
+Rows are walked, not rebuilt: the m still to do are cut into segments of at
+most ``_SEGMENT`` consecutive values.  A segment is seeded with the closed-form
+row of its first m and stepped with ``recu1_row``, and each row is checked as
+soon as it is made.  At the segment's end the walked row must equal the
+closed-form row bit for bit, and the four-term relation recu4 must vanish on it
+at a few indices; only then are the segment's cells appended.  A mismatch is an
+ArithmeticError naming m, and none of that segment's cells is recorded.
+
 The ledger is append-only and line-granular (each record is flushed with its
 newline), so an interrupted scan leaves a valid file, at worst with a torn
 last line, which loading skips and a resume cuts off before it appends;
-re-running skips every m that already has a terminal record.  Resuming with
-different parameters is refused with the exact difference.  A scan holds an
-exclusive advisory lock on the ledger while it appends, so a second scan on
-the same ledger fails at once instead of interleaving records.  Workers may
-verify distinct m concurrently; all appends go through the single
-coordinating process, and verdicts are order-independent, so interrupt
-patterns and worker counts never change the outcome.
+re-running skips every m that already has a terminal record, so a kill loses
+at most one segment of work per worker.  Resuming with different parameters is
+refused with the exact difference.  A scan holds an exclusive advisory lock on
+the ledger while it appends, so a second scan on the same ledger fails at once
+instead of interleaving records.  Workers may walk distinct segments
+concurrently; all appends go through the single coordinating process, and
+verdicts are order-independent, so interrupt patterns and worker counts never
+change the outcome.
 
 Rows are checked as the integer vector 4^m d_i(m) divided by its gcd (see
 :func:`row_property`), so the comparisons take the fast int path of
@@ -40,7 +52,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bmcoeff import CoeffRow, closed_form_row
+from .bmcoeff import CoeffRow, closed_form_row, recu1_row, recu4_residual
 from .seqprops import RATIO_MONOTONE, PropertyVerdict, k_property
 from .seqprops import l_operator  # noqa: F401  perfbench's tracer patches it here
 
@@ -64,6 +76,10 @@ LEDGER_VERSION = 1
 VERDICT_VERIFIED = "verified"
 VERDICT_FAILED = "failed"
 VERDICT_POSITIVITY = "positivity-failed"
+
+# The most consecutive m walked from one closed-form seed, and so the most
+# cells a failed cross-check or a kill can cost.
+_SEGMENT = 32
 
 
 class LedgerMismatchError(ValueError):
@@ -198,12 +214,14 @@ def row_property(row: CoeffRow, depth: int, prop: str, strict: bool) -> Property
     return verdict
 
 
-def verify_cell(m: int, depth: int, strict: bool) -> ScanRecord:
-    """Generate the row for m and check ratio monotonicity to ``depth``."""
+def verify_cell(row: CoeffRow, depth: int, strict: bool) -> ScanRecord:
+    """Check ratio monotonicity of ``row`` to ``depth``; the record's
+    ``wall_time`` is the time the check took."""
     start = time.perf_counter()
-    verdict = row_property(closed_form_row(m), depth, RATIO_MONOTONE, strict)
+    verdict = row_property(row, depth, RATIO_MONOTONE, strict)
     elapsed = time.perf_counter() - start
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    m = row.m
     if verdict.holds:
         return ScanRecord(m, depth, depth, VERDICT_VERIFIED, None, None, elapsed, stamp)
     kind = (
@@ -213,6 +231,45 @@ def verify_cell(m: int, depth: int, strict: bool) -> ScanRecord:
     )
     witness = verdict.witness.to_json() if verdict.witness else None
     return ScanRecord(m, depth, verdict.level, kind, verdict.level, witness, elapsed, stamp)
+
+
+def _scan_segment(first: int, last: int, depth: int, strict: bool) -> list[ScanRecord]:
+    """Records for m = first..last, from a recu1 walk seeded by the closed form.
+
+    Each row is checked as soon as it is made and only the current one is
+    kept.  The walk's last row must equal the closed form and satisfy recu4
+    at its first nontrivial index, its middle and its top; otherwise, or if a
+    step's division is inexact, this raises an ArithmeticError naming m and
+    returns no record.
+    """
+    row = closed_form_row(first)
+    records = [verify_cell(row, depth, strict)]
+    for m in range(first + 1, last + 1):
+        try:
+            row = recu1_row(row)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"recu1 walk from m={first} fails at m={m}: {exc}") from None
+        records.append(verify_cell(row, depth, strict))
+    if last > first and (
+        row.scaled != closed_form_row(last).scaled
+        or any(recu4_residual(row, i).num for i in (2, (last + 3) // 2, last + 1))
+    ):
+        raise ArithmeticError(
+            f"recu1 walk from m={first} disagrees with the closed form at m={last}"
+        )
+    return records
+
+
+def _segments(todo: list[int], length: int) -> list[list[int]]:
+    """``[first, last]`` of each run of consecutive m in the sorted ``todo``,
+    cut into pieces of at most ``length`` values."""
+    runs: list[list[int]] = []
+    for m in todo:
+        if runs and m == runs[-1][1] + 1 and m - runs[-1][0] < length:
+            runs[-1][1] = m
+        else:
+            runs.append([m, m])
+    return runs
 
 
 def load_ledger(path: Path | str) -> ScanLedger:
@@ -337,12 +394,18 @@ def scan(
             fh.flush()
 
         if workers <= 1:
-            for m in todo:
-                append(verify_cell(m, depth, strict))
+            for first, last in _segments(todo, _SEGMENT):
+                for record in _scan_segment(first, last, depth, strict):
+                    append(record)
         else:
+            # several segments per worker, so short ranges stay parallel
+            length = max(1, min(_SEGMENT, len(todo) // (4 * workers)))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(verify_cell, m, depth, strict) for m in todo]
+                futures = [
+                    pool.submit(_scan_segment, first, last, depth, strict)
+                    for first, last in _segments(todo, length)
+                ]
                 for future in as_completed(futures):
-                    append(future.result())
+                    for record in future.result():
+                        append(record)
     return ledger
-

@@ -177,6 +177,13 @@ def test_quad_outside_binary64_exits_2(capsys, a):
     assert err == f"error: m=3, a={float(a)} leaves the binary64 range of the quadrature\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1e300"])
+def test_quad_tolerance_outside_open_interval_exits_2(capsys, tol):
+    code, out, err = run(capsys, "quad", "--m", "8", "--a", "0.5", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be in (0, 0.1), got {float(tol)}\n"
+
+
 def test_scan_command(capsys, tmp_path):
     ledger = tmp_path / "scan.jsonl"
     code, out, _ = run(

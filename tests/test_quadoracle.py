@@ -59,6 +59,14 @@ def test_domain_errors():
         quartic_integral(0, 0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 1e300, 0.1, -1e-10])
+def test_tolerance_outside_open_interval_is_a_value_error(tol):
+    # a huge tol would stop the quadrature at one Simpson panel and the
+    # 10*tol flag threshold would then pass any deviation
+    with pytest.raises(ValueError, match=re.escape(f"tolerance must be in (0, 0.1), got {tol}")):
+        quartic_integral(8, 0.5, tol=tol)
+
+
 def test_out_of_binary64_range_is_a_value_error():
     # the exact right side underflows to 0.0; the integrand overflows; the
     # integrand's denominator underflows to 0.0

@@ -2,6 +2,7 @@
 
 import fcntl
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -21,7 +22,7 @@ from bmtk.scanner import (
 
 
 def test_verify_cell_verified():
-    record = verify_cell(8, 2, strict=True)
+    record = verify_cell(closed_form_row(8), 2, strict=True)
     assert record.verdict == VERDICT_VERIFIED
     assert record.depth_verified == 2
     assert record.witness is None
@@ -111,12 +112,12 @@ FAILING_ROWS = (
 
 @pytest.mark.parametrize("nums", FAILING_ROWS)
 @pytest.mark.parametrize("strict", (True, False))
-def test_failing_cell_keeps_its_exact_witness(monkeypatch, nums, strict):
+def test_failing_cell_keeps_its_exact_witness(nums, strict):
     row = CoeffRow(4, tuple(x << 5 for x in nums), Method.CLOSED_FORM)  # d_i = x/2^3
-    monkeypatch.setattr(scanner, "closed_form_row", lambda m: row)
     expected = k_property(row.coeffs, 3, RATIO_MONOTONE, strict)
     assert not expected.holds
-    record = verify_cell(4, 3, strict)
+    record = verify_cell(row, 3, strict)
+    assert record.m == 4
     assert record.witness == expected.witness.to_json()
     assert record.level == expected.level
     assert record.verdict == (
@@ -145,7 +146,9 @@ def _unreduced_record(m, depth, strict):
 @pytest.mark.parametrize("strict", (True, False))
 def test_gcd_reduced_cells_match_unreduced_records(strict):
     for m in range(2, 41):
-        assert _stable(verify_cell(m, 3, strict)) == _stable(_unreduced_record(m, 3, strict))
+        assert _stable(verify_cell(closed_form_row(m), 3, strict)) == _stable(
+            _unreduced_record(m, 3, strict)
+        )
 
 
 def test_corrupt_middle_line_reports_its_file_line(tmp_path):
@@ -269,7 +272,7 @@ def test_ledger_verdicts_replayable(tmp_path):
     path = tmp_path / "ledger.jsonl"
     ledger = scan(2, 10, 2, True, path)
     for m, record in ledger.records.items():
-        again = verify_cell(m, record.depth_requested, True)
+        again = verify_cell(closed_form_row(m), record.depth_requested, True)
         assert again.verdict == record.verdict
         assert again.depth_verified == record.depth_verified
 
@@ -286,3 +289,74 @@ def test_row_property_at_depth_5_matches_the_dyadic_iteration():
         assert row_property(row, 5, RATIO_MONOTONE, True) == k_property(
             row.coeffs, 5, RATIO_MONOTONE, True
         ), m
+
+
+# -- the segmented recu1 walk against the closed form ------------------------
+
+
+def _closed_form_records(ms, depth):
+    return {m: _stable(verify_cell(closed_form_row(m), depth, True)) for m in ms}
+
+
+def test_walked_scan_matches_closed_form_cells(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    ledger = scan(2, 100, 2, True, path, workers=1)
+    expected = _closed_form_records(range(2, 101), 2)
+    assert {m: _stable(r) for m, r in ledger.records.items()} == expected
+    assert {m: _stable(r) for m, r in load_ledger(path).records.items()} == expected
+
+
+def test_walked_scan_with_workers_matches_closed_form_cells(tmp_path, monkeypatch):
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[:2])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(scanner, "ProcessPoolExecutor", RecordingPool)
+    ledger = scan(2, 100, 2, True, tmp_path / "par.jsonl", workers=2)
+    assert len(submitted) >= 3
+    assert sorted(m for first, last in submitted for m in range(first, last + 1)) == list(
+        range(2, 101)
+    )
+    expected = _closed_form_records(range(2, 101), 2)
+    assert {m: _stable(r) for m, r in ledger.records.items()} == expected
+
+
+def test_resume_after_scattered_deletions_matches_fresh_scan(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fresh = {m: _stable(r) for m, r in scan(2, 100, 2, True, path).records.items()}
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(
+        "".join(line for line in lines if json.loads(line).get("m") not in (5, 6, 40, 77))
+    )
+    assert sorted(load_ledger(path).records) == sorted(set(range(2, 101)) - {5, 6, 40, 77})
+    resumed = scan(2, 100, 2, True, path)
+    assert {m: _stable(r) for m, r in resumed.records.items()} == fresh
+    assert {m: _stable(r) for m, r in load_ledger(path).records.items()} == fresh
+    assert sorted(_ledger_ms(path)) == list(range(2, 101))
+
+
+# scan(2, 100) walks m = 2..33, 34..65, ...: corrupt the second segment at its
+# last m, whose row nothing walks on from, and in its middle.
+SECOND = (2 + scanner._SEGMENT, 1 + 2 * scanner._SEGMENT)
+
+
+@pytest.mark.parametrize("bad_m", (SECOND[1], SECOND[0] + 16), ids=("last", "middle"))
+def test_corrupted_walk_raises_and_records_no_cell_of_its_segment(tmp_path, monkeypatch, bad_m):
+    real = scanner.recu1_row
+
+    def corrupted(prev):
+        row = real(prev)
+        if row.m != bad_m:
+            return row
+        scaled = list(row.scaled)
+        scaled[10] += 1  # outside the recu4 spot checks of the segment's last row
+        return CoeffRow(row.m, scaled, row.method)
+
+    monkeypatch.setattr(scanner, "recu1_row", corrupted)
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(ArithmeticError, match=rf"recu1 walk from m={SECOND[0]} "):
+        scan(2, 100, 2, True, path)
+    assert sorted(load_ledger(path).records) == list(range(2, SECOND[0]))
