@@ -4,10 +4,10 @@ Each check evaluates one family of inequalities (or boundary equalities) on
 actual generated rows, exactly, and reports per-index records with exact
 margins so tightness studies are reproducible.  Both sides of a comparison are
 integer (numerator, denominator) pairs read from the rows' integer vectors
-4^m d_i(m), and one cross-multiplied integer difference decides it; the
-record's Fraction values are built once, from the same integers.  The only
-decimal output is the informational minimum-ratio string; decimals never feed
-a verdict.
+4^m d_i(m), and one cross-multiplied integer difference decides it.  A record
+builds its exact margin at once and the sides' Fractions only when read.  The
+only decimal output is the informational minimum-ratio string; decimals never
+feed a verdict.
 
 Check ids (the CLI tokens):
 
@@ -57,21 +57,47 @@ __all__ = [
 BOUND_IDS = ("thm21", "thm22", "l31", "l32", "l33", "l34", "sec4")
 
 
-@dataclass(frozen=True)
+Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
+
+
+@dataclass(frozen=True, eq=False)
 class BoundRecord:
     """One verified comparison: ``lhs relation rhs`` with its exact margin.
 
-    The margin is oriented so that nonnegative (positive, for strict
-    relations) means the comparison holds with that much room; equality
-    records carry margin zero exactly when they hold.
+    Sides are integer pairs, reduced to Fractions on read; records compare
+    and hash by value.  The margin is oriented so that nonnegative (positive,
+    for strict relations) means the comparison holds with that much room;
+    equality records carry margin zero exactly when they hold.
     """
 
     i: int
     relation: str  # ">=", ">", "<=", "<", "=="
-    lhs: Fraction
-    rhs: Fraction
+    lhs_pair: Pair
+    rhs_pair: Pair
     holds: bool
     margin: Fraction
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(*self.lhs_pair)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(*self.rhs_pair)
+
+    def _key(self) -> tuple:
+        return self.i, self.relation, self.holds, self.margin
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoundRecord):
+            return NotImplemented
+        (a, b), (c, d) = self.lhs_pair, other.lhs_pair
+        (e, f), (g, h) = self.rhs_pair, other.rhs_pair
+        return self._key() == other._key() and a * d == c * b and e * h == g * f
+
+    def __hash__(self) -> int:
+        # records equal by value have equal keys; no side needs reducing
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -112,28 +138,23 @@ class BoundReport:
         }
 
 
-Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
-
-
 def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
     """Decide ``lhs relation rhs`` from the sign of one integer difference."""
     (a, b), (c, d) = lhs, rhs
-    diff = a * d - c * b  # (lhs - rhs) * b * d
-    if relation == ">=":
-        holds, margin = diff >= 0, diff
-    elif relation == ">":
-        holds, margin = diff > 0, diff
-    elif relation == "<=":
-        holds, margin = diff <= 0, -diff
-    elif relation == "<":
-        holds, margin = diff < 0, -diff
+    # over the lcm, since entries' denominators share 4^m, the margin is smaller
+    g = math.gcd(b, d)
+    b, d = b // g, d // g
+    diff = a * d - c * b  # (lhs - rhs) * b * d * g
+    if relation in (">=", ">"):
+        margin = diff
+    elif relation in ("<=", "<"):
+        margin = -diff
     elif relation == "==":
-        holds, margin = diff == 0, -abs(diff)
+        margin = -abs(diff)
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    return BoundRecord(
-        i, relation, Fraction(a, b), Fraction(c, d), holds, Fraction(margin, b * d)
-    )
+    holds = margin > 0 if relation in (">", "<") else margin >= 0
+    return BoundRecord(i, relation, lhs, rhs, holds, Fraction(margin, b * d * g))
 
 
 def _entry(row: CoeffRow, i: int, num: int = 1, den: int = 1) -> Pair:
@@ -144,6 +165,13 @@ def _entry(row: CoeffRow, i: int, num: int = 1, den: int = 1) -> Pair:
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
     if row_next.m != row_m.m + 1:
         raise ValueError(f"need rows m and m+1, got m={row_m.m} and m={row_next.m}")
+
+
+def _new_report(bound_id: str, m: int, least: int) -> BoundReport:
+    """An empty report for a check defined for m >= least."""
+    if m < least:
+        raise ValueError(f"requires m >= {least}, got m={m}")
+    return BoundReport(bound_id, m)
 
 
 def growth_upper_bound(m: int, i: int) -> Fraction:
@@ -162,9 +190,7 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     """thm21 on 0 < i < m; also reports the minimum of the tightness ratio."""
     _require_consecutive(row_m, row_next)
     m = row_m.m
-    if m < 1:
-        raise ValueError(f"requires m >= 1, got m={m}")
-    report = BoundReport("thm21", m)
+    report = _new_report("thm21", m, 1)
     low = None  # the least bound/d_i(m+1) so far, as a pair
     for i in range(1, m):
         lhs = _entry(row_next, i)
@@ -182,9 +208,7 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     """thm22: strict interior bound plus both boundary equalities."""
     _require_consecutive(row_m, row_next)
     m = row_m.m
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got m={m}")
-    report = BoundReport("thm22", m)
+    report = _new_report("thm22", m, 2)
     for i in range(1, m):
         bound = _entry(row_m, i, *_growth_lower_coefficient(m, i))
         report.records.append(_record(i, ">", _entry(row_next, i), bound))
@@ -201,9 +225,7 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
 def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     """l31: (m-j)/(j+1) > d_{j+1}(m)/d_j(m) for 1 <= j <= m-1."""
     m = row.m
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got m={m}")
-    report = BoundReport("l31", m)
+    report = _new_report("l31", m, 2)
     for j in range(1, m):
         rhs = row.scaled[j + 1], row.scaled[j]
         report.records.append(_record(j, ">", (m - j, j + 1), rhs))
@@ -214,9 +236,7 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     """l32: d_i(m+1) <= B(m,i) d_i(m) for all 0 <= i <= m."""
     _require_consecutive(row_m, row_next)
     m = row_m.m
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got m={m}")
-    report = BoundReport("l32", m)
+    report = _new_report("l32", m, 2)
     for i in range(m + 1):
         bound = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
         report.records.append(_record(i, "<=", _entry(row_next, i), _entry(row_m, i, *bound)))
@@ -232,9 +252,7 @@ def _predecessor_numerator(m: int, j: int) -> Pair:
 def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     """l33 for 1 <= j <= m, with positivity of the bound's numerator."""
     m = row.m
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got m={m}")
-    report = BoundReport("l33", m)
+    report = _new_report("l33", m, 2)
     for j in range(1, m + 1):
         num, den = _predecessor_numerator(m, j)
         report.records.append(_record(j, ">", (num, den), (0, 1)))
@@ -245,9 +263,7 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
 
 def check_reflected_ratio_gap(m: int) -> BoundReport:
     """l34 for 0 <= i <= floor(m/2); pure rational-function comparison."""
-    if m < 1:
-        raise ValueError(f"requires m >= 1, got m={m}")
-    report = BoundReport("l34", m)
+    report = _new_report("l34", m, 1)
     for i in range(m // 2 + 1):
         # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
         # expands to 2j(m+1) times a polynomial with positive coefficients
@@ -261,9 +277,7 @@ def check_reflected_ratio_gap(m: int) -> BoundReport:
 def check_endpoint_ratios(row: CoeffRow) -> BoundReport:
     """sec4: d_1/d_0 < m < d_{m-1}/d_m, and the top ratio's closed form."""
     m = row.m
-    if m < 2:
-        raise ValueError(f"requires m >= 2, got m={m}")
-    report = BoundReport("sec4", m)
+    report = _new_report("sec4", m, 2)
     high = row.scaled[m - 1], row.scaled[m]
     report.records.append(_record(1, "<", (row.scaled[1], row.scaled[0]), (m, 1)))
     report.records.append(_record(m - 1, ">", high, (m, 1)))
@@ -278,27 +292,16 @@ def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:
         raise ValueError(f"unknown bound ids: {', '.join(unknown)}")
-    needs_rows = {"thm21", "thm22", "l31", "l32", "l33", "sec4"} & set(which)
-    row = closed_form_row(m) if needs_rows else None
-    row_next = (
-        recu1_row(row) if row is not None and {"thm21", "thm22", "l32"} & set(which) else None
-    )
-    reports = []
-    for token in BOUND_IDS:
-        if token not in which:
-            continue
-        if token == "thm21":
-            reports.append(check_growth_lower_bound(row, row_next))
-        elif token == "thm22":
-            reports.append(check_strict_growth_bound(row, row_next))
-        elif token == "l31":
-            reports.append(check_successor_ratio_bound(row))
-        elif token == "l32":
-            reports.append(check_growth_upper_bound(row, row_next))
-        elif token == "l33":
-            reports.append(check_predecessor_bound(row))
-        elif token == "l34":
-            reports.append(check_reflected_ratio_gap(m))
-        elif token == "sec4":
-            reports.append(check_endpoint_ratios(row))
-    return reports
+    wanted = set(which)
+    row = closed_form_row(m) if wanted - {"l34"} else None
+    row_next = recu1_row(row) if wanted & {"thm21", "thm22", "l32"} else None
+    checks = {
+        "thm21": lambda: check_growth_lower_bound(row, row_next),
+        "thm22": lambda: check_strict_growth_bound(row, row_next),
+        "l31": lambda: check_successor_ratio_bound(row),
+        "l32": lambda: check_growth_upper_bound(row, row_next),
+        "l33": lambda: check_predecessor_bound(row),
+        "l34": lambda: check_reflected_ratio_gap(m),
+        "sec4": lambda: check_endpoint_ratios(row),
+    }
+    return [checks[token]() for token in BOUND_IDS if token in which]

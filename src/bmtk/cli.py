@@ -152,25 +152,31 @@ def _cmd_bounds(args: argparse.Namespace) -> Output:
     if not which:
         raise ValueError(f"--which names no bound id: {args.which!r}")
     reports = boundcheck.run_checks(args.m, which)
+    ok = all(r.all_hold for r in reports)
+    # build only the requested format, so that plain output reads no side of
+    # a record that holds
+    if args.format == "json":
+        return Output(ok, [r.to_json() for r in reports], [], [])
+    if args.format == "csv":
+        csv = ["bound,m,i,relation,lhs,rhs,holds,margin"]
+        csv += [
+            f"{rep.bound_id},{rep.m},{rec.i},{rec.relation},{exact_str(rec.lhs)},"
+            f"{exact_str(rec.rhs)},{rec.holds},{exact_str(rec.margin)}"
+            for rep in reports
+            for rec in rep.records
+        ]
+        return Output(ok, None, [], csv)
     plain = []
-    csv = ["bound,m,i,relation,lhs,rhs,holds,margin"]
     for rep in reports:
         status = "all hold" if rep.all_hold else "FAILURE"
         extra = f" (min ratio {rep.min_ratio_decimal})" if rep.min_ratio is not None else ""
         plain.append(f"{rep.bound_id} at m={rep.m}: {status}{extra}")
-        for rec in rep.records:
-            if not rec.holds:
-                plain.append(
-                    f"  violated at i={rec.i}: {exact_str(rec.lhs)} {rec.relation} "
-                    f"{exact_str(rec.rhs)}"
-                )
-            csv.append(
-                f"{rep.bound_id},{rep.m},{rec.i},{rec.relation},{exact_str(rec.lhs)},"
-                f"{exact_str(rec.rhs)},{rec.holds},{exact_str(rec.margin)}"
-            )
-    return Output(
-        all(r.all_hold for r in reports), [r.to_json() for r in reports], plain, csv
-    )
+        plain += [
+            f"  violated at i={rec.i}: {exact_str(rec.lhs)} {rec.relation} {exact_str(rec.rhs)}"
+            for rec in rep.records
+            if not rec.holds
+        ]
+    return Output(ok, None, plain, [])
 
 
 def _cmd_identities(args: argparse.Namespace) -> Output:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmtk import CoeffRow, binomial, closed_form_row, recu1_row
+from bmtk import CoeffRow, binomial, boundcheck, closed_form_row, recu1_row
 from bmtk.boundcheck import (
     BOUND_IDS,
     BoundRecord,
@@ -216,6 +216,34 @@ def test_margin_sign_consistency_and_json():
     assert report.bound_id in BOUND_IDS
 
 
+def test_records_compare_and_hash_by_value():
+    half = BoundRecord(3, "<", (1, 2), (3, 4), True, Fraction(1, 4))
+    unreduced = BoundRecord(3, "<", (2, 4), (6, 8), True, Fraction(1, 4))
+    assert half == unreduced and hash(half) == hash(unreduced)
+    assert unreduced.lhs == Fraction(1, 2) and unreduced.rhs == Fraction(3, 4)
+    assert half != BoundRecord(3, "<", (1, 2), (4, 5), True, Fraction(1, 4))
+    assert half != BoundRecord(3, "<", (1, 3), (3, 4), True, Fraction(1, 4))
+    assert len({half, unreduced}) == 1
+
+
+def test_checks_build_one_fraction_per_record(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(boundcheck, "Fraction", counting)
+    reports = run_checks(40)
+    records = [r for rep in reports for r in rep.records]
+    assert all(r.holds and r.margin >= 0 for r in records)
+    with_ratio = [rep.min_ratio for rep in reports if rep.min_ratio is not None]
+    assert len(with_ratio) == 1  # thm21's
+    assert len(built) == len(records) + len(with_ratio)
+    assert records[0].lhs > 0  # a side is built when read, not before
+    assert len(built) == len(records) + len(with_ratio) + 1
+
+
 # -- the integer-pair checks against a Fraction-chain reference -------------------
 
 
@@ -228,7 +256,8 @@ def _reference_record(i, relation, lhs, rhs):
         "<": (diff < 0, -diff),
         "==": (diff == 0, -abs(diff)),
     }[relation]
-    return BoundRecord(i, relation, lhs, rhs, holds, margin)
+    sides = [(x.numerator, x.denominator) for x in (lhs, rhs)]
+    return BoundRecord(i, relation, *sides, holds, margin)
 
 
 def _reference_reports(row, nxt):

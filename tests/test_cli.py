@@ -144,6 +144,15 @@ def test_bounds_all_and_selected(capsys):
     assert "min ratio 0.998348" in out
 
 
+def test_plain_bounds_output_reads_no_side_of_a_holding_record(capsys, monkeypatch):
+    reads = []
+    for side in ("lhs", "rhs"):
+        monkeypatch.setattr(boundcheck.BoundRecord, side, property(reads.append))
+    code, out, _ = run(capsys, "bounds", "--m", "40")
+    assert code == 0 and len(out.splitlines()) == len(boundcheck.BOUND_IDS)
+    assert reads == []
+
+
 def test_bounds_domain_errors(capsys):
     assert run(capsys, "bounds", "--m", "1")[0] == 2  # strict bound needs m >= 2
     assert run(capsys, "bounds", "--m", "1", "--which", "thm21")[0] == 0
