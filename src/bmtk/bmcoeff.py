@@ -4,8 +4,7 @@ The degree-m Boros-Moll polynomial P_m(a) = sum_i d_i(m) a^i has strictly
 positive coefficients with 4^m * d_i(m) an integer, so a row is the integer
 vector e_i = 4^m * d_i(m): ``CoeffRow(m, scaled, method)``.  The canonical
 dyadic rationals d_i(m) (``CoeffRow.coeffs``) are a view built from it on
-first access, for printing; :func:`row_from_json` is the one place where
-dyadics become a row.  The generation routes are
+first access, for printing and JSON.  The generation routes are
 
   closed form   4^m d_i(m) = sum_{k=i..m} w_k C(k, i),
                 w_k = 2^k C(2m-2k, m-k) C(m+k, k)
@@ -57,7 +56,6 @@ __all__ = [
     "hypergeometric_eval",
     "eval_poly",
     "row_to_json",
-    "row_from_json",
     "row_csv_lines",
 ]
 
@@ -307,20 +305,6 @@ def row_to_json(row: CoeffRow) -> dict:
         "method": row.method.value,
         "coeffs": [str(c) for c in row.coeffs],
     }
-
-
-def row_from_json(obj: dict) -> CoeffRow:
-    """The row that :func:`row_to_json` wrote: the one place where dyadics
-    become a row, so it checks that each is a positive integer over 4^m (the
-    constructor checks the length)."""
-    m = int(obj["m"])
-    coeffs = [Dyadic.parse(s) for s in obj["coeffs"]]
-    for i, c in enumerate(coeffs):
-        if c.num <= 0:
-            raise ValueError(f"d_{i}({m}) = {c} is not positive")
-        if c.exp > 2 * m:
-            raise ValueError(f"d_{i}({m}) = {c} is not an integer over 4^m")
-    return CoeffRow(m, [c.num << (2 * m - c.exp) for c in coeffs], Method(obj["method"]))
 
 
 def row_csv_lines(row: CoeffRow) -> Iterable[str]:

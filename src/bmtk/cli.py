@@ -3,7 +3,12 @@
 Subcommands: gen, check, bounds, identities, quad, scan.  Shared flags:
 --format {plain,json,csv} and --out FILE.  Exit codes: 0 when every requested
 check holds, 1 when a mathematical check fails (the report carries the
-witness), 2 for usage or domain errors.
+witness), 2 for usage or domain errors and for an --out or --ledger path that
+cannot be read or written.
+
+Each handler runs its command once and returns ``(ok, body)``, where body is
+built only for the requested format: the JSON payload, or the plain or CSV
+lines.  :func:`main` renders and writes it in one place.
 
 JSON reports are built with fixed key order and canonical exact-value strings
 so repeated runs diff cleanly.  Decimal renderings are informational and are
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,14 +35,6 @@ PROP_TOKENS = {
     "ratio": seqprops.RATIO_MONOTONE,
     "unimodal": seqprops.UNIMODAL_MIDPEAK,
 }
-
-
-@dataclass
-class Output:
-    ok: bool
-    payload: object
-    plain: list[str]
-    csv: list[str]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,16 +100,20 @@ def _parse_seq(text: str) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _cmd_gen(args: argparse.Namespace) -> Output:
+def _cmd_gen(args: argparse.Namespace) -> tuple[bool, object]:
     row = bmcoeff.closed_form_row(args.m)
+    if args.format == "json":
+        return True, bmcoeff.row_to_json(row)
+    if args.format == "csv":
+        return True, list(bmcoeff.row_csv_lines(row))
     plain = [f"P_{row.m} coefficients (exact, with informational decimals):"]
     plain += [
         f"  d_{i}({row.m}) = {c} = {decimal_string(c)}" for i, c in enumerate(row.coeffs)
     ]
-    return Output(True, bmcoeff.row_to_json(row), plain, list(bmcoeff.row_csv_lines(row)))
+    return True, plain
 
 
-def _cmd_check(args: argparse.Namespace) -> Output:
+def _cmd_check(args: argparse.Namespace) -> tuple[bool, object]:
     props = []
     for token in args.props.split(","):
         token = token.strip()
@@ -133,8 +134,16 @@ def _cmd_check(args: argparse.Namespace) -> Output:
         seq = _parse_seq(args.seq)
         label = f"sequence of length {len(seq)}"
         verdicts = [seqprops.k_property(seq, args.depth, p, args.strict) for p in props]
+    ok = all(v.holds for v in verdicts)
+    if args.format == "json":
+        return ok, [v.to_json() for v in verdicts]
+    if args.format == "csv":
+        return ok, ["property,strict,holds,level,witness"] + [
+            f"{v.property},{v.strict},{v.holds},{v.level},"
+            f"{'' if v.witness is None else v.witness.indices[0]}"
+            for v in verdicts
+        ]
     plain = [f"checking {label} to depth {args.depth}:"]
-    csv = ["property,strict,holds,level,witness"]
     for v in verdicts:
         status = "holds" if v.holds else "FAILS"
         detail = ""
@@ -142,21 +151,17 @@ def _cmd_check(args: argparse.Namespace) -> Output:
             w = v.witness
             detail = f" [witness at level {v.level}: {w.kind} i={w.indices[0]} lhs={w.lhs} rhs={w.rhs}]"
         plain.append(f"  {v.property} (strict={v.strict}): {status}{detail}")
-        wid = "" if v.witness is None else v.witness.indices[0]
-        csv.append(f"{v.property},{v.strict},{v.holds},{v.level},{wid}")
-    return Output(all(v.holds for v in verdicts), [v.to_json() for v in verdicts], plain, csv)
+    return ok, plain
 
 
-def _cmd_bounds(args: argparse.Namespace) -> Output:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[bool, object]:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     if not which:
         raise ValueError(f"--which names no bound id: {args.which!r}")
     reports = boundcheck.run_checks(args.m, which)
     ok = all(r.all_hold for r in reports)
-    # build only the requested format, so that plain output reads no side of
-    # a record that holds
     if args.format == "json":
-        return Output(ok, [r.to_json() for r in reports], [], [])
+        return ok, [r.to_json() for r in reports]
     if args.format == "csv":
         csv = ["bound,m,i,relation,lhs,rhs,holds,margin"]
         csv += [
@@ -165,7 +170,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Output:
             for rep in reports
             for rec in rep.records
         ]
-        return Output(ok, None, [], csv)
+        return ok, csv
     plain = []
     for rep in reports:
         status = "all hold" if rep.all_hold else "FAILURE"
@@ -176,23 +181,27 @@ def _cmd_bounds(args: argparse.Namespace) -> Output:
             for rec in rep.records
             if not rec.holds
         ]
-    return Output(ok, None, plain, [])
+    return ok, plain
 
 
-def _cmd_identities(args: argparse.Namespace) -> Output:
+def _cmd_identities(args: argparse.Namespace) -> tuple[bool, object]:
     suite = polyident.run_identity_suite(args.grid)
     ok = all(item["equal"] and item["grid_ok"] is not False for item in suite)
+    if args.format == "json":
+        return ok, suite
+    if args.format == "csv":
+        csv = ["identity,equal,grid_ok"]
+        csv += [f"{item['identity']},{item['equal']},{item['grid_ok']}" for item in suite]
+        return ok, csv
     plain = [f"identity suite (lattice evidence to {args.grid}):"]
-    csv = ["identity,equal,grid_ok"]
     for item in suite:
         grid = "-" if item["grid_ok"] is None else ("ok" if item["grid_ok"] else "FAIL")
         status = "equal" if item["equal"] else "NOT EQUAL"
         plain.append(f"  {item['identity']}: {status}, grid {grid}")
-        csv.append(f"{item['identity']},{item['equal']},{item['grid_ok']}")
-    return Output(ok, suite, plain, csv)
+    return ok, plain
 
 
-def _cmd_quad(args: argparse.Namespace) -> Output:
+def _cmd_quad(args: argparse.Namespace) -> tuple[bool, object]:
     try:
         result = quadoracle.quartic_integral(args.m, args.a, args.tol)
         error = None
@@ -200,10 +209,15 @@ def _cmd_quad(args: argparse.Namespace) -> Output:
         result = exc.result
         error = str(exc)
     ok = error is None and result.relative_deviation <= 10.0 * args.tol
-    payload = dict(result.to_json())
-    payload["error"] = error
-    payload["ok"] = ok
-    plain = [
+    if args.format == "json":
+        return ok, {**result.to_json(), "error": error, "ok": ok}
+    if args.format == "csv":
+        return ok, [
+            "m,a,integral_estimate,rhs_value,abs_error_estimate,relative_deviation,ok",
+            f"{result.m},{result.a},{result.integral_estimate!r},{result.rhs_value!r},"
+            f"{result.abs_error_estimate!r},{result.relative_deviation!r},{ok}",
+        ]
+    return ok, [
         f"quartic integral m={result.m} a={result.a}:",
         f"  quadrature       = {result.integral_estimate!r}",
         f"  exact rhs        = {result.rhs_value!r}",
@@ -211,38 +225,30 @@ def _cmd_quad(args: argparse.Namespace) -> Output:
         f"  rel deviation    = {result.relative_deviation:.3e}",
         f"  verdict          = {'ok' if ok else 'MISMATCH' if error is None else error}",
     ]
-    csv = [
-        "m,a,integral_estimate,rhs_value,abs_error_estimate,relative_deviation,ok",
-        f"{result.m},{result.a},{result.integral_estimate!r},{result.rhs_value!r},"
-        f"{result.abs_error_estimate!r},{result.relative_deviation!r},{ok}",
-    ]
-    return Output(ok, payload, plain, csv)
 
 
-def _cmd_scan(args: argparse.Namespace) -> Output:
+def _cmd_scan(args: argparse.Namespace) -> tuple[bool, object]:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     ledger = scanner.scan(
         args.m_from, args.m_to, args.depth, args.strict, args.ledger, args.workers
     )
     ok = ledger.all_verified
-    counts: dict[str, int] = {}
-    for rec in ledger.records.values():
-        counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
-    plain = [
+    if args.format == "json":
+        return ok, ledger.to_json()
+    if args.format == "csv":
+        return ok, ["m,depth_requested,depth_verified,verdict,level"] + [
+            f"{rec.m},{rec.depth_requested},{rec.depth_verified},{rec.verdict},"
+            f"{'' if rec.level is None else rec.level}"
+            for rec in map(ledger.records.get, sorted(ledger.records))
+        ]
+    counts = Counter(rec.verdict for rec in ledger.records.values())
+    return ok, [
         f"scan m={args.m_from}..{args.m_to} depth={args.depth} strict={args.strict}:",
         f"  ledger  = {ledger.path}",
         f"  cells   = {len(ledger.records)} ({', '.join(f'{k}: {v}' for k, v in sorted(counts.items()))})",
         f"  verdict = {'all verified' if ok else 'NOT ALL VERIFIED'}",
     ]
-    csv = ["m,depth_requested,depth_verified,verdict,level"]
-    for m in sorted(ledger.records):
-        rec = ledger.records[m]
-        csv.append(
-            f"{rec.m},{rec.depth_requested},{rec.depth_verified},{rec.verdict},"
-            f"{'' if rec.level is None else rec.level}"
-        )
-    return Output(ok, ledger.to_json(), plain, csv)
 
 
 _HANDLERS = {
@@ -255,31 +261,22 @@ _HANDLERS = {
 }
 
 
-def _render(output: Output, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(output.payload, indent=2)
-    if fmt == "csv":
-        return "\n".join(output.csv)
-    return "\n".join(output.plain)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
-        output = _HANDLERS[args.command](args)
-    except (ValueError, OverflowError, FileNotFoundError) as exc:
+        ok, body = _HANDLERS[args.command](args)
+        text = json.dumps(body, indent=2) if args.format == "json" else "\n".join(body)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    text = _render(output, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0 if output.ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

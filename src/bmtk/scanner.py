@@ -363,17 +363,20 @@ def scan(
     params = ScanParams(m_from, m_to, depth, strict)
     params.validate()
     path = Path(ledger_path)
-    if path.exists():
-        ledger = load_ledger(path)
-        if ledger.params != params:
-            raise LedgerMismatchError(
-                f"ledger {path} parameter mismatch: {_param_diff(ledger.params, params)}"
-            )
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        # "x" creates the file or fails: a ledger that appeared meanwhile is
+        # loaded, never truncated
+        with path.open("x") as fh:
             fh.write(json.dumps(params.header()) + "\n")
+    except FileExistsError:
+        ledger = load_ledger(path)
+    else:
         ledger = ScanLedger(path, params)
+    if ledger.params != params:
+        raise LedgerMismatchError(
+            f"ledger {path} parameter mismatch: {_param_diff(ledger.params, params)}"
+        )
 
     todo = [m for m in range(m_from, m_to + 1) if m not in ledger.records]
     if not todo:

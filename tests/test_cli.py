@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from bmtk import boundcheck, closed_form_row, k_property, scanner
+from bmtk import bmcoeff, boundcheck, cli, closed_form_row, k_property, polyident, scanner
 from bmtk.boundcheck import BoundReport
 from bmtk.cli import PROP_TOKENS, main
+from bmtk.quadoracle import QuadResult
+from bmtk.seqprops import PropertyVerdict
 
 from known_values import ROW_8
 
@@ -45,6 +47,85 @@ def test_gen_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["m"] == 3
+
+
+def test_out_path_that_cannot_be_written_exits_2(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "row.json", tmp_path):
+        code, out, err = run(capsys, "gen", "--m", "8", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a format that was not asked for")
+
+
+def _builds_only(capsys, monkeypatch, argv, fmt, builders):
+    """Run argv in fmt, then again with the builders of every other format
+    made to raise: the exit code and output must not change.  ``builders``
+    holds (format, owner, attribute name) triples."""
+    argv = (*argv, "--format", fmt)
+    expected = run(capsys, *argv)
+    assert expected[0] in (0, 1) and expected[1]
+    for other, owner, name in builders:
+        if other != fmt:
+            refuse = property(_refuse) if isinstance(vars(owner).get(name), property) else _refuse
+            monkeypatch.setattr(owner, name, refuse)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_gen_builds_only_the_requested_format(capsys, monkeypatch, fmt):
+    _builds_only(capsys, monkeypatch, ("gen", "--m", "12"), fmt, [
+        ("json", bmcoeff, "row_to_json"),
+        ("csv", bmcoeff, "row_csv_lines"),
+        ("plain", cli, "decimal_string"),
+    ])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_check_builds_only_the_requested_format(capsys, monkeypatch, fmt):
+    argv = ("check", "--seq", "2,10,3,1", "--props", "logconcave,spiral", "--depth", "2")
+    _builds_only(capsys, monkeypatch, argv, fmt, [("json", PropertyVerdict, "to_json")])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_bounds_builds_only_the_requested_format(capsys, monkeypatch, fmt):
+    # every bound holds at m=40, so plain output formats no side
+    _builds_only(capsys, monkeypatch, ("bounds", "--m", "40"), fmt, [
+        ("json", BoundReport, "to_json"),
+        ("csv", cli, "exact_str"),
+    ])
+
+
+class _Unformattable(str):
+    def __format__(self, spec):
+        raise AssertionError("formatted a line of a format that was not asked for")
+
+
+def test_identities_json_formats_no_line(capsys, monkeypatch):
+    suite = polyident.run_identity_suite
+    expected = run(capsys, "identities", "--grid", "10", "--format", "json")
+    monkeypatch.setattr(polyident, "run_identity_suite", lambda grid: [
+        {**item, "identity": _Unformattable(item["identity"])} for item in suite(grid)
+    ])
+    assert run(capsys, "identities", "--grid", "10", "--format", "json") == expected
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_quad_builds_only_the_requested_format(capsys, monkeypatch, fmt):
+    argv = ("quad", "--m", "8", "--a", "0.5")
+    _builds_only(capsys, monkeypatch, argv, fmt, [("json", QuadResult, "to_json")])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_scan_builds_only_the_requested_format(capsys, monkeypatch, tmp_path, fmt):
+    argv = ("scan", "--from", "2", "--to", "12", "--depth", "2",
+            "--ledger", str(tmp_path / "scan.jsonl"))
+    _builds_only(capsys, monkeypatch, argv, fmt, [
+        ("json", scanner.ScanLedger, "to_json"),
+        ("plain", cli, "Counter"),
+    ])
 
 
 def test_json_output_is_stable(capsys):
@@ -217,6 +298,14 @@ def test_scan_command(capsys, tmp_path):
     )
     assert code == 2
     assert "depth" in err
+
+
+def test_scan_ledger_naming_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "scan", "--from", "2", "--to", "4", "--depth", "1", "--ledger", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_scan_corrupt_ledger_line_exits_2_with_its_line(capsys, tmp_path):

@@ -237,6 +237,21 @@ def test_second_writer_fails_fast_and_leaves_ledger_unchanged(tmp_path):
     assert scan(2, 12, 2, True, path).all_verified  # lock released: resumes
 
 
+def test_scan_that_misses_a_new_ledger_does_not_truncate_it(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 20, 2, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:10]))  # header and 9 cells, still being appended to
+    before = path.read_bytes()
+    # the ledger appears between a check for the file and its creation
+    monkeypatch.setattr(type(path), "exists", lambda self, **kw: False)
+    with path.open("a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(LedgerLockedError, match="locked"):
+            scan(2, 20, 2, True, path)
+    assert path.read_bytes() == before
+
+
 def test_scan_parameter_mismatch_refused(tmp_path):
     path = tmp_path / "ledger.jsonl"
     scan(2, 10, 2, True, path)
