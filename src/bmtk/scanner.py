@@ -21,21 +21,26 @@ closed-form row bit for bit, and the four-term relation recu4 must vanish on it
 at a few indices; only then are the segment's cells appended.  A mismatch is an
 ArithmeticError naming m, and none of that segment's cells is recorded.
 
-The ledger is append-only and line-granular (each record is flushed with its
-newline), so an interrupted scan leaves a valid file, at worst with a torn
-last line, which loading skips and a resume cuts off before it appends;
-re-running skips every m that already has a terminal record, so a kill loses
-at most one segment of work per worker.  Resuming with different parameters is
-refused with the exact difference.  A scan holds an exclusive advisory lock on
-the ledger while it appends, so a second scan on the same ledger fails at once
-instead of interleaving records.  Workers may walk distinct segments
-concurrently; all appends go through the single coordinating process, and
-verdicts are order-independent, so interrupt patterns and worker counts never
-change the outcome.
+A new ledger appears with its whole header at once (a temporary file linked
+into place), so no kill leaves it empty.  The ledger is append-only and
+line-granular (each record is flushed with its newline), so an interrupted
+scan leaves a valid file, at worst with a torn last line, which loading skips
+and a resume cuts off before it appends; re-running skips every m that
+already has a terminal record, so a kill loses at most one segment of work
+per worker.  Resuming with different parameters is refused with the exact
+difference.  A scan holds an exclusive advisory lock on the ledger while it
+appends, so a second scan on the same ledger fails at once instead of
+interleaving records.  Workers may walk distinct segments concurrently; all
+appends go through the single coordinating process, and verdicts are
+order-independent, so interrupt patterns and worker counts never change the
+outcome.
 
 Rows are checked as the integer vector 4^m d_i(m) divided by its gcd (see
-:func:`row_property`), so the comparisons take the fast int path of
-:mod:`bmtk.seqprops`.
+:func:`row_property`).  On such int rows :mod:`bmtk.seqprops` decides every
+level on 64-bit enclosures of the ``L`` iterates, which prove a verified
+cell without forming any iterate exactly; only a row whose enclosures miss
+is iterated exactly, and every failing verdict and witness comes from that
+exact path.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
@@ -46,6 +51,7 @@ from __future__ import annotations
 import fcntl
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -350,6 +356,25 @@ def _param_diff(existing: ScanParams, wanted: ScanParams) -> str:
     return "; ".join(parts)
 
 
+def _create_ledger(path: Path, params: ScanParams) -> None:
+    """Create the ledger holding just its header, or raise FileExistsError.
+
+    The header is written to a temporary file in the ledger's directory and
+    hard-linked to the ledger's name, so the ledger never exists without its
+    whole header: a failed write leaves no ledger, and a kill at worst a
+    stray temporary file.  Linking fails on an existing name, so a ledger
+    that appeared meanwhile is never truncated.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = tmp.open("x")
+    try:
+        with fh:
+            fh.write(json.dumps(params.header()) + "\n")
+        os.link(tmp, path)
+    finally:
+        tmp.unlink()
+
+
 def scan(
     m_from: int,
     m_to: int,
@@ -365,10 +390,7 @@ def scan(
     path = Path(ledger_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        # "x" creates the file or fails: a ledger that appeared meanwhile is
-        # loaded, never truncated
-        with path.open("x") as fh:
-            fh.write(json.dumps(params.header()) + "\n")
+        _create_ledger(path, params)
     except FileExistsError:
         ledger = load_ledger(path)
     else:

@@ -12,18 +12,43 @@ exact and comparable):
   unimodal mid-peak  strict rise to index floor(m/2), then strict fall
 
 Ratio monotonicity implies both log-concavity and the spiral property.
-Every comparison is a cross-multiplied product comparison, never a ratio.
-On sequences of plain ints it is first decided by a certified filter on the
-top 64 bits of each operand; only when the filter cannot decide are the
-exact products formed, and any violation and its witness come from those
-exact products.  Dyadic and rational entries always take the exact path.
-The chain predicates hold vacuously on sequences of length <= 2.
+Every comparison is a cross-multiplied product comparison, never a ratio:
+each predicate lists its comparisons once, as pairs of index tuples whose
+entry products must compare lhs <= rhs (lhs < rhs when strict).  The chain
+predicates hold vacuously on sequences of length <= 2.
 
-The squared-difference operator maps a_i to a_i^2 - a_{i-1} a_{i+1} (with
+The squared-difference operator L maps a_i to a_i^2 - a_{i-1} a_{i+1} (with
 zero boundary terms); iterating it defines the depth-k variants checked by
 :func:`k_property`.  Non-positive entries are never an exception: they yield
 a distinct "positivity" verdict, because a conjecture scan must record them
 as a falsification signal rather than crash.
+
+Sequences of plain ints are decided on enclosures first.  An enclosure of an
+entry x is a triple of ints (lo, hi, k) with
+
+    lo·2^k <= x < hi·2^k,
+
+kept to 64 bits: at level 0, lo is x scaled to its top 64 bits and
+hi = lo + 1.  A comparison is certified when the product of its left
+entries' hi's is at most the product of its right entries' lo's (each
+scaled by its powers of two); with every lo positive this proves lhs < rhs,
+strict or not.  Where every lo is positive, so is every entry; squares and
+products are then monotone in the entries, and L maps enclosures to
+enclosures:
+
+    lo'_i = lo_i^2 - hi_{i-1} hi_{i+1},    hi'_i = hi_i^2 - lo_{i-1} lo_{i+1}
+
+over the smaller of the two terms' exponents, after which lo' is rounded
+down and hi' up to 64 bits, so each exact iterate lies inside the iterated
+enclosures.  When at every level 0..k-1 every lo is positive and every
+comparison is certified, every exact iterate is positive and passes every
+comparison: the success verdict is then proved, without forming any
+iterate exactly.  Any miss (a lo <= 0, or a comparison the enclosures
+cannot certify) drops the enclosures and iterates L exactly from level 0.
+There each level's comparisons are first tried on that iterate's level-0
+enclosures, and exact products are formed only where that fails, so every
+failing verdict and its witness come from exact products.  Dyadic and
+rational entries always take the exact path.
 """
 
 from __future__ import annotations
@@ -110,13 +135,17 @@ def _verdict(prop: str, strict: bool, witness: Witness | None) -> PropertyVerdic
     return PropertyVerdict(prop, strict, witness is None, witness=witness)
 
 
-# The filter keeps this many leading bits of each operand.
+# An enclosure keeps this many leading bits of an entry.
 _FILTER_BITS = 64
 
+# (lo, hi, k): an entry x with lo·2^k <= x < hi·2^k
+Enclosure = tuple[int, int, int]
 
-def _filter_bounds(seq: ExactSequence) -> list[tuple[int, int]] | None:
-    """Per entry x, ``(lo, k)`` with ``lo·2^k <= x < (lo + 1)·2^k``,
-    where ``lo`` is the top 64 bits of x (all of x when it is shorter).
+
+def _enclosures(seq: ExactSequence) -> list[Enclosure] | None:
+    """Per entry x, the enclosure ``(lo, lo + 1, k)`` with
+    ``lo·2^k <= x < (lo + 1)·2^k``, where ``lo`` is the top 64 bits of x, and
+    x itself shifted up to 64 bits (k < 0) when it is shorter.
 
     None unless every entry is a plain int: a Dyadic or Fraction witness
     needs the exact product, so those comparisons stay exact.
@@ -125,8 +154,9 @@ def _filter_bounds(seq: ExactSequence) -> list[tuple[int, int]] | None:
     for x in seq:
         if type(x) is not int:
             return None
-        k = max(x.bit_length() - _FILTER_BITS, 0)
-        bounds.append((x >> k, k))
+        k = x.bit_length() - _FILTER_BITS
+        lo = x >> k if k >= 0 else x << -k
+        bounds.append((lo, lo + 1, k))
     return bounds
 
 
@@ -137,9 +167,31 @@ def _product(seq: ExactSequence, indices: tuple[int, ...]) -> ExactValue:
     return value
 
 
+def _certified(
+    bounds: list[Enclosure], lhs: tuple[int, ...], rhs: tuple[int, ...]
+) -> bool:
+    """True when the enclosures prove that the product of the entries at
+    ``lhs`` is below the product of those at ``rhs``.
+
+    The left product is strictly below the product of the ``hi``s, the right
+    one at least the product of the ``lo``s (all positive), so when the first
+    bound is at most the second, lhs < rhs holds, strict or not.
+    """
+    upper, lower, shift = 1, 1, 0
+    for j in lhs:
+        _, hi, k = bounds[j]
+        upper *= hi
+        shift += k
+    for j in rhs:
+        lo, _, k = bounds[j]
+        lower *= lo
+        shift -= k
+    return upper << shift <= lower if shift >= 0 else upper <= lower << -shift
+
+
 def _violation(
     seq: ExactSequence,
-    bounds: list[tuple[int, int]] | None,
+    bounds: list[Enclosure] | None,
     lhs: tuple[int, ...],
     rhs: tuple[int, ...],
     strict: bool,
@@ -147,72 +199,25 @@ def _violation(
     """None when the product of the entries at ``lhs`` is below (strict) or
     at most the product of those at ``rhs``; otherwise both exact products.
 
-    With ``bounds`` the comparison is first certified from the top bits: the
-    left product is strictly below the product of the upper bounds, the right
-    one at least the product of the lower bounds, so when the first bound is
-    at most the second, lhs < rhs holds, strict or not.  Only a filter miss
-    forms the exact products.
+    With ``bounds`` the comparison is first tried on the enclosures; only an
+    uncertified one forms the exact products.
     """
-    if bounds is not None:
-        upper, lower, shift = 1, 1, 0
-        for j in lhs:
-            lo, k = bounds[j]
-            upper *= lo + 1
-            shift += k
-        for j in rhs:
-            lo, k = bounds[j]
-            lower *= lo
-            shift -= k
-        if upper << shift <= lower if shift >= 0 else upper <= lower << -shift:
-            return None
+    if bounds is not None and _certified(bounds, lhs, rhs):
+        return None
     left, right = _product(seq, lhs), _product(seq, rhs)
     if left < right if strict else left <= right:
         return None
     return left, right
 
 
-def _chain_witness(
-    seq: ExactSequence,
-    pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-    strict: bool,
-) -> Witness | None:
-    """First violated comparison lhs <= rhs (or < rhs when strict).
-
-    Each pair holds the indices of the entries whose products form lhs and
-    rhs; the witness lists the lhs indices, then the rhs indices.
-    """
-    bounds = _filter_bounds(seq)
-    for lhs, rhs in pairs:
-        bad = _violation(seq, bounds, lhs, rhs, strict)
-        if bad is not None:
-            left, right = map(exact_str, bad)
-            return Witness("comparison", lhs + rhs, lhs=left, rhs=right)
-    return None
+Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
-    """a_i^2 >= a_{i-1} a_{i+1} (strict: >) at every interior index."""
-    pos = _positivity_witness(seq)
-    if pos:
-        return _verdict(LOG_CONCAVE, strict, pos)
-    bounds = _filter_bounds(seq)
-    for i in range(1, len(seq) - 1):
-        bad = _violation(seq, bounds, (i - 1, i + 1), (i, i), strict)
-        if bad is not None:
-            product, square = map(exact_str, bad)
-            w = Witness("comparison", (i, i - 1, i + 1), lhs=square, rhs=product)
-            return _verdict(LOG_CONCAVE, strict, w)
-    return _verdict(LOG_CONCAVE, strict, None)
+def _log_concave_pairs(m: int) -> Pairs:
+    return [((i - 1, i + 1), (i, i)) for i in range(1, m)]
 
 
-def is_spiral(seq: ExactSequence) -> PropertyVerdict:
-    """The interleaved end-to-middle chain, non-strict."""
-    pos = _positivity_witness(seq)
-    if pos:
-        return _verdict(SPIRAL, False, pos)
-    m = len(seq) - 1
-    if m < 2:
-        return _verdict(SPIRAL, False, None)
+def _spiral_pairs(m: int) -> Pairs:
     # walk m, 0, m-1, 1, m-2, 2, ... down to floor(m/2)
     order: list[int] = []
     lo, hi = 0, m
@@ -222,22 +227,10 @@ def is_spiral(seq: ExactSequence) -> PropertyVerdict:
             order.append(lo)
         hi -= 1
         lo += 1
-    pairs = [((order[t],), (order[t + 1],)) for t in range(len(order) - 1)]
-    return _verdict(SPIRAL, False, _chain_witness(seq, pairs, strict=False))
+    return [((order[t],), (order[t + 1],)) for t in range(len(order) - 1)]
 
 
-def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
-    """Both reflected-ratio chains, each ending at (strictly) below one.
-
-    Adjacent ratio comparisons are checked in cross-multiplied form
-    a_{i-1} a_{m-1-i} <= a_i a_{m-i} and a_{m-i} a_{i+1} <= a_{m-1-i} a_i.
-    """
-    pos = _positivity_witness(seq)
-    if pos:
-        return _verdict(RATIO_MONOTONE, strict, pos)
-    m = len(seq) - 1
-    if m < 2:
-        return _verdict(RATIO_MONOTONE, strict, None)
+def _ratio_pairs(m: int) -> Pairs:
     # front chain: a_{i-1}/a_{m-i} <= a_i/a_{m-1-i}, then last ratio <= 1
     half = m // 2
     pairs = [((i - 1, m - 1 - i), (i, m - i)) for i in range(1, half)]
@@ -246,21 +239,72 @@ def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdi
     rhalf = (m - 1) // 2
     pairs += [((m - i, i + 1), (m - 1 - i, i)) for i in range(rhalf)]
     pairs.append(((m - rhalf,), (rhalf,)))
-    return _verdict(RATIO_MONOTONE, strict, _chain_witness(seq, pairs, strict))
+    return pairs
+
+
+def _unimodal_pairs(m: int) -> Pairs:
+    peak = m // 2
+    return [((i,), (i + 1,)) for i in range(peak)] + [
+        ((i + 1,), (i,)) for i in range(peak, m)
+    ]
+
+
+# Per property: its comparisons on a_0..a_m, each a pair of index tuples whose
+# entry products must compare lhs <= rhs (lhs < rhs when strict), and the
+# strictness it always uses (None: the caller's).
+_COMPARISONS: dict[str, tuple[Callable[[int], Pairs], bool | None]] = {
+    LOG_CONCAVE: (_log_concave_pairs, None),
+    SPIRAL: (_spiral_pairs, False),
+    RATIO_MONOTONE: (_ratio_pairs, None),
+    UNIMODAL_MIDPEAK: (_unimodal_pairs, True),
+}
+
+
+def _pairs(prop: str, m: int) -> Pairs:
+    """The comparisons of ``prop`` on a_0..a_m; none when m < 2."""
+    return _COMPARISONS[prop][0](m) if m >= 2 else []
+
+
+def _check(prop: str, seq: ExactSequence, strict: bool) -> PropertyVerdict:
+    """Positivity, then the first violated comparison of ``prop``."""
+    pos = _positivity_witness(seq)
+    if pos:
+        return _verdict(prop, strict, pos)
+    bounds = _enclosures(seq)
+    for lhs, rhs in _pairs(prop, len(seq) - 1):
+        bad = _violation(seq, bounds, lhs, rhs, strict)
+        if bad is not None:
+            left, right = map(exact_str, bad)
+            if prop == LOG_CONCAVE:  # reported as a_i^2 >= a_{i-1} a_{i+1}
+                w = Witness("comparison", rhs[:1] + lhs, lhs=right, rhs=left)
+            else:
+                w = Witness("comparison", lhs + rhs, lhs=left, rhs=right)
+            return _verdict(prop, strict, w)
+    return _verdict(prop, strict, None)
+
+
+def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
+    """a_i^2 >= a_{i-1} a_{i+1} (strict: >) at every interior index."""
+    return _check(LOG_CONCAVE, seq, strict)
+
+
+def is_spiral(seq: ExactSequence) -> PropertyVerdict:
+    """The interleaved end-to-middle chain, non-strict."""
+    return _check(SPIRAL, seq, False)
+
+
+def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
+    """Both reflected-ratio chains, each ending at (strictly) below one.
+
+    Adjacent ratio comparisons are checked in cross-multiplied form
+    a_{i-1} a_{m-1-i} <= a_i a_{m-i} and a_{m-i} a_{i+1} <= a_{m-1-i} a_i.
+    """
+    return _check(RATIO_MONOTONE, seq, strict)
 
 
 def is_unimodal_midpeak(seq: ExactSequence) -> PropertyVerdict:
     """Strictly increasing to index floor(m/2), strictly decreasing after."""
-    pos = _positivity_witness(seq)
-    if pos:
-        return _verdict(UNIMODAL_MIDPEAK, True, pos)
-    m = len(seq) - 1
-    if m < 2:
-        return _verdict(UNIMODAL_MIDPEAK, True, None)
-    peak = m // 2
-    pairs = [((i,), (i + 1,)) for i in range(peak)]
-    pairs += [((i + 1,), (i,)) for i in range(peak, m)]
-    return _verdict(UNIMODAL_MIDPEAK, True, _chain_witness(seq, pairs, strict=True))
+    return _check(UNIMODAL_MIDPEAK, seq, True)
 
 
 def l_operator(seq: ExactSequence) -> tuple[ExactValue, ...]:
@@ -286,7 +330,45 @@ PROPERTIES: dict[str, Callable[..., PropertyVerdict]] = {
     UNIMODAL_MIDPEAK: is_unimodal_midpeak,
 }
 
-_STRICT_AWARE = {LOG_CONCAVE, RATIO_MONOTONE}
+
+def _l_enclosure(bounds: list[Enclosure]) -> list[Enclosure]:
+    """Enclosures of the image under L of every sequence inside ``bounds``.
+
+    Needs every ``lo`` positive.  Entry i gets ``lo_i^2 - hi_{i-1} hi_{i+1}``
+    and ``hi_i^2 - lo_{i-1} lo_{i+1}`` over the smaller exponent of the two
+    terms, then ``lo`` rounded down and ``hi`` up to 64 bits.
+    """
+    n = len(bounds) - 1
+    out = []
+    for i, (lo, hi, k) in enumerate(bounds):
+        lo, hi, k = lo * lo, hi * hi, 2 * k
+        if 0 < i < n:
+            lo_left, hi_left, k_left = bounds[i - 1]
+            lo_right, hi_right, k_right = bounds[i + 1]
+            k_side = k_left + k_right
+            e = min(k, k_side)
+            lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
+            hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
+            k = e
+        s = hi.bit_length() - _FILTER_BITS
+        if s > 0:
+            lo, hi, k = lo >> s, -(-hi >> s), k + s
+        out.append((lo, hi, k))
+    return out
+
+
+def _certify(bounds: list[Enclosure], k: int, pairs: Pairs) -> bool:
+    """True when, at every level 0..k-1 of the iterated enclosures, every
+    ``lo`` is positive and every comparison in ``pairs`` is certified; False
+    at the first miss."""
+    for level in range(k):
+        if level:
+            bounds = _l_enclosure(bounds)
+        if any(lo <= 0 for lo, _, _ in bounds):
+            return False
+        if not all(_certified(bounds, lhs, rhs) for lhs, rhs in pairs):
+            return False
+    return True
 
 
 def k_property(
@@ -298,15 +380,24 @@ def k_property(
     Returns the first failing level's verdict (a "positivity" witness marks
     an iterate that stopped being positive), or a success verdict carrying
     the deepest level checked.  ``k=1`` is exactly the direct predicate.
+
+    Plain ints are first decided on iterated enclosures (see the module
+    docstring); any miss iterates L exactly from level 0.
     """
     if k < 1:
         raise ValueError(f"depth must be >= 1, got {k}")
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    predicate = PROPERTIES[prop]
+    fixed = _COMPARISONS[prop][1]
+    if fixed is not None:
+        strict = fixed
     current = tuple(seq)
+    bounds = _enclosures(current)
+    if bounds is not None and _certify(bounds, k, _pairs(prop, len(current) - 1)):
+        return PropertyVerdict(prop, strict, True, k - 1)
+    predicate = PROPERTIES[prop]
     for level in range(k):
-        if prop in _STRICT_AWARE:
+        if fixed is None:
             verdict = predicate(current, strict)
         else:
             verdict = predicate(current)

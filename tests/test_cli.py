@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from bmtk import bmcoeff, boundcheck, cli, closed_form_row, k_property, polyident, scanner
+from bmtk import (
+    bmcoeff,
+    boundcheck,
+    cli,
+    closed_form_row,
+    k_property,
+    polyident,
+    scanner,
+    seqprops,
+)
 from bmtk.boundcheck import BoundReport
 from bmtk.cli import PROP_TOKENS, main
 from bmtk.quadoracle import QuadResult
@@ -183,6 +192,16 @@ def test_check_row_path_matches_dyadic_path(strict):
             for depth in (1, 2, 3):
                 expected = k_property(row.coeffs, depth, prop, strict)
                 assert scanner.row_property(row, depth, prop, strict) == expected
+
+
+@pytest.mark.parametrize("strict", ([], ["--strict"]))
+def test_check_row_json_matches_the_exact_path(capsys, monkeypatch, strict):
+    argv = ("check", "--m", "40", "--depth", "5", "--props", ",".join(PROP_TOKENS),
+            *strict, "--format", "json")
+    enclosed = run(capsys, *argv)
+    assert enclosed[0] == 0
+    monkeypatch.setattr(seqprops, "_certify", lambda *args: False)  # every level exact
+    assert run(capsys, *argv) == enclosed
 
 
 def test_check_json_matches_dyadic_verdicts(capsys):

@@ -1,5 +1,6 @@
 """Tests for the range scanner and its resumable ledger."""
 
+import errno
 import fcntl
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -250,6 +251,48 @@ def test_scan_that_misses_a_new_ledger_does_not_truncate_it(tmp_path, monkeypatc
         with pytest.raises(LedgerLockedError, match="locked"):
             scan(2, 20, 2, True, path)
     assert path.read_bytes() == before
+
+
+def test_failed_ledger_creation_leaves_no_file_and_reruns(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    real_open = type(path).open
+
+    class FullDisk:
+        """A file whose first write stores five bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:5])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_on_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return FullDisk(fh) if set(mode) & set("wxa") else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(path), "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space"):
+            scan(2, 6, 2, True, path)
+    assert list(tmp_path.iterdir()) == []
+    assert scan(2, 6, 2, True, path).all_verified
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_foreign_empty_file_is_refused_and_left_alone(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match="is empty"):
+        scan(2, 6, 2, True, path)
+    assert path.read_text() == ""
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_scan_parameter_mismatch_refused(tmp_path):

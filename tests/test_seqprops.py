@@ -1,6 +1,8 @@
 """Tests for the sequence property predicates and the iterated operator."""
 
+import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,9 +19,12 @@ from bmtk import (
     k_property,
     l_operator,
 )
+from bmtk import seqprops
+from bmtk.scanner import row_property
 from bmtk.seqprops import (
     LOG_CONCAVE,
     RATIO_MONOTONE,
+    SPIRAL,
     UNIMODAL_MIDPEAK,
     PropertyVerdict,
     Witness,
@@ -250,19 +255,53 @@ def _exact_log_concave(seq, strict):
     return PropertyVerdict(LOG_CONCAVE, strict, True)
 
 
+def _exact_spiral(seq, strict):
+    if any(x <= 0 for x in seq):
+        return is_spiral(seq)
+    m = len(seq) - 1
+    if m < 2:
+        return PropertyVerdict(SPIRAL, False, True)
+    order = [m - t // 2 if t % 2 == 0 else t // 2 for t in range(m + 1)]  # m, 0, m-1, 1, ...
+    comparisons = [
+        ((order[t], order[t + 1]), seq[order[t]], seq[order[t + 1]]) for t in range(m)
+    ]
+    w = _exact_comparisons(False, comparisons)
+    return PropertyVerdict(SPIRAL, False, w is None, witness=w)
+
+
+def _exact_unimodal_midpeak(seq, strict):
+    if any(x <= 0 for x in seq):
+        return is_unimodal_midpeak(seq)
+    m = len(seq) - 1
+    if m < 2:
+        return PropertyVerdict(UNIMODAL_MIDPEAK, True, True)
+    peak = m // 2
+    comparisons = [((i, i + 1), seq[i], seq[i + 1]) for i in range(peak)]
+    comparisons += [((i + 1, i), seq[i + 1], seq[i]) for i in range(peak, m)]
+    w = _exact_comparisons(True, comparisons)
+    return PropertyVerdict(UNIMODAL_MIDPEAK, True, w is None, witness=w)
+
+
+# property -> (the library predicate, its exact reference), both taking (seq, strict)
 EXACT_REFERENCE = {
     RATIO_MONOTONE: (is_ratio_monotone, _exact_ratio_monotone),
     LOG_CONCAVE: (is_log_concave, _exact_log_concave),
+    SPIRAL: (lambda seq, strict: is_spiral(seq), _exact_spiral),
+    UNIMODAL_MIDPEAK: (lambda seq, strict: is_unimodal_midpeak(seq), _exact_unimodal_midpeak),
 }
 
 # Entries B + o with |o| <= 2 make products (B+a)(B+b) and (B+c)(B+d) tie or
-# differ by 1 whenever a+b = c+d; with B of 32 to 10,000 bits the products
-# have 64 to 20,000.
-near_ties = st.builds(
-    lambda base, offsets: [base + o for o in offsets],
-    st.integers(min_value=32, max_value=10_000).map(lambda bits: 1 << bits),
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=9),
-)
+# differ by 1 whenever a+b = c+d; with B of 32 to 10,000 bits (near_ties) the
+# products have 64 to 20,000.
+def _near_ties(max_bits):
+    return st.builds(
+        lambda base, offsets: [base + o for o in offsets],
+        st.integers(min_value=32, max_value=max_bits).map(lambda bits: 1 << bits),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=9),
+    )
+
+
+near_ties = _near_ties(10_000)
 below_filter = st.lists(st.integers(min_value=1, max_value=(1 << 63) - 1), min_size=3, max_size=9)
 tiny_and_huge = st.lists(
     st.one_of(
@@ -299,16 +338,20 @@ factored_ties = st.one_of(
 )
 # Scaled rows pass long runs of comparisons; a small perturbation can put a
 # late one near a tie.
-perturbed_rows = st.builds(
-    lambda m, shift, i, delta: [
-        (x << shift) + (delta if j == i % (m + 1) else 0)
-        for j, x in enumerate(closed_form_row(m).scaled)
-    ],
-    st.integers(min_value=2, max_value=40),
-    st.integers(min_value=0, max_value=2000),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=-2, max_value=2),
-)
+def _perturbed_rows(max_m, max_shift):
+    return st.builds(
+        lambda m, shift, i, delta: [
+            (x << shift) + (delta if j == i % (m + 1) else 0)
+            for j, x in enumerate(closed_form_row(m).scaled)
+        ],
+        st.integers(min_value=2, max_value=max_m),
+        st.integers(min_value=0, max_value=max_shift),
+        st.integers(min_value=0, max_value=max_m),
+        st.integers(min_value=-2, max_value=2),
+    )
+
+
+perturbed_rows = _perturbed_rows(40, 2000)
 
 
 @settings(deadline=None)
@@ -329,7 +372,7 @@ def _exact_k_property(seq, k, prop, strict):
     for level in range(k):
         verdict = reference(seq, strict)
         if not verdict.holds or level == k - 1:
-            return PropertyVerdict(verdict.property, strict, verdict.holds, level, verdict.witness)
+            return replace(verdict, level=level)
         seq = l_operator(seq)
 
 
@@ -342,6 +385,145 @@ def _exact_k_property(seq, k, prop, strict):
 )
 def test_filtered_k_property_matches_exact_reference(seq, depth, prop, strict):
     assert k_property(seq, depth, prop, strict) == _exact_k_property(seq, depth, prop, strict)
+
+
+# Sequences whose iterates tie or vanish below level 0, so that the iterated
+# enclosures miss at a deeper level and the exact path decides.
+def _level_one_tie(s, u, v):
+    """(s u^2, s u v, s (v^2 - u^2)) with u < v < u·sqrt(2): a_2 < a_0 < a_1,
+    and L maps a_0 and a_1 to the same value s^2 u^4."""
+    return [s * u * u, s * u * v, s * (v * v - u * u)]
+
+
+def _level_two_zero(s, x, y):
+    """(s x^2, 2 s x y, 2 s y^2): strictly log-concave, L of it is geometric
+    (a log-concavity tie at level 1), and L twice has a zero interior."""
+    return [s * x * x, 2 * s * x * y, 2 * s * y * y]
+
+
+# Found by search: certified at levels 0 and 1, with an exact zero or tie of
+# the named property's comparisons at level 2.
+LEVEL_TWO_TIES = (
+    [12, 19, 16, 8],  # unimodal-midpeak: L twice has a zero at index 2
+    [13, 66, 59, 30],  # unimodal-midpeak
+    [3, 13, 53, 40, 14],  # unimodal-midpeak
+    [30, 55, 66, 51, 24],  # spiral
+    [16, 33, 26, 12],  # spiral
+)
+
+small = st.integers(min_value=1, max_value=1000)
+deep_ties = st.one_of(
+    st.builds(
+        lambda s, uv: _level_one_tie(s, *uv),
+        small,
+        st.integers(min_value=3, max_value=10**4).flatmap(
+            lambda u: st.tuples(st.just(u), st.integers(u + 1, math.isqrt(2 * u * u - 1)))
+        ),
+    ),
+    st.builds(_level_two_zero, small, small, small),
+    st.sampled_from(LEVEL_TWO_TIES),
+    # constant runs: a_i^2 = a_{i-1} a_{i+1} inside the run, so L zeroes it
+    st.builds(
+        lambda head, c, n, tail: head + [c] * n + tail,
+        st.lists(small, max_size=3),
+        small,
+        st.integers(min_value=3, max_value=5),
+        st.lists(small, max_size=3),
+    ),
+)
+
+
+def _scaled(seq, shift, nudges):
+    """seq times 2^shift, entry j moved by nudges[j] (0 past its end), kept positive."""
+    return [
+        max(1, (x << shift) + (nudges[j] if j < len(nudges) else 0)) for j, x in enumerate(seq)
+    ]
+
+
+# A nudge of ±1 on entries scaled by 2^shift turns an exact tie at a deeper
+# level into a relative difference near 2^-shift, of either sign.
+nudged_ties = st.builds(
+    _scaled,
+    deep_ties,
+    st.integers(min_value=0, max_value=300),
+    st.lists(st.integers(min_value=-1, max_value=1), max_size=9),
+)
+# The earlier generators at sizes whose depth-6 iterates stay near 10,000 bits.
+moderate_rows = _perturbed_rows(30, 200)
+moderate_near_ties = _near_ties(300)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(deep_ties, nudged_ties, moderate_rows, moderate_near_ties, below_filter),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(sorted(EXACT_REFERENCE)),
+    st.booleans(),
+)
+@example([12, 19, 16, 8], 4, UNIMODAL_MIDPEAK, True)
+@example(_level_two_zero(1, 1, 1), 3, LOG_CONCAVE, False)
+@example(_level_one_tie(1, 3, 4), 3, RATIO_MONOTONE, False)
+@example([5, 7, 7, 7, 3], 2, LOG_CONCAVE, False)
+def test_enclosed_k_property_matches_exact_reference_to_depth_6(seq, depth, prop, strict):
+    assert k_property(seq, depth, prop, strict) == _exact_k_property(seq, depth, prop, strict)
+
+
+def _encloses(bound, x):
+    lo, hi, k = bound
+    return (lo << k) <= x < (hi << k) if k >= 0 else lo <= (x << -k) < hi
+
+
+moderate_ints = st.lists(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows))
+# Rounding lo up breaks the invariant on [16, 20, 9] at level 5 and on the
+# second example at level 2; subtracting lo_{i-1} lo_{i+1} from lo_i^2 in
+# place of hi_{i-1} hi_{i+1} breaks it on the second at level 3.
+@example([16, 20, 9])
+@example([154587, 217239, 150696])
+def test_iterated_enclosures_contain_the_exact_iterates(seq):
+    bounds = seqprops._enclosures(seq)
+    for level in range(6):
+        assert all(map(_encloses, bounds, seq)), level
+        assert all(hi.bit_length() <= 65 for _, hi, _ in bounds)  # rounded to 64 bits
+        if any(lo <= 0 for lo, _, _ in bounds):
+            break  # L's rule needs positive entries
+        seq, bounds = l_operator(seq), seqprops._l_enclosure(bounds)
+
+
+def test_certified_row_builds_no_exact_iterate(monkeypatch):
+    def refuse(seq):
+        raise AssertionError("formed an exact iterate")
+
+    monkeypatch.setattr(seqprops, "l_operator", refuse)
+    assert row_property(closed_form_row(400), 8, RATIO_MONOTONE, True).holds
+
+
+def test_level_two_miss_reaches_the_exact_path(monkeypatch):
+    seq = LEVEL_TWO_TIES[0]
+    iterates = []
+    exact = seqprops.l_operator
+
+    def counted(current):
+        iterates.append(current)
+        return exact(current)
+
+    monkeypatch.setattr(seqprops, "l_operator", counted)
+    # levels 0 and 1 are certified on their own, with no exact iterate
+    assert k_property(seq, 2, UNIMODAL_MIDPEAK).holds
+    assert iterates == []
+    verdict = k_property(seq, 4, UNIMODAL_MIDPEAK)
+    assert len(iterates) == 2  # level 2 missed: L formed exactly from level 0
+    assert verdict == _exact_k_property(seq, 4, UNIMODAL_MIDPEAK, True)
+    assert (verdict.level, verdict.witness.kind, verdict.witness.indices) == (2, "positivity", (2,))
 
 
 # Operand bits: products of 4 to 20,000 bits, operands on both sides of 64.
