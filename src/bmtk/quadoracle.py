@@ -23,7 +23,13 @@ Where it is not, because the integrand or the exact right-hand side overflows,
 underflows to zero or is not a number, :func:`quartic_integral` raises a
 ValueError naming m and a.
 
-The adaptive rule splits at most ``MAX_SPLITS`` (4096) panels per integral.
+The tolerance ``tol`` is relative throughout: the adaptive rule stops once
+its summed error estimate is at most ``tol`` times the integral estimate,
+and a cell is flagged when its deviation from the exact right-hand side
+exceeds ``10*tol``, again relative.  An absolute target would sit below the
+ulp of the large integrals near a -> -1 and would stop far too early on the
+tiny ones at large a.  The rule splits at most ``MAX_SPLITS`` (4096) panels
+per integral.
 """
 
 from __future__ import annotations
@@ -79,12 +85,14 @@ class QuadratureConvergenceError(RuntimeError):
 def _adaptive_simpson(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float, bool]:
-    """Worst-panel-first adaptive Simpson on [lo, hi].
+    """Worst-panel-first adaptive Simpson on [lo, hi] to relative ``tol``.
 
     Each panel keeps its refined two-half Simpson value and the Richardson
     error estimate |S_halves - S_whole|/15; the panel with the largest
-    estimate is split until the summed estimate meets ``tol`` or
-    ``MAX_SPLITS`` splits are spent.  Returns (value, error_estimate, converged).
+    estimate is split until the summed estimate is at most ``tol`` times the
+    summed value or ``MAX_SPLITS`` splits are spent.  Returns
+    (value, error_estimate, converged), where converged means
+    error_estimate <= tol * |value| on the final, recomputed figures.
     """
 
     def make_panel(a: float, b: float, fa: float, fm: float, fb: float):
@@ -102,22 +110,25 @@ def _adaptive_simpson(
     err0, data0 = make_panel(lo, hi, f(lo), f(mid), f(hi))
     heap = [(-err0, counter, data0)]
     total_err = err0
+    total_val = data0[7] + data0[8]
     for _ in range(MAX_SPLITS):
-        if total_err <= tol:
+        if total_err <= tol * abs(total_val):
             break
         neg_err, _, data = heapq.heappop(heap)
+        a, b, fa, fm, fb, lm, rm, left, right = data
         total_err += neg_err  # removes the parent's contribution
-        a, b, fa, fm, fb, lm, rm, _, _ = data
+        total_val -= left + right
         c = 0.5 * (a + b)
         for sub in ((a, c, fa, lm, fm), (c, b, fm, rm, fb)):
             err, child = make_panel(*sub)
             counter += 1
             heapq.heappush(heap, (-err, counter, child))
             total_err += err
+            total_val += child[7] + child[8]
     # recompute the final figures without incremental float drift
     value = math.fsum(item[2][7] + item[2][8] for item in heap)
     err = math.fsum(-item[0] for item in heap)
-    return value, err, err <= tol
+    return value, err, err <= tol * abs(value)
 
 
 def _exact_rhs(m: int, a_exact: Fraction) -> float:
@@ -132,11 +143,13 @@ def quartic_integral(m: int, a: float, tol: float = 1e-10) -> QuadResult:
     """Adaptive quadrature of the folded integrand, compared to the exact
     right-hand side.
 
-    Raises ValueError outside the domain (a <= -1, m < 0, tol not in
-    (0, 0.1), which also refuses nan and inf) or when the integral or the
-    right-hand side is not a finite, nonzero binary64 number, and
-    :class:`QuadratureConvergenceError` if ``MAX_SPLITS`` splits do not reach
-    ``tol``.
+    ``tol`` is a relative target: the quadrature stops once its error
+    estimate is at most ``tol`` times its value.  Raises ValueError outside
+    the domain (a <= -1, m < 0, tol not in (0, 0.1), which also refuses nan
+    and inf) or when the integral or the right-hand side is not a finite,
+    nonzero binary64 number, and :class:`QuadratureConvergenceError` if
+    ``MAX_SPLITS`` splits do not bring the error estimate down to ``tol``
+    times the value.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")

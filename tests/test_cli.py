@@ -270,6 +270,12 @@ def test_identities_command(capsys):
     assert all(item["equal"] for item in suite)
 
 
+def test_identities_grid_above_cap_exits_2(capsys):
+    code, out, err = run(capsys, "identities", "--grid", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: grid bound must be at most 2000, got 100000\n"
+
+
 def test_quad_command(capsys):
     code, out, _ = run(capsys, "quad", "--m", "1", "--a", "1", "--format", "json")
     assert code == 0

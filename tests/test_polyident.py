@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmtk import closed_form_row
@@ -244,6 +244,67 @@ def test_grid_regions_and_validation():
         grid_nonnegativity([N], "nowhere", 3)
     with pytest.raises(ValueError):
         grid_nonnegativity([N], "triangle", 0)
+
+
+def _grid_reference(polys, region, bound, strict):
+    """Per-point lattice walk on MultiPoly.evaluate: the reference for the
+    row-wise evaluation in grid_nonnegativity."""
+    points, violations = 0, []
+    for x in range(bound + 1):
+        for y in range(x + 1 if region == "triangle" else x // 2 + 1):
+            points += 1
+            for g, poly in enumerate(polys):
+                value = poly.evaluate(x, y)
+                if value <= 0 if strict else value < 0:
+                    violations.append((g, x, y, str(value)))
+    return points, violations
+
+
+grid_polys = st.builds(
+    MultiPoly,
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.integers(-50, 50),
+        max_size=6,
+    ),
+) | st.builds(MultiPoly.constant, st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(grid_polys, max_size=4),
+    st.sampled_from(["triangle", "half"]),
+    st.integers(1, 15),
+    st.booleans(),
+)
+def test_grid_matches_per_point_reference(polys, region, bound, strict):
+    report = grid_nonnegativity(polys, region, bound, strict)
+    assert (report.region, report.bound) == (region, bound)
+    assert (report.points, report.violations) == _grid_reference(polys, region, bound, strict)
+
+
+def test_grid_reports_violations_in_lattice_order():
+    # a zero polynomial, a constant and a mixed-sign one, all failing
+    polys = [MultiPoly(), MultiPoly.constant(-2), N * I - I**2 - 1]
+    report = grid_nonnegativity(polys, "triangle", 2, strict=True)
+    assert report.violations == _grid_reference(polys, "triangle", 2, True)[1]
+    assert report.violations[:4] == [(0, 0, 0, "0"), (1, 0, 0, "-2"), (2, 0, 0, "-1"), (0, 1, 0, "0")]
+
+
+def test_run_identity_suite_records_at_grid_200():
+    assert run_identity_suite(200) == [
+        {"identity": "strict-growth-step", "equal": True, "grid_ok": None},
+        {"identity": "upper-bound-expansion", "equal": True, "grid_ok": True},
+        {"identity": "upper-bound-quotient", "equal": True, "grid_ok": True},
+        {"identity": "reflected-gap-expansion", "equal": True, "grid_ok": True},
+        {"identity": "predecessor-numerator", "equal": True, "grid_ok": None},
+        {"identity": "recurrence-interderivation", "equal": True, "grid_ok": None},
+    ]
+
+
+def test_run_identity_suite_refuses_grid_above_cap():
+    with pytest.raises(ValueError, match="grid bound must be at most 2000, got 2001"):
+        run_identity_suite(2001)
 
 
 def test_run_identity_suite():

@@ -111,6 +111,42 @@ def test_deviation_definition():
     assert result.relative_deviation == expected
 
 
+@pytest.mark.parametrize("a", [-0.909, 181.1])
+def test_tolerance_is_relative_far_from_a_equal_1(a):
+    # near a = -1 the integral is too large for an absolute 1e-10 to be
+    # reachable, and at large a too small for it to mean anything
+    tol = 1e-10
+    result = quartic_integral(40, a, tol=tol)
+    assert result.relative_deviation <= 10 * tol
+    assert result.abs_error_estimate <= tol * result.integral_estimate
+
+
+def test_identity_sweep_flags_nothing_far_from_a_equal_1():
+    cells = identity_sweep(40, [-0.909, 181.1])
+    assert len(cells) == 82
+    assert not any(cell.flagged for cell in cells)
+    assert all(cell.error is None for cell in cells)
+
+
+def test_identity_sweep_flags_a_corrupted_coefficient(monkeypatch):
+    # one d_i(m) off by 4^-m makes the exact right side disagree with the
+    # quadrature at that m, and only those cells may be flagged
+    real_row = quadoracle.closed_form_row
+
+    def corrupted(m):
+        row = real_row(m)
+        if m != 5:
+            return row
+        scaled = list(row.scaled)
+        scaled[2] += 1
+        return type(row)(m, scaled, row.method)
+
+    monkeypatch.setattr(quadoracle, "closed_form_row", corrupted)
+    cells = identity_sweep(6, [0.5, 2.0])
+    assert [(c.m, c.a) for c in cells if c.flagged] == [(5, 0.5), (5, 2.0)]
+    assert all(c.error is None for c in cells)
+
+
 def test_identity_sweep_passes():
     cells = identity_sweep(3, [-0.9, 0.0, 0.5, 1.0, 2.0], tol=1e-10)
     assert len(cells) == 20
