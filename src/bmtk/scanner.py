@@ -35,12 +35,12 @@ appends go through the single coordinating process, and verdicts are
 order-independent, so interrupt patterns and worker counts never change the
 outcome.
 
-Rows are checked as the integer vector 4^m d_i(m) divided by its gcd (see
-:func:`row_property`).  On such int rows :mod:`bmtk.seqprops` decides every
-level on 64-bit enclosures of the ``L`` iterates, which prove a verified
-cell without forming any iterate exactly; only a row whose enclosures miss
-is iterated exactly, and every failing verdict and witness comes from that
-exact path.
+Rows are checked as the integer vector 4^m d_i(m) (see :func:`row_property`).
+:mod:`bmtk.seqprops` decides every level on 64-bit enclosures of the ``L``
+iterates, which need no gcd and prove a verified cell without forming any
+iterate exactly.  From the first level whose enclosures miss, the row divided
+by its gcd is iterated exactly, and every failing verdict and witness comes
+from that exact path.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -209,12 +208,11 @@ def row_property(row: CoeffRow, depth: int, prop: str, strict: bool) -> Property
     """:func:`~bmtk.seqprops.k_property` of the row's coefficients.
 
     Every predicate is invariant under positive scaling and L is homogeneous
-    of degree 2, so the integer vector 4^m d_i(m), divided by its gcd, gives
-    the verdicts of the dyadic row.  A witness records exact values of the
-    dyadic iterates, so a failing row is checked again in that form.
+    of degree 2, so the integer vector 4^m d_i(m) gives the verdicts of the
+    dyadic row.  A witness records exact values of the dyadic iterates, so a
+    failing row is checked again in that form.
     """
-    g = math.gcd(*row.scaled)
-    verdict = k_property(tuple(x // g for x in row.scaled), depth, prop, strict)
+    verdict = k_property(row.scaled, depth, prop, strict)
     if not verdict.holds:
         verdict = k_property(row.coeffs, depth, prop, strict)
     return verdict
@@ -425,10 +423,13 @@ def scan(
         else:
             # several segments per worker, so short ranges stay parallel
             length = max(1, min(_SEGMENT, len(todo) // (4 * workers)))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            segments = _segments(todo, length)
+            # the pool forks all its workers at once: no more than segments or cores
+            size = min(workers, len(segments), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=size) as pool:
                 futures = [
                     pool.submit(_scan_segment, first, last, depth, strict)
-                    for first, last in _segments(todo, length)
+                    for first, last in segments
                 ]
                 for future in as_completed(futures):
                     for record in future.result():

@@ -1,8 +1,7 @@
 """Order and log-behavior predicates on finite positive sequences.
 
-For a sequence a_0..a_m of positive exact numbers (dyadic or general
-rationals; all entries of one sequence must share a type so products stay
-exact and comparable):
+For a sequence a_0..a_m of positive exact numbers (ints, mixed with either
+dyadic or general rationals):
 
   log-concave        a_i^2 >= a_{i-1} a_{i+1} for interior i
   spiral             a_m <= a_0 <= a_{m-1} <= a_1 <= ... <= a_{floor(m/2)}
@@ -23,8 +22,11 @@ zero boundary terms); iterating it defines the depth-k variants checked by
 a distinct "positivity" verdict, because a conjecture scan must record them
 as a falsification signal rather than crash.
 
-Sequences of plain ints are decided on enclosures first.  An enclosure of an
-entry x is a triple of ints (lo, hi, k) with
+Every sequence is decided on ints: it enters as c·v, with ints v and one
+positive unit c, and every predicate is invariant under positive scaling and
+L homogeneous of degree 2.  Dyadic and Fraction values return only in
+witness strings.  Each level is first decided on enclosures.  An enclosure
+of an entry x is a triple of ints (lo, hi, k) with
 
     lo·2^k <= x < hi·2^k,
 
@@ -40,20 +42,21 @@ enclosures:
 
 over the smaller of the two terms' exponents, after which lo' is rounded
 down and hi' up to 64 bits, so each exact iterate lies inside the iterated
-enclosures.  When at every level 0..k-1 every lo is positive and every
-comparison is certified, every exact iterate is positive and passes every
-comparison: the success verdict is then proved, without forming any
-iterate exactly.  Any miss (a lo <= 0, or a comparison the enclosures
-cannot certify) drops the enclosures and iterates L exactly from level 0.
-There each level's comparisons are first tried on that iterate's level-0
-enclosures, and exact products are formed only where that fails, so every
-failing verdict and its witness come from exact products.  Dyadic and
-rational entries always take the exact path.
+enclosures.
+
+:func:`k_property` walks the levels once.  While every lo is positive and
+every comparison certified, it goes on to the next level's enclosures, and
+if all are certified the success verdict is proved.  At the first miss, at
+level j, v is divided by its gcd (the scale-free enclosures need none) and
+L iterated exactly from level j on; levels below j are proved, not checked
+again.  Exact levels try each comparison on the iterate's level-0 enclosures
+first, so every failing verdict and its witness come from exact products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -124,15 +127,35 @@ class PropertyVerdict:
         }
 
 
-def _positivity_witness(seq: ExactSequence) -> Witness | None:
-    for i, x in enumerate(seq):
-        if not x > 0:
-            return Witness("positivity", (i,), lhs=exact_str(x), rhs="0")
-    return None
+def _integer_form(seq: ExactSequence) -> tuple[list[int], Callable[..., str]]:
+    """Ints v with seq_i = c·v_i for one unit c > 0: 1 for ints, 2^-E for
+    Dyadics and ints (E the largest exponent), 1/D for Fractions and ints (D
+    the lcm of the denominators).  And the printer ``show(p, indices, level)``
+    of p·c^(t·2^level), the product of the t entries at ``indices`` of an
+    iterate whose int form is p, as arithmetic in the input's types prints it.
+    """
+    kinds = {type(x) for x in seq} - {int}
+    if not kinds:
+        return list(seq), lambda p, indices, level: exact_str(p)
+    if kinds == {Fraction}:
+        d = math.lcm(*(x.denominator for x in seq))
+        return [x.numerator * (d // x.denominator) for x in seq], (
+            lambda p, indices, level: exact_str(Fraction(p, d ** (len(indices) << level)))
+        )
+    if kinds != {Dyadic}:
+        raise TypeError("entries must be ints, mixed with Dyadic or with Fraction values")
+    e = max(x.exp for x in seq if type(x) is Dyadic)
+    plain, n = [type(x) is int for x in seq], len(seq) - 1
 
+    def show(p: int, indices: tuple[int, ...], level: int) -> str:
+        value = Dyadic(p, e * len(indices) << level)
+        # entry i of iterate k is made from entry i alone at an end and from
+        # entries i-k..i+k inside; it is an int while all of those are
+        spans = (plain[i : i + 1] if i in (0, n) else plain[max(0, i - level) : i + level + 1]
+                 for i in indices)
+        return exact_str(value.num) if all(map(all, spans)) else str(value)
 
-def _verdict(prop: str, strict: bool, witness: Witness | None) -> PropertyVerdict:
-    return PropertyVerdict(prop, strict, witness is None, witness=witness)
+    return [x << e if p else x.num << e - x.exp for x, p in zip(seq, plain)], show
 
 
 # An enclosure keeps this many leading bits of an entry.
@@ -142,29 +165,16 @@ _FILTER_BITS = 64
 Enclosure = tuple[int, int, int]
 
 
-def _enclosures(seq: ExactSequence) -> list[Enclosure] | None:
-    """Per entry x, the enclosure ``(lo, lo + 1, k)`` with
+def _enclosures(values: Sequence[int]) -> list[Enclosure]:
+    """Per int x, the enclosure ``(lo, lo + 1, k)`` with
     ``lo·2^k <= x < (lo + 1)·2^k``, where ``lo`` is the top 64 bits of x, and
-    x itself shifted up to 64 bits (k < 0) when it is shorter.
-
-    None unless every entry is a plain int: a Dyadic or Fraction witness
-    needs the exact product, so those comparisons stay exact.
-    """
+    x itself shifted up to 64 bits (k < 0) when it is shorter."""
     bounds = []
-    for x in seq:
-        if type(x) is not int:
-            return None
+    for x in values:
         k = x.bit_length() - _FILTER_BITS
         lo = x >> k if k >= 0 else x << -k
         bounds.append((lo, lo + 1, k))
     return bounds
-
-
-def _product(seq: ExactSequence, indices: tuple[int, ...]) -> ExactValue:
-    value = seq[indices[0]]
-    for j in indices[1:]:
-        value = value * seq[j]
-    return value
 
 
 def _certified(
@@ -187,27 +197,6 @@ def _certified(
         lower *= lo
         shift -= k
     return upper << shift <= lower if shift >= 0 else upper <= lower << -shift
-
-
-def _violation(
-    seq: ExactSequence,
-    bounds: list[Enclosure] | None,
-    lhs: tuple[int, ...],
-    rhs: tuple[int, ...],
-    strict: bool,
-) -> tuple[ExactValue, ExactValue] | None:
-    """None when the product of the entries at ``lhs`` is below (strict) or
-    at most the product of those at ``rhs``; otherwise both exact products.
-
-    With ``bounds`` the comparison is first tried on the enclosures; only an
-    uncertified one forms the exact products.
-    """
-    if bounds is not None and _certified(bounds, lhs, rhs):
-        return None
-    left, right = _product(seq, lhs), _product(seq, rhs)
-    if left < right if strict else left <= right:
-        return None
-    return left, right
 
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -265,32 +254,14 @@ def _pairs(prop: str, m: int) -> Pairs:
     return _COMPARISONS[prop][0](m) if m >= 2 else []
 
 
-def _check(prop: str, seq: ExactSequence, strict: bool) -> PropertyVerdict:
-    """Positivity, then the first violated comparison of ``prop``."""
-    pos = _positivity_witness(seq)
-    if pos:
-        return _verdict(prop, strict, pos)
-    bounds = _enclosures(seq)
-    for lhs, rhs in _pairs(prop, len(seq) - 1):
-        bad = _violation(seq, bounds, lhs, rhs, strict)
-        if bad is not None:
-            left, right = map(exact_str, bad)
-            if prop == LOG_CONCAVE:  # reported as a_i^2 >= a_{i-1} a_{i+1}
-                w = Witness("comparison", rhs[:1] + lhs, lhs=right, rhs=left)
-            else:
-                w = Witness("comparison", lhs + rhs, lhs=left, rhs=right)
-            return _verdict(prop, strict, w)
-    return _verdict(prop, strict, None)
-
-
 def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
     """a_i^2 >= a_{i-1} a_{i+1} (strict: >) at every interior index."""
-    return _check(LOG_CONCAVE, seq, strict)
+    return k_property(seq, 1, LOG_CONCAVE, strict)
 
 
 def is_spiral(seq: ExactSequence) -> PropertyVerdict:
     """The interleaved end-to-middle chain, non-strict."""
-    return _check(SPIRAL, seq, False)
+    return k_property(seq, 1, SPIRAL)
 
 
 def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
@@ -299,12 +270,12 @@ def is_ratio_monotone(seq: ExactSequence, strict: bool = False) -> PropertyVerdi
     Adjacent ratio comparisons are checked in cross-multiplied form
     a_{i-1} a_{m-1-i} <= a_i a_{m-i} and a_{m-i} a_{i+1} <= a_{m-1-i} a_i.
     """
-    return _check(RATIO_MONOTONE, seq, strict)
+    return k_property(seq, 1, RATIO_MONOTONE, strict)
 
 
 def is_unimodal_midpeak(seq: ExactSequence) -> PropertyVerdict:
     """Strictly increasing to index floor(m/2), strictly decreasing after."""
-    return _check(UNIMODAL_MIDPEAK, seq, True)
+    return k_property(seq, 1, UNIMODAL_MIDPEAK)
 
 
 def l_operator(seq: ExactSequence) -> tuple[ExactValue, ...]:
@@ -357,18 +328,35 @@ def _l_enclosure(bounds: list[Enclosure]) -> list[Enclosure]:
     return out
 
 
-def _certify(bounds: list[Enclosure], k: int, pairs: Pairs) -> bool:
-    """True when, at every level 0..k-1 of the iterated enclosures, every
-    ``lo`` is positive and every comparison in ``pairs`` is certified; False
-    at the first miss."""
-    for level in range(k):
-        if level:
-            bounds = _l_enclosure(bounds)
-        if any(lo <= 0 for lo, _, _ in bounds):
-            return False
-        if not all(_certified(bounds, lhs, rhs) for lhs, rhs in pairs):
-            return False
-    return True
+def _certify(bounds: list[Enclosure], pairs: Pairs) -> bool:
+    """True when every ``lo`` is positive and every comparison in ``pairs``
+    is certified: then every sequence inside ``bounds`` passes them all."""
+    if any(lo <= 0 for lo, _, _ in bounds):
+        return False
+    return all(_certified(bounds, lhs, rhs) for lhs, rhs in pairs)
+
+
+def _exact_witness(
+    prop: str, current: Sequence[int], pairs: Pairs, strict: bool, show: Callable[..., str]
+) -> Witness | None:
+    """The first non-positive entry of the exact iterate ``current``, else the
+    first comparison it violates, each tried on its enclosures first; else
+    None.  ``show(p, indices)`` prints the product p of the entries at indices.
+    """
+    for i, x in enumerate(current):
+        if x <= 0:
+            return Witness("positivity", (i,), lhs=show(x, (i,)), rhs="0")
+    bounds = _enclosures(current)
+    for lhs, rhs in pairs:
+        if _certified(bounds, lhs, rhs):
+            continue
+        left, right = math.prod(current[j] for j in lhs), math.prod(current[j] for j in rhs)
+        if left < right if strict else left <= right:
+            continue
+        if prop == LOG_CONCAVE:  # reported as a_i^2 >= a_{i-1} a_{i+1}
+            return Witness("comparison", rhs[:1] + lhs, lhs=show(right, rhs), rhs=show(left, lhs))
+        return Witness("comparison", lhs + rhs, lhs=show(left, lhs), rhs=show(right, rhs))
+    return None
 
 
 def k_property(
@@ -381,28 +369,36 @@ def k_property(
     an iterate that stopped being positive), or a success verdict carrying
     the deepest level checked.  ``k=1`` is exactly the direct predicate.
 
-    Plain ints are first decided on iterated enclosures (see the module
-    docstring); any miss iterates L exactly from level 0.
+    Decided on ints in one walk over the levels (see the module docstring);
+    witness strings are exact values of the input's own iterates.
     """
     if k < 1:
         raise ValueError(f"depth must be >= 1, got {k}")
-    if prop not in PROPERTIES:
+    if prop not in _COMPARISONS:
         raise ValueError(f"unknown property {prop!r}")
     fixed = _COMPARISONS[prop][1]
     if fixed is not None:
         strict = fixed
-    current = tuple(seq)
-    bounds = _enclosures(current)
-    if bounds is not None and _certify(bounds, k, _pairs(prop, len(current) - 1)):
-        return PropertyVerdict(prop, strict, True, k - 1)
-    predicate = PROPERTIES[prop]
+    pairs = _pairs(prop, len(seq) - 1)
+    values, show = _integer_form(seq)
+    bounds = _enclosures(values)
+    current = None  # the exact iterate, from the first level whose enclosures miss
     for level in range(k):
-        if fixed is None:
-            verdict = predicate(current, strict)
+        if current is None:
+            if _certify(bounds, pairs):
+                if level + 1 < k:
+                    bounds = _l_enclosure(bounds)
+                continue
+            g = math.gcd(*values) or 1
+            current = tuple(v // g for v in values)
+            for _ in range(level):
+                current = l_operator(current)
         else:
-            verdict = predicate(current)
-        if not verdict.holds:
-            return replace(verdict, level=level)
-        if level + 1 < k:
             current = l_operator(current)
-    return replace(verdict, level=k - 1)
+        witness = _exact_witness(
+            prop, current, pairs, strict,
+            lambda p, indices: show(p * g ** (len(indices) << level), indices, level),
+        )
+        if witness is not None:
+            return PropertyVerdict(prop, strict, False, level, witness)
+    return PropertyVerdict(prop, strict, True, k - 1)

@@ -3,7 +3,7 @@
 import errno
 import fcntl
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -379,6 +379,48 @@ def test_walked_scan_with_workers_matches_closed_form_cells(tmp_path, monkeypatc
         range(2, 101)
     )
     expected = _closed_form_records(range(2, 101), 2)
+    assert {m: _stable(r) for m, r in ledger.records.items()} == expected
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    runs each task at once, in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "m_to, workers, cpus, size",
+    (
+        (10, 64, 64, 9),  # 9 cells, so 9 one-m segments
+        (10, 64, 4, 4),
+        (10, 64, None, 1),  # core count unknown
+        (100, 2, 8, 2),  # 9 segments of 12 m
+    ),
+)
+def test_scan_pool_is_no_larger_than_its_segments_or_cores(
+    tmp_path, monkeypatch, m_to, workers, cpus, size
+):
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(scanner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(scanner.os, "cpu_count", lambda: cpus)
+    ledger = scan(2, m_to, 2, True, tmp_path / "par.jsonl", workers=workers)
+    assert InProcessPool.sizes == [size]
+    expected = _closed_form_records(range(2, m_to + 1), 2)
     assert {m: _stable(r) for m, r in ledger.records.items()} == expected
 
 

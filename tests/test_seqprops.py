@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmtk import (
+    CoeffRow,
     Dyadic,
+    Method,
     closed_form_row,
     is_log_concave,
     is_ratio_monotone,
@@ -20,7 +22,8 @@ from bmtk import (
     l_operator,
 )
 from bmtk import seqprops
-from bmtk.scanner import row_property
+from bmtk.exactnum import exact_str
+from bmtk.scanner import row_property, verify_cell
 from bmtk.seqprops import (
     LOG_CONCAVE,
     RATIO_MONOTONE,
@@ -215,17 +218,33 @@ def _digits(n):
     return str(n) + "".join(reversed(chunks))
 
 
+def _show(x):
+    """An exact value as the reference prints it: ints by ``_digits``, Dyadic
+    and Fraction values by ``exact_str``."""
+    return _digits(x) if type(x) is int else exact_str(x)
+
+
 def _exact_comparisons(strict, comparisons):
     """Reference chain: every product formed exactly, first violation wins."""
     for indices, lhs, rhs in comparisons:
         if not (lhs < rhs if strict else lhs <= rhs):
-            return Witness("comparison", indices, lhs=_digits(lhs), rhs=_digits(rhs))
+            return Witness("comparison", indices, lhs=_show(lhs), rhs=_show(rhs))
+    return None
+
+
+def _positivity(seq, prop, strict):
+    """The verdict on the first non-positive entry, or None."""
+    for i, x in enumerate(seq):
+        if not x > 0:
+            w = Witness("positivity", (i,), lhs=_show(x), rhs="0")
+            return PropertyVerdict(prop, strict, False, witness=w)
     return None
 
 
 def _exact_ratio_monotone(seq, strict):
-    if any(x <= 0 for x in seq):
-        return is_ratio_monotone(seq, strict)  # positivity needs no product
+    failure = _positivity(seq, RATIO_MONOTONE, strict)
+    if failure:
+        return failure
     m = len(seq) - 1
     if m < 2:
         return PropertyVerdict(RATIO_MONOTONE, strict, True)
@@ -245,19 +264,21 @@ def _exact_ratio_monotone(seq, strict):
 
 
 def _exact_log_concave(seq, strict):
-    if any(x <= 0 for x in seq):
-        return is_log_concave(seq, strict)
+    failure = _positivity(seq, LOG_CONCAVE, strict)
+    if failure:
+        return failure
     for i in range(1, len(seq) - 1):
         square, product = seq[i] * seq[i], seq[i - 1] * seq[i + 1]
         if not (square > product if strict else square >= product):
-            w = Witness("comparison", (i, i - 1, i + 1), lhs=_digits(square), rhs=_digits(product))
+            w = Witness("comparison", (i, i - 1, i + 1), lhs=_show(square), rhs=_show(product))
             return PropertyVerdict(LOG_CONCAVE, strict, False, witness=w)
     return PropertyVerdict(LOG_CONCAVE, strict, True)
 
 
 def _exact_spiral(seq, strict):
-    if any(x <= 0 for x in seq):
-        return is_spiral(seq)
+    failure = _positivity(seq, SPIRAL, False)
+    if failure:
+        return failure
     m = len(seq) - 1
     if m < 2:
         return PropertyVerdict(SPIRAL, False, True)
@@ -270,8 +291,9 @@ def _exact_spiral(seq, strict):
 
 
 def _exact_unimodal_midpeak(seq, strict):
-    if any(x <= 0 for x in seq):
-        return is_unimodal_midpeak(seq)
+    failure = _positivity(seq, UNIMODAL_MIDPEAK, True)
+    if failure:
+        return failure
     m = len(seq) - 1
     if m < 2:
         return PropertyVerdict(UNIMODAL_MIDPEAK, True, True)
@@ -524,6 +546,60 @@ def test_level_two_miss_reaches_the_exact_path(monkeypatch):
     assert len(iterates) == 2  # level 2 missed: L formed exactly from level 0
     assert verdict == _exact_k_property(seq, 4, UNIMODAL_MIDPEAK, True)
     assert (verdict.level, verdict.witness.kind, verdict.witness.indices) == (2, "positivity", (2,))
+
+
+def _integral_as_int(value):
+    """A Dyadic or Fraction with an integral value as that int, else itself."""
+    if isinstance(value, Dyadic):
+        return value.num if value.exp == 0 else value
+    return value.numerator if value.denominator == 1 else value
+
+
+@st.composite
+def typed_ties(draw):
+    """deep_ties and nudged_ties times g over 2^shift, shift 0..40 (Dyadic), or
+    over d in 1..50 (Fraction), some integral entries as plain ints.  Entries
+    reduce to unequal exponents or denominators; g is odd and prime to d, so
+    the int form's gcd is at least g."""
+    seq = draw(st.one_of(deep_ties, nudged_ties))
+    g = draw(st.sampled_from((53, 97, 101 * 103, 65537)))
+    if draw(st.booleans()):
+        shift = draw(st.integers(min_value=0, max_value=40))
+        typed = [Dyadic(x * g, shift) for x in seq]
+    else:
+        d = draw(st.integers(min_value=1, max_value=50))
+        typed = [Fraction(x * g, d) for x in seq]
+    as_int = draw(st.lists(st.booleans(), min_size=len(seq), max_size=len(seq)))
+    return [_integral_as_int(v) if flag else v for v, flag in zip(typed, as_int)]
+
+
+@settings(deadline=None)
+@given(
+    typed_ties(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(sorted(EXACT_REFERENCE)),
+    st.booleans(),
+)
+@example([Fraction(x * 53, 12) for x in (9, 12, 7)], 4, RATIO_MONOTONE, True)
+@example([Fraction(x * 97, 10) for x in (12, 19, 16, 8)], 4, UNIMODAL_MIDPEAK, True)
+@example([Dyadic(x * 97, 5) for x in (30, 55, 66, 51, 24)], 4, LOG_CONCAVE, False)
+@example([9 * 53, 12 * 53, Dyadic(7 * 53, 0)], 4, UNIMODAL_MIDPEAK, True)
+def test_typed_k_property_matches_typed_reference(seq, depth, prop, strict):
+    # the reference iterates L on the Dyadic or Fraction values themselves
+    assert k_property(seq, depth, prop, strict) == _exact_k_property(seq, depth, prop, strict)
+
+
+@pytest.mark.parametrize("strict", (True, False))
+def test_tampered_row_witness_matches_the_typed_reference(strict):
+    # d_1(12) raised by 3%: the row first fails at level 3, where the int
+    # path goes exact, and verify_cell prints the witness from the dyadic row
+    scaled = list(closed_form_row(12).scaled)
+    scaled[1] += scaled[1] * 3 // 100
+    row = CoeffRow(12, tuple(scaled), Method.CLOSED_FORM)
+    expected = _exact_k_property(row.coeffs, 5, RATIO_MONOTONE, strict)
+    assert (expected.holds, expected.level, expected.witness.kind) == (False, 3, "comparison")
+    record = verify_cell(row, 5, strict)
+    assert (record.level, record.witness) == (3, expected.witness.to_json())
 
 
 # Operand bits: products of 4 to 20,000 bits, operands on both sides of 64.
