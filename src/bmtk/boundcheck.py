@@ -3,11 +3,19 @@
 Each check evaluates one family of inequalities (or boundary equalities) on
 actual generated rows, exactly, and reports per-index records with exact
 margins so tightness studies are reproducible.  Both sides of a comparison are
-integer (numerator, denominator) pairs read from the rows' integer vectors
-4^m d_i(m), and one cross-multiplied integer difference decides it.  A record
-builds its exact margin at once and the sides' Fractions only when read.  The
-only decimal output is the informational minimum-ratio string; decimals never
-feed a verdict.
+integer (numerator, denominator) pairs, and one integer difference
+``diff = (lhs - rhs) * small * 2^shift`` decides it.  A comparison between row
+entries (thm21, thm22's interior, l32, l33's bound) forms ``diff`` straight
+from the rows' integer vectors 4^m d_i(m): both sides sit over 4^m times a
+small cofactor, so ``small`` is that cofactor and ``shift`` is 2m or 2m+2.
+Any other comparison puts both sides over the lcm of their denominators and
+splits it into its odd part and its power of two.  The margin is then written
+in lowest terms in two steps: shift out as many trailing zero bits of ``diff``
+as the denominator's power of two allows, then take one gcd against ``small``;
+no gcd of two row-sized numbers is formed for an entry comparison.  Records
+are slot objects that build the sides' Fractions only when read.  The only
+decimal output is the informational minimum-ratio string; decimals never feed
+a verdict.
 
 Check ids (the CLI tokens):
 
@@ -60,22 +68,46 @@ BOUND_IDS = ("thm21", "thm22", "l31", "l32", "l33", "l34", "sec4")
 Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
 
 
-@dataclass(frozen=True, eq=False)
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d for coprime n and d > 0, built as 3.12's _from_coprime_ints does.
+
+        Fraction(n, d, _normalize=False) skips the gcd too, but its argument
+        checks make it cost 1.4 us against 0.3 us (CPython 3.11, Xeon VM).
+        """
+        obj = object.__new__(Fraction)
+        obj._numerator, obj._denominator = n, d
+        return obj
+
+
 class BoundRecord:
     """One verified comparison: ``lhs relation rhs`` with its exact margin.
 
     Sides are integer pairs, reduced to Fractions on read; records compare
-    and hash by value.  The margin is oriented so that nonnegative (positive,
-    for strict relations) means the comparison holds with that much room;
-    equality records carry margin zero exactly when they hold.
+    and hash by value, and nothing mutates one.  The margin is oriented so
+    that nonnegative (positive, for strict relations) means the comparison
+    holds with that much room; equality records carry margin zero exactly
+    when they hold.
     """
 
-    i: int
-    relation: str  # ">=", ">", "<=", "<", "=="
-    lhs_pair: Pair
-    rhs_pair: Pair
-    holds: bool
-    margin: Fraction
+    __slots__ = ("i", "relation", "lhs_pair", "rhs_pair", "holds", "margin")
+
+    def __init__(
+        self, i: int, relation: str, lhs_pair: Pair, rhs_pair: Pair, holds: bool, margin: Fraction
+    ) -> None:
+        self.i = i
+        self.relation = relation  # ">=", ">", "<=", "<", "=="
+        self.lhs_pair = lhs_pair
+        self.rhs_pair = rhs_pair
+        self.holds = holds
+        self.margin = margin
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"BoundRecord({fields})"
 
     @property
     def lhs(self) -> Fraction:
@@ -138,13 +170,26 @@ class BoundReport:
         }
 
 
-def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
-    """Decide ``lhs relation rhs`` from the sign of one integer difference."""
-    (a, b), (c, d) = lhs, rhs
-    # over the lcm, since entries' denominators share 4^m, the margin is smaller
-    g = math.gcd(b, d)
-    b, d = b // g, d // g
-    diff = a * d - c * b  # (lhs - rhs) * b * d * g
+def _lowest_terms(n: int, small: int, shift: int) -> Fraction:
+    """n / (small * 2^shift) in lowest terms, for small > 0 and shift >= 0.
+
+    Once 2^min(trailing zeros of n, shift) is shifted out, either no power of
+    two is left below or n is odd, so one gcd against small reduces the rest.
+    """
+    if not n:
+        return _coprime_fraction(0, 1)
+    t = min((n & -n).bit_length() - 1, shift)
+    n >>= t
+    g = math.gcd(n, small)
+    if g > 1:
+        n, small = n // g, small // g
+    return _coprime_fraction(n, small << (shift - t))
+
+
+def _decide(
+    i: int, relation: str, lhs: Pair, rhs: Pair, diff: int, small: int, shift: int
+) -> BoundRecord:
+    """Decide ``lhs relation rhs`` from diff = (lhs - rhs) * small * 2^shift."""
     if relation in (">=", ">"):
         margin = diff
     elif relation in ("<=", "<"):
@@ -154,7 +199,28 @@ def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
     else:
         raise ValueError(f"unknown relation {relation!r}")
     holds = margin > 0 if relation in (">", "<") else margin >= 0
-    return BoundRecord(i, relation, lhs, rhs, holds, Fraction(margin, b * d * g))
+    return BoundRecord(i, relation, lhs, rhs, holds, _lowest_terms(margin, small, shift))
+
+
+def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
+    """Decide ``lhs relation rhs`` for sides over any positive denominators."""
+    (a, b), (c, d) = lhs, rhs
+    # over the lcm b*d*g of the denominators, split into odd part and 2^shift
+    g = math.gcd(b, d)
+    b, d = b // g, d // g
+    den = b * d * g
+    shift = (den & -den).bit_length() - 1
+    return _decide(i, relation, lhs, rhs, a * d - c * b, den >> shift, shift)
+
+
+def _versus(
+    i: int, relation: str, m: int, up: int, f: int, e: int, num: int, den: int
+) -> BoundRecord:
+    """Decide ``f/4^(m+up) relation (num/den) e/4^m`` for entries f and e."""
+    shift = 2 * (m + up)
+    rhs = num * e
+    diff = f * den - (rhs << 2 * up)  # (lhs - rhs) * den * 4^(m+up)
+    return _decide(i, relation, (f, 1 << shift), (rhs, den << 2 * m), diff, den, shift)
 
 
 def _entry(row: CoeffRow, i: int, num: int = 1, den: int = 1) -> Pair:
@@ -191,12 +257,13 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     _require_consecutive(row_m, row_next)
     m = row_m.m
     report = _new_report("thm21", m, 1)
+    e, f = row_m.scaled, row_next.scaled
     low = None  # the least bound/d_i(m+1) so far, as a pair
     for i in range(1, m):
-        lhs = _entry(row_next, i)
-        bound = _entry(row_m, i, *_growth_lower_coefficient(m, i))
-        report.records.append(_record(i, ">=", lhs, bound))
-        ratio = bound[0] * lhs[1], bound[1] * lhs[0]
+        num, den = _growth_lower_coefficient(m, i)
+        record = _versus(i, ">=", m, 1, f[i], e[i], num, den)
+        report.records.append(record)
+        ratio = record.rhs_pair[0] << 2, den * f[i]  # 4^m cancels
         if low is None or ratio[0] * low[1] < low[0] * ratio[1]:
             low = ratio
     if low is not None:
@@ -209,9 +276,9 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     _require_consecutive(row_m, row_next)
     m = row_m.m
     report = _new_report("thm22", m, 2)
+    e, f = row_m.scaled, row_next.scaled
     for i in range(1, m):
-        bound = _entry(row_m, i, *_growth_lower_coefficient(m, i))
-        report.records.append(_record(i, ">", _entry(row_next, i), bound))
+        report.records.append(_versus(i, ">", m, 1, f[i], e[i], *_growth_lower_coefficient(m, i)))
     # boundary equalities
     top_step = (2 * m + 3) * (2 * m + 1), 2 * (m + 1)
     report.records += [
@@ -237,9 +304,10 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     _require_consecutive(row_m, row_next)
     m = row_m.m
     report = _new_report("l32", m, 2)
+    e, f = row_m.scaled, row_next.scaled
     for i in range(m + 1):
-        bound = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
-        report.records.append(_record(i, "<=", _entry(row_next, i), _entry(row_m, i, *bound)))
+        num, den = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
+        report.records.append(_versus(i, "<=", m, 1, f[i], e[i], num, den))
     return report
 
 
@@ -253,11 +321,11 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     """l33 for 1 <= j <= m, with positivity of the bound's numerator."""
     m = row.m
     report = _new_report("l33", m, 2)
+    e = row.scaled
     for j in range(1, m + 1):
         num, den = _predecessor_numerator(m, j)
         report.records.append(_record(j, ">", (num, den), (0, 1)))
-        coeff = _entry(row, j, num, 2 * (m + j) * den)
-        report.records.append(_record(j, "<=", _entry(row, j - 1), coeff))
+        report.records.append(_versus(j, "<=", m, 0, e[j - 1], e[j], num, 2 * (m + j) * den))
     return report
 
 
@@ -287,11 +355,22 @@ def check_endpoint_ratios(row: CoeffRow) -> BoundReport:
     return report
 
 
+_MAX_M = 2000
+
+
 def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
-    """Run the requested checks at one m, generating the rows once."""
+    """Run the requested checks at one m, generating the rows once.
+
+    Raises ValueError for an unknown bound id or an m above 2000.  Row
+    generation and the records' sizes grow faster than m squared: ``bmtk
+    bounds`` took 1.6 s at m=1000, 8.3 s at 2000 and 25 s at 3000 in json
+    (CPython 3.11, one core of a 2-vCPU Xeon VM).
+    """
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:
         raise ValueError(f"unknown bound ids: {', '.join(unknown)}")
+    if m > _MAX_M:
+        raise ValueError(f"m must be at most {_MAX_M}, got {m}")
     wanted = set(which)
     row = closed_form_row(m) if wanted - {"l34"} else None
     row_next = recu1_row(row) if wanted & {"thm21", "thm22", "l32"} else None

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bmtk import CoeffRow, binomial, boundcheck, closed_form_row, recu1_row
 from bmtk.boundcheck import (
     BOUND_IDS,
     BoundRecord,
     BoundReport,
+    _lowest_terms,
     _record,
     check_endpoint_ratios,
     check_growth_lower_bound,
@@ -229,11 +232,16 @@ def test_records_compare_and_hash_by_value():
 def test_checks_build_one_fraction_per_record(monkeypatch):
     built = []
 
-    def counting(*args):
-        built.append(args)
-        return Fraction(*args)
+    def counting(make):
+        def build(*args):
+            built.append(args)
+            return make(*args)
 
-    monkeypatch.setattr(boundcheck, "Fraction", counting)
+        return build
+
+    # margins come from the coprime constructor, every other value from Fraction
+    monkeypatch.setattr(boundcheck, "Fraction", counting(Fraction))
+    monkeypatch.setattr(boundcheck, "_coprime_fraction", counting(Fraction))
     reports = run_checks(40)
     records = [r for rep in reports for r in rep.records]
     assert all(r.holds and r.margin >= 0 for r in records)
@@ -326,6 +334,8 @@ def _assert_same(reports, reference):
     for report, ref in zip(reports, reference):
         assert report.to_json() == ref.to_json()
         assert report.min_ratio == ref.min_ratio
+        for rec in report.records:  # every margin is built in lowest terms
+            assert math.gcd(rec.margin.numerator, rec.margin.denominator) == 1
 
 
 def test_integer_pair_checks_match_fraction_reference():
@@ -348,6 +358,18 @@ def _on_growth_bound(row, nxt, i):
     return None if num % den else _perturbed(nxt, i, lambda e: num // den)
 
 
+def _cancelling(row, i):
+    """row with e_i set so that thm21's difference at i has more factors of 2
+    than its denominator den * 4^(m+1), so the margin's denominator is odd."""
+    m = row.m
+    num, den = 4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1)
+    # f*den - 4*num*e = 0 mod 2^(2m+2+v+1), v the factors of 2 in den
+    bits = 2 * m + 1 + (den & -den).bit_length()
+    f = recu1_row(row).scaled[i]
+    e = f * den // 4 * pow(num, -1, 1 << bits) % (1 << bits)
+    return _perturbed(row, i, lambda _: e)
+
+
 def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
     changes = (lambda e: e // 2, lambda e: 2 * e, lambda e: e + 1, lambda e: e - 1)
     failing, ties = set(), set()
@@ -361,6 +383,8 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
         tied = (_on_growth_bound(row, nxt, i) for i in range(1, m))
         pairs += [(row, t) for t in tied if t is not None]
         pairs.append((_perturbed(row, 1, lambda e: m * row.scaled[0]), nxt))  # d_1/d_0 = m
+        if m == 3:
+            pairs.append((_cancelling(row, 1), nxt))
         for pair in pairs:
             reports = _checks(*pair)
             _assert_same(reports, _reference_reports(*pair))
@@ -370,6 +394,33 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
     assert failing == {">=", ">", "<=", "<", "=="}
     # on a tie the non-strict relation holds and the strict one fails
     assert {(">=", True), (">", False), ("<=", True), ("<", False)} <= ties
+
+
+def test_a_margin_whose_power_of_two_cancels_completely():
+    row = closed_form_row(3)
+    cancelling = _cancelling(row, 1)
+    margin = check_growth_lower_bound(cancelling, recu1_row(row)).records[0].margin
+    assert margin != 0 and margin.denominator % 2 == 1 and margin.numerator % 2 == 0
+
+
+# the trailing zeros of n against shift, even and odd small, zero and signs
+@example(0, 0, 1, 0)
+@example(0, 0, 12, 40)
+@example(-5, 9, 3, 4)  # more trailing zeros than shift
+@example(7, 700, 6, 300)
+@example(-(3**400), 0, 1, 0)
+@example(3**300, 5, 3**150 * 5, 0)  # large odd small, as on l31 rows
+@given(
+    st.integers(-(2**1200), 2**1200),
+    st.integers(0, 1200),
+    st.integers(1, 2**600) | st.integers(1, 100),
+    st.integers(0, 800),
+)
+def test_lowest_terms_matches_fraction(n, zeros, small, shift):
+    reduced = _lowest_terms(n << zeros, small, shift)
+    expected = Fraction(n << zeros, small << shift)
+    assert type(reduced) is Fraction
+    assert (reduced.numerator, reduced.denominator) == (expected.numerator, expected.denominator)
 
 
 def test_record_and_report_json_past_the_digit_limit():

@@ -262,6 +262,14 @@ def test_bounds_domain_errors(capsys):
     assert "--which names no bound id" in err
 
 
+def test_bounds_m_above_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(boundcheck, "closed_form_row", lambda m: pytest.fail("generated a row"))
+    code, out, err = run(capsys, "bounds", "--m", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: m must be at most 2000, got 100000\n"
+    assert run(capsys, "bounds", "--m", "2001", "--which", "l34")[0] == 2
+
+
 def test_identities_command(capsys):
     code, out, _ = run(capsys, "identities", "--grid", "10", "--format", "json")
     assert code == 0
