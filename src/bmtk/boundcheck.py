@@ -5,17 +5,17 @@ actual generated rows, exactly, and reports per-index records with exact
 margins so tightness studies are reproducible.  Both sides of a comparison are
 integer (numerator, denominator) pairs, and one integer difference
 ``diff = (lhs - rhs) * small * 2^shift`` decides it.  A comparison between row
-entries (thm21, thm22's interior, l32, l33's bound) forms ``diff`` straight
-from the rows' integer vectors 4^m d_i(m): both sides sit over 4^m times a
-small cofactor, so ``small`` is that cofactor and ``shift`` is 2m or 2m+2.
-Any other comparison puts both sides over the lcm of their denominators and
-splits it into its odd part and its power of two.  The margin is then written
-in lowest terms in two steps: shift out as many trailing zero bits of ``diff``
-as the denominator's power of two allows, then take one gcd against ``small``;
-no gcd of two row-sized numbers is formed for an entry comparison.  Records
-are slot objects that build the sides' Fractions only when read.  The only
-decimal output is the informational minimum-ratio string; decimals never feed
-a verdict.
+entries (thm21, thm22 but for the central binomial, l32, l33's bound) forms
+``diff`` straight from the rows' integer vectors 4^m d_i(m): both sides sit
+over 4^m times a small cofactor, so ``small`` is that cofactor and ``shift``
+is 2m or 2m+2.  Any other comparison puts both sides over the lcm of their
+denominators and splits it into its odd part and its power of two.  The margin
+is then written in lowest terms in two steps: shift out as many trailing zero
+bits of ``diff`` as the denominator's power of two allows, then take one gcd
+against ``small``; no gcd of two row-sized numbers is formed for an entry
+comparison.  Records are slot objects that build the sides' Fractions only
+when read.  The only decimal output is the informational minimum-ratio string;
+decimals never feed a verdict.
 
 Check ids (the CLI tokens):
 
@@ -68,19 +68,16 @@ BOUND_IDS = ("thm21", "thm22", "l31", "l32", "l33", "l34", "sec4")
 Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
 
 
-if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, built without a gcd.
 
-    def _coprime_fraction(n: int, d: int) -> Fraction:
-        """n/d for coprime n and d > 0, built as 3.12's _from_coprime_ints does.
-
-        Fraction(n, d, _normalize=False) skips the gcd too, but its argument
-        checks make it cost 1.4 us against 0.3 us (CPython 3.11, Xeon VM).
-        """
-        obj = object.__new__(Fraction)
-        obj._numerator, obj._denominator = n, d
-        return obj
+    This is what 3.12's Fraction._from_coprime_ints does, on every version.
+    Fraction(n, d, _normalize=False) (3.10 and 3.11 only) costs 1.4 us per
+    call against 0.3 us here (CPython 3.11, Xeon VM).
+    """
+    obj = object.__new__(Fraction)
+    obj._numerator, obj._denominator = n, d
+    return obj
 
 
 class BoundRecord:
@@ -223,11 +220,6 @@ def _versus(
     return _decide(i, relation, (f, 1 << shift), (rhs, den << 2 * m), diff, den, shift)
 
 
-def _entry(row: CoeffRow, i: int, num: int = 1, den: int = 1) -> Pair:
-    """(num/den) d_i(m) as a pair, read from the integer vector 4^m d_i(m)."""
-    return num * row.scaled[i], den << (2 * row.m)
-
-
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
     if row_next.m != row_m.m + 1:
         raise ValueError(f"need rows m and m+1, got m={row_m.m} and m={row_next.m}")
@@ -282,9 +274,9 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     # boundary equalities
     top_step = (2 * m + 3) * (2 * m + 1), 2 * (m + 1)
     report.records += [
-        _record(0, "==", _entry(row_next, 0), _entry(row_m, 0, 4 * m + 3, 2 * (m + 1))),
-        _record(m, "==", _entry(row_next, m), _entry(row_m, m, *top_step)),
-        _record(m, "==", _entry(row_m, m), (math.comb(2 * m, m), 1 << m)),
+        _versus(0, "==", m, 1, f[0], e[0], 4 * m + 3, 2 * (m + 1)),
+        _versus(m, "==", m, 1, f[m], e[m], *top_step),
+        _record(m, "==", (e[m], 1 << 2 * m), (math.comb(2 * m, m), 1 << m)),
     ]
     return report
 

@@ -384,7 +384,10 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
         pairs += [(row, t) for t in tied if t is not None]
         pairs.append((_perturbed(row, 1, lambda e: m * row.scaled[0]), nxt))  # d_1/d_0 = m
         if m == 3:
-            pairs.append((_cancelling(row, 1), nxt))
+            cancelling = _cancelling(row, 1)
+            margin = check_growth_lower_bound(cancelling, nxt).records[0].margin
+            assert margin != 0 and margin.denominator % 2 == 1  # its power of two cancels
+            pairs.append((cancelling, nxt))
         for pair in pairs:
             reports = _checks(*pair)
             _assert_same(reports, _reference_reports(*pair))
@@ -394,13 +397,6 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
     assert failing == {">=", ">", "<=", "<", "=="}
     # on a tie the non-strict relation holds and the strict one fails
     assert {(">=", True), (">", False), ("<=", True), ("<", False)} <= ties
-
-
-def test_a_margin_whose_power_of_two_cancels_completely():
-    row = closed_form_row(3)
-    cancelling = _cancelling(row, 1)
-    margin = check_growth_lower_bound(cancelling, recu1_row(row)).records[0].margin
-    assert margin != 0 and margin.denominator % 2 == 1 and margin.numerator % 2 == 0
 
 
 # the trailing zeros of n against shift, even and odd small, zero and signs
