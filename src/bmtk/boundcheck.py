@@ -14,7 +14,9 @@ is then written in lowest terms in two steps: shift out as many trailing zero
 bits of ``diff`` as the denominator's power of two allows, then take one gcd
 against ``small``; no gcd of two row-sized numbers is formed for an entry
 comparison.  Records are slot objects that build the sides' Fractions only
-when read.  The only decimal output is the informational minimum-ratio string;
+when read, and the sides and thm21's minimum ratio are reduced as margins are:
+the power of two is split out of the denominator, then one gcd against its odd
+part.  The only decimal output is the informational minimum-ratio string;
 decimals never feed a verdict.
 
 Check ids (the CLI tokens):
@@ -108,11 +110,11 @@ class BoundRecord:
 
     @property
     def lhs(self) -> Fraction:
-        return Fraction(*self.lhs_pair)
+        return _reduced(*self.lhs_pair)
 
     @property
     def rhs(self) -> Fraction:
-        return Fraction(*self.rhs_pair)
+        return _reduced(*self.rhs_pair)
 
     def _key(self) -> tuple:
         return self.i, self.relation, self.holds, self.margin
@@ -181,6 +183,13 @@ def _lowest_terms(n: int, small: int, shift: int) -> Fraction:
     if g > 1:
         n, small = n // g, small // g
     return _coprime_fraction(n, small << (shift - t))
+
+
+def _reduced(n: int, d: int) -> Fraction:
+    """n/d in lowest terms for d > 0, its denominator split into its odd part
+    and power of two as a margin's is."""
+    shift = (d & -d).bit_length() - 1
+    return _lowest_terms(n, d >> shift, shift)
 
 
 def _decide(
@@ -259,7 +268,7 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
         if low is None or ratio[0] * low[1] < low[0] * ratio[1]:
             low = ratio
     if low is not None:
-        report.min_ratio = Fraction(*low)
+        report.min_ratio = _reduced(*low)
     return report
 
 

@@ -127,13 +127,12 @@ def _cmd_check(args: argparse.Namespace) -> tuple[bool, object]:
     if args.m is not None:
         if args.m < 0:
             raise ValueError(f"--m must be nonnegative, got {args.m}")
-        row = bmcoeff.closed_form_row(args.m)
+        seq = bmcoeff.closed_form_row(args.m)
         label = f"coefficient row m={args.m}"
-        verdicts = [scanner.row_property(row, args.depth, p, args.strict) for p in props]
     else:
         seq = _parse_seq(args.seq)
         label = f"sequence of length {len(seq)}"
-        verdicts = [seqprops.k_property(seq, args.depth, p, args.strict) for p in props]
+    verdicts = [seqprops.k_property(seq, args.depth, p, args.strict) for p in props]
     ok = all(v.holds for v in verdicts)
     if args.format == "json":
         return ok, [v.to_json() for v in verdicts]

@@ -35,12 +35,13 @@ appends go through the single coordinating process, and verdicts are
 order-independent, so interrupt patterns and worker counts never change the
 outcome.
 
-Rows are checked as the integer vector 4^m d_i(m) (see :func:`row_property`).
-:mod:`bmtk.seqprops` decides every level on 64-bit enclosures of the ``L``
-iterates, which need no gcd and prove a verified cell without forming any
-iterate exactly.  From the first level whose enclosures miss, the row divided
-by its gcd is iterated exactly, and every failing verdict and witness comes
-from that exact path.
+Each row is checked once, by :func:`~bmtk.seqprops.k_property`, as the
+integer vector 4^m d_i(m) over the unit 4^-m.  It decides every level on
+64-bit enclosures of the ``L`` iterates, which need no gcd and prove a
+verified cell without forming any iterate exactly.  From the first level whose
+enclosures miss, the row divided by its gcd is iterated exactly, and every
+failing verdict and witness comes from that exact path; witnesses print as the
+dyadic values of the row's iterates.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".
@@ -52,13 +53,12 @@ import fcntl
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row, recu4_residual
-from .seqprops import RATIO_MONOTONE, PropertyVerdict, k_property
+from .seqprops import RATIO_MONOTONE, k_property
 from .seqprops import l_operator  # noqa: F401  perfbench's tracer patches it here
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "VERDICT_VERIFIED",
     "VERDICT_FAILED",
     "VERDICT_POSITIVITY",
-    "row_property",
     "verify_cell",
     "scan",
     "load_ledger",
@@ -204,37 +203,20 @@ class ScanLedger:
         }
 
 
-def row_property(row: CoeffRow, depth: int, prop: str, strict: bool) -> PropertyVerdict:
-    """:func:`~bmtk.seqprops.k_property` of the row's coefficients.
-
-    Every predicate is invariant under positive scaling and L is homogeneous
-    of degree 2, so the integer vector 4^m d_i(m) gives the verdicts of the
-    dyadic row.  A witness records exact values of the dyadic iterates, so a
-    failing row is checked again in that form.
-    """
-    verdict = k_property(row.scaled, depth, prop, strict)
-    if not verdict.holds:
-        verdict = k_property(row.coeffs, depth, prop, strict)
-    return verdict
-
-
 def verify_cell(row: CoeffRow, depth: int, strict: bool) -> ScanRecord:
     """Check ratio monotonicity of ``row`` to ``depth``; the record's
     ``wall_time`` is the time the check took."""
     start = time.perf_counter()
-    verdict = row_property(row, depth, RATIO_MONOTONE, strict)
+    verdict = k_property(row, depth, RATIO_MONOTONE, strict)
     elapsed = time.perf_counter() - start
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     m = row.m
     if verdict.holds:
         return ScanRecord(m, depth, depth, VERDICT_VERIFIED, None, None, elapsed, stamp)
-    kind = (
-        VERDICT_POSITIVITY
-        if verdict.witness is not None and verdict.witness.kind == "positivity"
-        else VERDICT_FAILED
-    )
-    witness = verdict.witness.to_json() if verdict.witness else None
-    return ScanRecord(m, depth, verdict.level, kind, verdict.level, witness, elapsed, stamp)
+    # a failing verdict always carries its witness
+    witness = verdict.witness
+    kind = VERDICT_POSITIVITY if witness.kind == "positivity" else VERDICT_FAILED
+    return ScanRecord(m, depth, verdict.level, kind, verdict.level, witness.to_json(), elapsed, stamp)
 
 
 def _scan_segment(first: int, last: int, depth: int, strict: bool) -> list[ScanRecord]:
@@ -364,7 +346,10 @@ def _create_ledger(path: Path, params: ScanParams) -> None:
     that appeared meanwhile is never truncated.
     """
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = tmp.open("x")
+    try:
+        fh = tmp.open("x")
+    except OSError as exc:  # a missing directory, say: name the ledger
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             fh.write(json.dumps(params.header()) + "\n")
@@ -386,7 +371,6 @@ def scan(
     params = ScanParams(m_from, m_to, depth, strict)
     params.validate()
     path = Path(ledger_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         _create_ledger(path, params)
     except FileExistsError:
@@ -421,6 +405,8 @@ def scan(
                 for record in _scan_segment(first, last, depth, strict):
                     append(record)
         else:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             # several segments per worker, so short ranges stay parallel
             length = max(1, min(_SEGMENT, len(todo) // (4 * workers)))
             segments = _segments(todo, length)

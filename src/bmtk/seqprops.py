@@ -24,9 +24,10 @@ as a falsification signal rather than crash.
 
 Every sequence is decided on ints: it enters as c·v, with ints v and one
 positive unit c, and every predicate is invariant under positive scaling and
-L homogeneous of degree 2.  Dyadic and Fraction values return only in
-witness strings.  Each level is first decided on enclosures.  An enclosure
-of an entry x is a triple of ints (lo, hi, k) with
+L homogeneous of degree 2.  A :class:`~bmtk.bmcoeff.CoeffRow` enters as its
+integer vector 4^m d_i(m) over the unit 4^-m.  Dyadic and Fraction values
+return only in witness strings.  Each level is first decided on enclosures.
+An enclosure of an entry x is a triple of ints (lo, hi, k) with
 
     lo·2^k <= x < hi·2^k,
 
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
+from .bmcoeff import CoeffRow
 from .exactnum import Dyadic, exact_str
 
 __all__ = [
@@ -127,13 +129,18 @@ class PropertyVerdict:
         }
 
 
-def _integer_form(seq: ExactSequence) -> tuple[list[int], Callable[..., str]]:
-    """Ints v with seq_i = c·v_i for one unit c > 0: 1 for ints, 2^-E for
-    Dyadics and ints (E the largest exponent), 1/D for Fractions and ints (D
-    the lcm of the denominators).  And the printer ``show(p, indices, level)``
-    of p·c^(t·2^level), the product of the t entries at ``indices`` of an
-    iterate whose int form is p, as arithmetic in the input's types prints it.
+def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callable[..., str]]:
+    """Ints v with seq_i = c·v_i for one unit c > 0: 4^-m for a CoeffRow (v
+    its ``scaled`` vector), 1 for ints, 2^-E for Dyadics and ints (E the
+    largest exponent), 1/D for Fractions and ints (D the lcm of the
+    denominators).  And the printer ``show(p, indices, level)`` of
+    p·c^(t·2^level), the product of the t entries at ``indices`` of an iterate
+    whose int form is p, as arithmetic in the input's types prints it (a
+    CoeffRow's as Dyadics).
     """
+    if isinstance(seq, CoeffRow):
+        e = 2 * seq.m
+        return seq.scaled, lambda p, indices, level: str(Dyadic(p, e * len(indices) << level))
     kinds = {type(x) for x in seq} - {int}
     if not kinds:
         return list(seq), lambda p, indices, level: exact_str(p)
@@ -360,7 +367,7 @@ def _exact_witness(
 
 
 def k_property(
-    seq: ExactSequence, k: int, prop: str, strict: bool = False
+    seq: CoeffRow | ExactSequence, k: int, prop: str, strict: bool = False
 ) -> PropertyVerdict:
     """Check ``prop`` on the first k iterates (levels 0..k-1) of the
     squared-difference operator.
@@ -379,8 +386,8 @@ def k_property(
     fixed = _COMPARISONS[prop][1]
     if fixed is not None:
         strict = fixed
-    pairs = _pairs(prop, len(seq) - 1)
     values, show = _integer_form(seq)
+    pairs = _pairs(prop, len(values) - 1)
     bounds = _enclosures(values)
     current = None  # the exact iterate, from the first level whose enclosures miss
     for level in range(k):

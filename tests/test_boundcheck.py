@@ -334,8 +334,12 @@ def _assert_same(reports, reference):
     for report, ref in zip(reports, reference):
         assert report.to_json() == ref.to_json()
         assert report.min_ratio == ref.min_ratio
-        for rec in report.records:  # every margin is built in lowest terms
-            assert math.gcd(rec.margin.numerator, rec.margin.denominator) == 1
+        # every side, margin and minimum ratio is built in lowest terms
+        values = [v for rec in report.records for v in (rec.lhs, rec.rhs, rec.margin)]
+        if report.min_ratio is not None:
+            values.append(report.min_ratio)
+        for value in values:
+            assert math.gcd(value.numerator, value.denominator) == 1
 
 
 def test_integer_pair_checks_match_fraction_reference():

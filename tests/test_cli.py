@@ -1,8 +1,11 @@
 """Tests for the command-line frontend."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +66,26 @@ def test_out_path_that_cannot_be_written_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, "gen", "--m", "8", "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(target) in err
+
+
+def test_ledger_in_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--from", "2", "--to", "3", "--depth", "1", "--ledger", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only scan --workers above 1 uses the pool; no other command pays for it
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bmtk.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert out.stdout == "False\n"
 
 
 def _refuse(*args, **kwargs):
@@ -182,16 +205,6 @@ def test_check_depth_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)[0]["level"] == 1
-
-
-@pytest.mark.parametrize("strict", (True, False))
-def test_check_row_path_matches_dyadic_path(strict):
-    for m in range(31):
-        row = closed_form_row(m)
-        for prop in PROP_TOKENS.values():
-            for depth in (1, 2, 3):
-                expected = k_property(row.coeffs, depth, prop, strict)
-                assert scanner.row_property(row, depth, prop, strict) == expected
 
 
 @pytest.mark.parametrize("strict", ([], ["--strict"]))

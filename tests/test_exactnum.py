@@ -91,7 +91,8 @@ def test_parse_round_trip_past_the_digit_limit():
     ["3", "-3", "1/3", "+2/4", " 5 ", "1.5", "-.5", "5.", "1e3", "-1.5E-3", "1_000", "2_1/3"],
 )
 def test_parse_exact_agrees_with_fraction(text):
-    assert parse_exact(text) == Fraction(text)
+    # Fraction reads underscores from Python 3.11 on
+    assert parse_exact(text) == Fraction(text.replace("_", ""))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for the range scanner and its resumable ledger."""
 
+import concurrent.futures
 import errno
 import fcntl
 import json
@@ -16,7 +17,6 @@ from bmtk.scanner import (
     LedgerLockedError,
     LedgerMismatchError,
     load_ledger,
-    row_property,
     scan,
     verify_cell,
 )
@@ -337,16 +337,8 @@ def test_ledger_verdicts_replayable(tmp_path):
 
 def test_rows_strictly_ratio_monotone_to_depth_6():
     for m in range(2, 41):
-        verdict = row_property(closed_form_row(m), 6, RATIO_MONOTONE, strict=True)
+        verdict = k_property(closed_form_row(m), 6, RATIO_MONOTONE, strict=True)
         assert verdict.holds, m
-
-
-def test_row_property_at_depth_5_matches_the_dyadic_iteration():
-    for m in range(2, 13):
-        row = closed_form_row(m)
-        assert row_property(row, 5, RATIO_MONOTONE, True) == k_property(
-            row.coeffs, 5, RATIO_MONOTONE, True
-        ), m
 
 
 # -- the segmented recu1 walk against the closed form ------------------------
@@ -372,7 +364,7 @@ def test_walked_scan_with_workers_matches_closed_form_cells(tmp_path, monkeypatc
             submitted.append(args[:2])
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(scanner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     ledger = scan(2, 100, 2, True, tmp_path / "par.jsonl", workers=2)
     assert len(submitted) >= 3
     assert sorted(m for first, last in submitted for m in range(first, last + 1)) == list(
@@ -416,7 +408,7 @@ def test_scan_pool_is_no_larger_than_its_segments_or_cores(
     tmp_path, monkeypatch, m_to, workers, cpus, size
 ):
     monkeypatch.setattr(InProcessPool, "sizes", [])
-    monkeypatch.setattr(scanner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(scanner.os, "cpu_count", lambda: cpus)
     ledger = scan(2, m_to, 2, True, tmp_path / "par.jsonl", workers=workers)
     assert InProcessPool.sizes == [size]

@@ -23,7 +23,7 @@ from bmtk import (
 )
 from bmtk import seqprops
 from bmtk.exactnum import exact_str
-from bmtk.scanner import row_property, verify_cell
+from bmtk.scanner import verify_cell
 from bmtk.seqprops import (
     LOG_CONCAVE,
     RATIO_MONOTONE,
@@ -526,7 +526,7 @@ def test_certified_row_builds_no_exact_iterate(monkeypatch):
         raise AssertionError("formed an exact iterate")
 
     monkeypatch.setattr(seqprops, "l_operator", refuse)
-    assert row_property(closed_form_row(400), 8, RATIO_MONOTONE, True).holds
+    assert k_property(closed_form_row(400), 8, RATIO_MONOTONE, True).holds
 
 
 def test_level_two_miss_reaches_the_exact_path(monkeypatch):
@@ -589,17 +589,52 @@ def test_typed_k_property_matches_typed_reference(seq, depth, prop, strict):
     assert k_property(seq, depth, prop, strict) == _exact_k_property(seq, depth, prop, strict)
 
 
+def _tampered(m, i, percent):
+    """The closed-form row m with d_i(m) changed by ``percent`` %."""
+    scaled = list(closed_form_row(m).scaled)
+    scaled[i] += scaled[i] * percent // 100
+    return CoeffRow(m, tuple(scaled), Method.CLOSED_FORM)
+
+
+@pytest.mark.parametrize("strict", (False, True))
+def test_coeff_row_matches_its_dyadic_coefficients(strict):
+    # a CoeffRow is decided as its ints over 4^-m, with witnesses printed as
+    # the Dyadic row's; tampered rows fail at levels 0 to 2
+    failing = set()
+    for m in range(31):
+        rows = [closed_form_row(m)]
+        if m >= 2:
+            rows += [_tampered(m, 1, 3), _tampered(m, m // 2, 3), _tampered(m, m // 2, -30)]
+        for row in rows:
+            for prop in EXACT_REFERENCE:
+                for depth in (1, 2, 3):
+                    verdict = k_property(row, depth, prop, strict)
+                    assert verdict == k_property(row.coeffs, depth, prop, strict), (m, prop)
+                    if not verdict.holds:
+                        failing.add((prop, verdict.level, verdict.witness.kind))
+    assert {prop for prop, _, _ in failing} == set(EXACT_REFERENCE)
+    assert {level for _, level, _ in failing} == {0, 1, 2}
+    assert {kind for _, _, kind in failing} == {"comparison", "positivity"}
+
+
 @pytest.mark.parametrize("strict", (True, False))
-def test_tampered_row_witness_matches_the_typed_reference(strict):
+def test_tampered_row_witness_matches_the_typed_reference(monkeypatch, strict):
     # d_1(12) raised by 3%: the row first fails at level 3, where the int
-    # path goes exact, and verify_cell prints the witness from the dyadic row
-    scaled = list(closed_form_row(12).scaled)
-    scaled[1] += scaled[1] * 3 // 100
-    row = CoeffRow(12, tuple(scaled), Method.CLOSED_FORM)
+    # path goes exact, and verify_cell prints the witness as the dyadic row's
+    row = _tampered(12, 1, 3)
     expected = _exact_k_property(row.coeffs, 5, RATIO_MONOTONE, strict)
     assert (expected.holds, expected.level, expected.witness.kind) == (False, 3, "comparison")
+    iterates = []
+    exact = seqprops.l_operator
+
+    def counted(current):
+        iterates.append(current)
+        return exact(current)
+
+    monkeypatch.setattr(seqprops, "l_operator", counted)
     record = verify_cell(row, 5, strict)
     assert (record.level, record.witness) == (3, expected.witness.to_json())
+    assert len(iterates) == 3  # levels 1 to 3 formed exactly, once each
 
 
 # Operand bits: products of 4 to 20,000 bits, operands on both sides of 64.
