@@ -207,6 +207,17 @@ def test_check_depth_flag(capsys):
     assert json.loads(out)[0]["level"] == 1
 
 
+@pytest.mark.parametrize("strict", (True, False))
+def test_check_row_path_matches_dyadic_path(strict):
+    # `check --m` decides the CoeffRow itself; it must agree with its Dyadic values
+    for m in range(31):
+        row = closed_form_row(m)
+        for prop in PROP_TOKENS.values():
+            for depth in (1, 2, 3):
+                expected = k_property(row.coeffs, depth, prop, strict)
+                assert k_property(row, depth, prop, strict) == expected
+
+
 @pytest.mark.parametrize("strict", ([], ["--strict"]))
 def test_check_row_json_matches_the_exact_path(capsys, monkeypatch, strict):
     argv = ("check", "--m", "40", "--depth", "5", "--props", ",".join(PROP_TOKENS),

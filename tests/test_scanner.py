@@ -341,6 +341,14 @@ def test_rows_strictly_ratio_monotone_to_depth_6():
         assert verdict.holds, m
 
 
+def test_row_property_at_depth_5_matches_the_dyadic_iteration():
+    for m in range(2, 13):
+        row = closed_form_row(m)
+        assert k_property(row, 5, RATIO_MONOTONE, True) == k_property(
+            row.coeffs, 5, RATIO_MONOTONE, True
+        ), m
+
+
 # -- the segmented recu1 walk against the closed form ------------------------
 
 
