@@ -300,22 +300,44 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     return report
 
 
+def _bound_coefficients(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Coefficients in i, highest first, of B(m,i)'s numerator and
+    denominator and of l33's numerator 2(m+1)num - (4m+2i+3)den."""
+    p = m + 1
+    num = (-1, 8 * m * m + 13 * m + 5, (16 * m + 72) * m * m + 99 * m + 37,
+           ((32 * m + 96) * m + 94) * m + 30)
+    # 2(m+1)(i+2)(4m+2i+5)(m+1-i)
+    den = tuple(2 * p * c for c in (-2, -2 * m - 7, 4 * m * m + 5 * m - 1, 8 * m * m + 18 * m + 10))
+    # (4m+2i+3)den = (2i + q)den, one degree higher
+    q = 4 * m + 3
+    shifted = (2 * den[0], 2 * den[1] + q * den[0], 2 * den[2] + q * den[1],
+               2 * den[3] + q * den[2], q * den[3])
+    pred = (-shifted[0],) + tuple(2 * p * n - s for n, s in zip(num, shifted[1:]))
+    return num, den, pred
+
+
+def _horner(coeffs: tuple[int, ...], stop: int) -> list[int]:
+    """The polynomial with these coefficients, highest first, at 0 <= i < stop."""
+    values = []
+    for i in range(stop):
+        v = 0
+        for c in coeffs:
+            v = v * i + c
+        values.append(v)
+    return values
+
+
 def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
     """l32: d_i(m+1) <= B(m,i) d_i(m) for all 0 <= i <= m."""
     _require_consecutive(row_m, row_next)
     m = row_m.m
     report = _new_report("l32", m, 2)
     e, f = row_m.scaled, row_next.scaled
+    num_c, den_c, _ = _bound_coefficients(m)
+    nums, dens = _horner(num_c, m + 1), _horner(den_c, m + 1)
     for i in range(m + 1):
-        num, den = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
-        report.records.append(_versus(i, "<=", m, 1, f[i], e[i], num, den))
+        report.records.append(_versus(i, "<=", m, 1, f[i], e[i], nums[i], dens[i]))
     return report
-
-
-def _predecessor_numerator(m: int, j: int) -> Pair:
-    """2(m+1)B(m,j) - (4m+2j+3) as a pair over the denominator of B(m,j)."""
-    den = ratio_bound_denominator(m, j)
-    return 2 * (m + 1) * ratio_bound_numerator(m, j) - (4 * m + 2 * j + 3) * den, den
 
 
 def check_predecessor_bound(row: CoeffRow) -> BoundReport:
@@ -323,8 +345,10 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     m = row.m
     report = _new_report("l33", m, 2)
     e = row.scaled
+    _, den_c, pred_c = _bound_coefficients(m)
+    preds, dens = _horner(pred_c, m + 1), _horner(den_c, m + 1)
     for j in range(1, m + 1):
-        num, den = _predecessor_numerator(m, j)
+        num, den = preds[j], dens[j]
         report.records.append(_record(j, ">", (num, den), (0, 1)))
         report.records.append(_versus(j, "<=", m, 0, e[j - 1], e[j], num, 2 * (m + j) * den))
     return report
@@ -333,13 +357,13 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
 def check_reflected_ratio_gap(m: int) -> BoundReport:
     """l34 for 0 <= i <= floor(m/2); pure rational-function comparison."""
     report = _new_report("l34", m, 1)
+    _, den_c, pred_c = _bound_coefficients(m)
+    preds, dens = _horner(pred_c, m + 1), _horner(den_c, m + 1)
     for i in range(m // 2 + 1):
         # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
         # expands to 2j(m+1) times a polynomial with positive coefficients
-        num, den = _predecessor_numerator(m, m - i)
-        lhs = 2 * (2 * m - i) * den, num
-        num, den = _predecessor_numerator(m, i)
-        report.records.append(_record(i, ">", lhs, (num, 2 * (m + i) * den)))
+        lhs = 2 * (2 * m - i) * dens[m - i], preds[m - i]
+        report.records.append(_record(i, ">", lhs, (preds[i], 2 * (m + i) * dens[i])))
     return report
 
 

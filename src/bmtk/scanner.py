@@ -10,8 +10,8 @@ operator.  Verdicts are appended to a JSON-lines ledger:
      "verdict": "verified" | "failed" | "positivity-failed", "level": ...,
      "witness": ..., "wall_time": ..., "timestamp": ...}
 
-``wall_time`` is the time :func:`verify_cell` spends checking the cell's row;
-generating the row is not part of it.
+``wall_time`` is the time :func:`verify_cell` spends checking the cell's row,
+in seconds rounded to the microsecond; generating the row is not part of it.
 
 Rows are walked, not rebuilt: the m still to do are cut into segments of at
 most ``_SEGMENT`` consecutive values.  A segment is seeded with the closed-form
@@ -205,10 +205,10 @@ class ScanLedger:
 
 def verify_cell(row: CoeffRow, depth: int, strict: bool) -> ScanRecord:
     """Check ratio monotonicity of ``row`` to ``depth``; the record's
-    ``wall_time`` is the time the check took."""
+    ``wall_time`` is the time the check took, to the microsecond."""
     start = time.perf_counter()
     verdict = k_property(row, depth, RATIO_MONOTONE, strict)
-    elapsed = time.perf_counter() - start
+    elapsed = round(time.perf_counter() - start, 6)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     m = row.m
     if verdict.holds:

@@ -27,6 +27,8 @@ from bmtk.boundcheck import (
 from bmtk.polyident import (
     predecessor_ratio_denominator,
     predecessor_ratio_numerator,
+    ratio_bound_denominator,
+    ratio_bound_numerator,
     reflected_ratio_denominator,
     reflected_ratio_numerator,
 )
@@ -107,6 +109,18 @@ def test_growth_upper_bound_denominator_positive_in_range():
     for m in range(31):
         for i in range(m + 1):
             assert ratio_bound_denominator(m, i) > 0
+
+
+def test_bound_tables_match_the_polynomials():
+    # the per-m Horner tables of l32, l33 and l34 against polyident's formulas
+    for m in range(81):
+        num_c, den_c, pred_c = boundcheck._bound_coefficients(m)
+        nums, dens, preds = (boundcheck._horner(c, m + 1) for c in (num_c, den_c, pred_c))
+        for i in range(m + 1):
+            num, den = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
+            assert nums[i] == num, (m, i)
+            assert dens[i] == den, (m, i)
+            assert preds[i] == 2 * (m + 1) * num - (4 * m + 2 * i + 3) * den, (m, i)
 
 
 def test_growth_upper_bound_check():

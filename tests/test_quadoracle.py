@@ -6,6 +6,7 @@ import re
 import pytest
 
 from bmtk import quadoracle
+from bmtk.bmcoeff import closed_form_row
 from bmtk.quadoracle import (
     QuadratureConvergenceError,
     identity_sweep,
@@ -61,7 +62,7 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e300, 0.1, -1e-10])
 def test_tolerance_outside_open_interval_is_a_value_error(tol):
-    # a huge tol would stop the quadrature at one Simpson panel and the
+    # a huge tol would stop the quadrature at one panel and the
     # 10*tol flag threshold would then pass any deviation
     with pytest.raises(ValueError, match=re.escape(f"tolerance must be in (0, 0.1), got {tol}")):
         quartic_integral(8, 0.5, tol=tol)
@@ -160,7 +161,7 @@ def test_identity_sweep_empty():
 
 def test_identity_sweep_records_cell_failures(monkeypatch):
     monkeypatch.setattr(quadoracle, "MAX_SPLITS", 2)
-    cells = identity_sweep(2, [0.5], tol=1e-12)
+    cells = identity_sweep(2, [0.5], tol=1e-30)
     assert len(cells) == 3
     assert all(cell.error is not None and cell.flagged for cell in cells)
     assert all(cell.result is not None for cell in cells)  # best estimates kept
@@ -183,3 +184,48 @@ def test_quad_result_json_shape():
         "abs_error_estimate",
         "relative_deviation",
     ]
+
+
+@pytest.mark.parametrize("k", range(23))
+def test_kronrod_rule_integrates_monomials_to_degree_22(k):
+    kronrod, gauss = quadoracle._kronrod_gauss(lambda x: x**k, 0.0, 1.0)
+    assert abs(kronrod * (k + 1) - 1.0) <= 1e-15
+    if k <= 13:
+        assert abs(gauss * (k + 1) - 1.0) <= 1e-15
+
+
+def test_gauss_rule_misses_degree_14():
+    # so |K15 - G7|, the error estimate, is not vacuous: the Gauss error on
+    # x^14 over [0, 1] is about 5.7e-9
+    kronrod, gauss = quadoracle._kronrod_gauss(lambda x: x**14, 0.0, 1.0)
+    assert abs(kronrod - gauss) > 1e-9
+
+
+def test_identity_sweep_deviates_at_most_1e_12_on_the_benchmark_grid():
+    cells = identity_sweep(40, A_GRID + (-0.909, 181.1))
+    assert len(cells) == 41 * 8
+    assert all(cell.error is None for cell in cells)
+    assert max(cell.result.relative_deviation for cell in cells) <= 1e-12
+
+
+def test_identity_sweep_builds_each_row_once(monkeypatch):
+    built = []
+
+    def counting(m):
+        built.append(m)
+        return closed_form_row(m)
+
+    monkeypatch.setattr(quadoracle, "closed_form_row", counting)
+    cells = identity_sweep(6, [0.5, 2.0, -0.9])
+    assert built == list(range(7))
+    assert not any(cell.flagged for cell in cells)
+
+
+def test_given_row_matches_the_built_row():
+    for m, a in ((0, 1.0), (8, 0.5), (40, -0.909)):
+        assert quartic_integral(m, a, row=closed_form_row(m)) == quartic_integral(m, a)
+
+
+def test_row_of_another_m_is_a_value_error():
+    with pytest.raises(ValueError, match=re.escape("need the row of m=8, got m=7")):
+        quartic_integral(8, 0.5, row=closed_form_row(7))

@@ -4,7 +4,9 @@ import concurrent.futures
 import errno
 import fcntl
 import json
+import re
 from concurrent.futures import Future, ProcessPoolExecutor
+from decimal import Decimal
 
 import pytest
 
@@ -48,6 +50,30 @@ def test_scan_rerun_is_a_noop(tmp_path):
     assert {m: r.verdict for m, r in second.records.items()} == {
         m: r.verdict for m, r in first.records.items()
     }
+
+
+def test_cell_wall_time_has_at_most_six_decimals(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 12, 2, True, path)
+    for line in path.read_text().splitlines()[1:]:
+        text = re.search(r'"wall_time": ([^,}]+)', line).group(1)
+        assert Decimal(text).as_tuple().exponent >= -6, text
+
+
+def test_ledger_with_unrounded_wall_times_loads_and_resumes(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 12, 2, True, path)
+    lines = path.read_text().splitlines()
+    old = [lines[0]]
+    for line in lines[1:5]:
+        record = json.loads(line)
+        record["wall_time"] = 0.00012345678901234567
+        old.append(json.dumps(record))
+    path.write_text("\n".join(old) + "\n")
+    resumed = scan(2, 12, 2, True, path)
+    assert resumed.all_verified
+    assert sorted(resumed.records) == list(range(2, 13))
+    assert [resumed.records[m].wall_time for m in range(2, 6)] == [0.00012345678901234567] * 4
 
 
 def test_scan_resume_after_interrupt(tmp_path):
