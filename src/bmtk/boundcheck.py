@@ -19,6 +19,11 @@ the power of two is split out of the denominator, then one gcd against its odd
 part.  The only decimal output is the informational minimum-ratio string;
 decimals never feed a verdict.
 
+l32, l33 and l34 evaluate polyident's builders one row at a time: B(m,i)'s
+numerator and denominator and l33's numerator are built once as polynomials in
+(m, i), and at each m collapsed to coefficients in i and evaluated at
+0 <= i <= m by polyident's Horner rule.
+
 Check ids (the CLI tokens):
 
   thm21  growth lower bound   d_i(m+1) >= (4m^2+7m+i+3)/(2(m+1-i)(m+1)) d_i(m),
@@ -47,6 +52,7 @@ from typing import Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
 from .exactnum import decimal_string, exact_str
+from .polyident import MultiPoly, _horner, _y_coefficients, predecessor_ratio_numerator
 from .polyident import ratio_bound_denominator, ratio_bound_numerator
 
 __all__ = [
@@ -300,31 +306,16 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     return report
 
 
-def _bound_coefficients(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Coefficients in i, highest first, of B(m,i)'s numerator and
-    denominator and of l33's numerator 2(m+1)num - (4m+2i+3)den."""
-    p = m + 1
-    num = (-1, 8 * m * m + 13 * m + 5, (16 * m + 72) * m * m + 99 * m + 37,
-           ((32 * m + 96) * m + 94) * m + 30)
-    # 2(m+1)(i+2)(4m+2i+5)(m+1-i)
-    den = tuple(2 * p * c for c in (-2, -2 * m - 7, 4 * m * m + 5 * m - 1, 8 * m * m + 18 * m + 10))
-    # (4m+2i+3)den = (2i + q)den, one degree higher
-    q = 4 * m + 3
-    shifted = (2 * den[0], 2 * den[1] + q * den[0], 2 * den[2] + q * den[1],
-               2 * den[3] + q * den[2], q * den[3])
-    pred = (-shifted[0],) + tuple(2 * p * n - s for n, s in zip(num, shifted[1:]))
-    return num, den, pred
+# B(m,i)'s numerator and denominator and l33's numerator 2(m+1)B_num - (4m+2i+3)B_den,
+# which verify_predecessor_numerator proves is 2(m+1)P(m,i), as polynomials in (m, i)
+_M, _I = MultiPoly.variables()
+_BOUND_NUM, _BOUND_DEN = ratio_bound_numerator(_M, _I), ratio_bound_denominator(_M, _I)
+_L33_NUM = 2 * (_M + 1) * predecessor_ratio_numerator(_M, _I)
 
 
-def _horner(coeffs: tuple[int, ...], stop: int) -> list[int]:
-    """The polynomial with these coefficients, highest first, at 0 <= i < stop."""
-    values = []
-    for i in range(stop):
-        v = 0
-        for c in coeffs:
-            v = v * i + c
-        values.append(v)
-    return values
+def _table(poly: MultiPoly, m: int) -> list[int]:
+    """poly(m, i) at 0 <= i <= m, by Horner's rule in i."""
+    return _horner(_y_coefficients(poly, m), range(m + 1))
 
 
 def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
@@ -333,8 +324,7 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     m = row_m.m
     report = _new_report("l32", m, 2)
     e, f = row_m.scaled, row_next.scaled
-    num_c, den_c, _ = _bound_coefficients(m)
-    nums, dens = _horner(num_c, m + 1), _horner(den_c, m + 1)
+    nums, dens = _table(_BOUND_NUM, m), _table(_BOUND_DEN, m)
     for i in range(m + 1):
         report.records.append(_versus(i, "<=", m, 1, f[i], e[i], nums[i], dens[i]))
     return report
@@ -345,8 +335,7 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     m = row.m
     report = _new_report("l33", m, 2)
     e = row.scaled
-    _, den_c, pred_c = _bound_coefficients(m)
-    preds, dens = _horner(pred_c, m + 1), _horner(den_c, m + 1)
+    preds, dens = _table(_L33_NUM, m), _table(_BOUND_DEN, m)
     for j in range(1, m + 1):
         num, den = preds[j], dens[j]
         report.records.append(_record(j, ">", (num, den), (0, 1)))
@@ -357,8 +346,7 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
 def check_reflected_ratio_gap(m: int) -> BoundReport:
     """l34 for 0 <= i <= floor(m/2); pure rational-function comparison."""
     report = _new_report("l34", m, 1)
-    _, den_c, pred_c = _bound_coefficients(m)
-    preds, dens = _horner(pred_c, m + 1), _horner(den_c, m + 1)
+    preds, dens = _table(_L33_NUM, m), _table(_BOUND_DEN, m)
     for i in range(m // 2 + 1):
         # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
         # expands to 2j(m+1) times a polynomial with positive coefficients

@@ -183,7 +183,9 @@ class MultiPoly:
 
 # -- the named polynomial families --------------------------------------------
 # Builders are generic: pass ints for numeric instances, Fractions for exact
-# bound evaluation, or MultiPoly variables for symbolic work.
+# bound evaluation, or MultiPoly variables for symbolic work; boundcheck
+# builds its bound polynomials here and evaluates them with _y_coefficients
+# and _horner one m at a time.
 
 
 def ratio_bound_numerator(m, i):

@@ -14,6 +14,9 @@ therefore a proper integral over [0, 1]:
     integral_0^1 (1 + x^(4m+2)) / (x^4 + 2 a x^2 + 1)^(m+1) dx
 
 which is what the adaptive rule integrates; no truncation tuning is needed.
+The denominator is evaluated as d^2 + 2(1+a) x^2 with d = (1-x)(1+x), equal
+to x^4 + 2 a x^2 + 1 but free of its cancellation near x = 1 as a -> -1 (5-7%
+relative error at x = 1-1e-8 for a = -0.9999999999999998).
 
 The rule is adaptive Gauss-Kronrod 7-15, as in QUADPACK's QAG: each panel's
 value is its 15-point Kronrod sum, and its error estimate is |K15 - G7|, the
@@ -206,12 +209,12 @@ def quartic_integral(
     if row is not None and row.m != m:
         raise ValueError(f"need the row of m={m}, got m={row.m}")
 
-    two_a = 2.0 * a
+    two_b = 2.0 * (1.0 + a)
     power = 4 * m + 2
 
     def integrand(x: float) -> float:
-        xx = x * x
-        return (1.0 + x**power) / (xx * xx + two_a * xx + 1.0) ** (m + 1)
+        d = (1.0 - x) * (1.0 + x)
+        return (1.0 + x**power) / (d * d + two_b * (x * x)) ** (m + 1)
 
     try:
         value, err, converged = _adaptive_gauss_kronrod(integrand, 0.0, 1.0, tol)

@@ -25,6 +25,7 @@ from bmtk.boundcheck import (
     run_checks,
 )
 from bmtk.polyident import (
+    MultiPoly,
     predecessor_ratio_denominator,
     predecessor_ratio_numerator,
     ratio_bound_denominator,
@@ -112,14 +113,19 @@ def test_growth_upper_bound_denominator_positive_in_range():
 
 
 def test_bound_tables_match_the_polynomials():
-    # the per-m Horner tables of l32, l33 and l34 against polyident's formulas
+    # the per-m tables of l32, l33 and l34 against polyident's builders on ints
     for m in range(81):
-        num_c, den_c, pred_c = boundcheck._bound_coefficients(m)
-        nums, dens, preds = (boundcheck._horner(c, m + 1) for c in (num_c, den_c, pred_c))
+        nums, dens, preds = (
+            boundcheck._table(poly, m)
+            for poly in (boundcheck._BOUND_NUM, boundcheck._BOUND_DEN, boundcheck._L33_NUM)
+        )
+        assert len(nums) == len(dens) == len(preds) == m + 1
         for i in range(m + 1):
             num, den = ratio_bound_numerator(m, i), ratio_bound_denominator(m, i)
             assert nums[i] == num, (m, i)
             assert dens[i] == den, (m, i)
+            assert preds[i] == 2 * (m + 1) * predecessor_ratio_numerator(m, i), (m, i)
+            # l33's numerator as the lemma states it
             assert preds[i] == 2 * (m + 1) * num - (4 * m + 2 * i + 3) * den, (m, i)
 
 
@@ -160,6 +166,23 @@ def test_reflected_ratio_gap_matches_named_quotients():
             assert rec.rhs == Fraction(
                 predecessor_ratio_numerator(m, i), predecessor_ratio_denominator(m, i)
             )
+
+
+def test_reflected_ratio_gap_sides_are_the_proved_quotients_for_every_m():
+    # l34's two sides as check_reflected_ratio_gap forms them from its tables,
+    # against the quotients whose gap verify_reflected_gap_expansion proves
+    m, i = MultiPoly.variables()
+    lhs_num = 2 * (2 * m - i) * ratio_bound_denominator(m, m - i)
+    lhs_den = 2 * (m + 1) * predecessor_ratio_numerator(m, m - i)
+    assert lhs_num * reflected_ratio_denominator(m, i) == (
+        reflected_ratio_numerator(m, i) * lhs_den
+    )
+    rhs_num = 2 * (m + 1) * predecessor_ratio_numerator(m, i)
+    rhs_den = 2 * (m + i) * ratio_bound_denominator(m, i)
+    assert rhs_num * predecessor_ratio_denominator(m, i) == (
+        predecessor_ratio_numerator(m, i) * rhs_den
+    )
+    assert reflected_ratio_denominator(m, i) == predecessor_ratio_numerator(m, m - i)
 
 
 def test_reflected_gap_positive_product_instance():

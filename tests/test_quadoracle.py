@@ -68,6 +68,15 @@ def test_tolerance_outside_open_interval_is_a_value_error(tol):
         quartic_integral(8, 0.5, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "m, a, deviation", [(0, -0.9999999999999998, 1e-11), (3, -0.99999999, 1e-12)]
+)
+def test_converges_next_to_a_equal_minus_1(m, a, deviation):
+    # x^4 + 2ax^2 + 1, summed as written, loses most of its digits near x = 1
+    # when a is near -1, and the rule cannot reach the tolerance on that noise
+    assert quartic_integral(m, a).relative_deviation < deviation
+
+
 def test_out_of_binary64_range_is_a_value_error():
     # the exact right side underflows to 0.0; the integrand overflows; the
     # integrand's denominator underflows to 0.0
