@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
@@ -73,14 +73,7 @@ class QuadResult:
     relative_deviation: float
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "integral_estimate": self.integral_estimate,
-            "rhs_value": self.rhs_value,
-            "abs_error_estimate": self.abs_error_estimate,
-            "relative_deviation": self.relative_deviation,
-        }
+        return asdict(self)
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -2,13 +2,24 @@
 
 For each m in a range the coefficient row is checked for (strict) ratio
 monotonicity on the first ``depth`` iterates of the squared-difference
-operator.  Verdicts are appended to a JSON-lines ledger:
+operator.  Verdicts are appended to a JSON-lines ledger, one object a line,
+with its keys in this order:
 
-    {"record": "header", "version": 1, "m_from": ..., "m_to": ...,
-     "depth": ..., "strict": ..., "property": "ratio-monotone"}
-    {"record": "cell", "m": ..., "depth_requested": ..., "depth_verified": ...,
-     "verdict": "verified" | "failed" | "positivity-failed", "level": ...,
-     "witness": ..., "wall_time": ..., "timestamp": ...}
+    {"record": "header", "version": 1, "m_from": int, "m_to": int,
+     "depth": int, "strict": bool, "property": "ratio-monotone"}
+    {"record": "cell", "m": int, "depth_requested": int, "depth_verified": int,
+     "verdict": str, "level": int | null, "witness": object | null,
+     "wall_time": float, "timestamp": str}
+
+The keys between ``record`` (and the header's ``version``) and ``property``
+are the fields of :class:`ScanParams` and :class:`ScanRecord`, in the order
+they are declared, and those declarations are the format's only statement.
+Loading takes each value's exact JSON type from its field's annotation: a
+bool is not an int, an int within the float range is read as a float where a
+float is due, and null is accepted only where the annotation allows None.  A
+cell's ``verdict`` is one of "verified", "failed" and "positivity-failed", and
+its ``m`` lies in the header's ``m_from..m_to``; a line breaking any of this
+is refused.
 
 ``wall_time`` is the time :func:`verify_cell` spends checking the cell's row,
 in seconds rounded to the microsecond; generating the row is not part of it.
@@ -52,8 +63,10 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,6 +93,7 @@ LEDGER_VERSION = 1
 VERDICT_VERIFIED = "verified"
 VERDICT_FAILED = "failed"
 VERDICT_POSITIVITY = "positivity-failed"
+_VERDICTS = (VERDICT_VERIFIED, VERDICT_FAILED, VERDICT_POSITIVITY)
 
 # The most consecutive m walked from one closed-form seed, and so the most
 # cells a failed cross-check or a kill can cost.
@@ -92,16 +106,6 @@ class LedgerMismatchError(ValueError):
 
 class LedgerLockedError(ValueError):
     """Another scan holds the ledger's append lock."""
-
-
-def _field(obj: dict, name: str, kind: type):
-    """``kind(obj[name])``; a value that does not convert is a ValueError
-    naming the field."""
-    value = obj[name]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {name!r} is not {kind.__name__}: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -121,26 +125,8 @@ class ScanParams:
 
     def header(self) -> dict:
         return {
-            "record": "header",
-            "version": LEDGER_VERSION,
-            "m_from": self.m_from,
-            "m_to": self.m_to,
-            "depth": self.depth,
-            "strict": self.strict,
-            "property": RATIO_MONOTONE,
+            "record": "header", "version": LEDGER_VERSION, **vars(self), "property": RATIO_MONOTONE
         }
-
-    @classmethod
-    def from_header(cls, obj: dict) -> "ScanParams":
-        strict = obj["strict"]
-        if not isinstance(strict, bool):  # bool("false") is True
-            raise ValueError(f"field 'strict' is not bool: {strict!r}")
-        return cls(
-            _field(obj, "m_from", int),
-            _field(obj, "m_to", int),
-            _field(obj, "depth", int),
-            strict,
-        )
 
 
 @dataclass(frozen=True)
@@ -155,30 +141,34 @@ class ScanRecord:
     timestamp: str
 
     def to_json(self) -> dict:
-        return {
-            "record": "cell",
-            "m": self.m,
-            "depth_requested": self.depth_requested,
-            "depth_verified": self.depth_verified,
-            "verdict": self.verdict,
-            "level": self.level,
-            "witness": self.witness,
-            "wall_time": self.wall_time,
-            "timestamp": self.timestamp,
-        }
+        return {"record": "cell", **vars(self)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScanRecord":
-        return cls(
-            m=_field(obj, "m", int),
-            depth_requested=_field(obj, "depth_requested", int),
-            depth_verified=_field(obj, "depth_verified", int),
-            verdict=str(obj["verdict"]),
-            level=obj["level"],
-            witness=obj["witness"],
-            wall_time=_field(obj, "wall_time", float),
-            timestamp=str(obj["timestamp"]),
-        )
+
+def _json_types(cls: type) -> list[tuple[str, str, tuple[type, ...]]]:
+    """Per field of the dataclass ``cls``: its name, its annotation as written
+    and the JSON value types that annotation admits."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, f.type, typing.get_args(hints[f.name]) or (hints[f.name],))
+            for f in fields(cls)]
+
+
+_FORMATS = {cls: _json_types(cls) for cls in (ScanParams, ScanRecord)}
+
+
+def _decode(cls: type, obj: dict):
+    """The ``cls`` whose fields ``obj`` holds, each of a JSON type that its
+    annotation admits; an int within the float range is read as a float where
+    the annotation admits floats.  A missing field is a KeyError, a wrongly
+    typed one a ValueError."""
+    values = []
+    for name, annotation, kinds in _FORMATS[cls]:
+        value = obj[name]
+        if float in kinds and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        if type(value) not in kinds:
+            raise ValueError(f"field {name!r} is not {annotation}: {value!r}")
+        values.append(value)
+    return cls(*values)
 
 
 @dataclass
@@ -262,7 +252,9 @@ def load_ledger(path: Path | str) -> ScanLedger:
     """Parse a ledger file; a trailing partially-written line is ignored.
 
     Any other line that is not valid JSON, not a JSON object, or a record
-    with a missing or wrongly typed field is a ValueError naming its line.
+    with a missing or wrongly typed field, and a cell whose verdict is none of
+    the three or whose m lies outside the header's range, is a ValueError
+    naming its line.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -275,7 +267,8 @@ def load_ledger(path: Path | str) -> ScanLedger:
             raise ValueError("not a JSON object")
         if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
             raise ValueError("not a valid header")
-        ledger = ScanLedger(path, ScanParams.from_header(header))
+        params = _decode(ScanParams, header)
+        ledger = ScanLedger(path, params)
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -289,7 +282,11 @@ def load_ledger(path: Path | str) -> ScanLedger:
                 raise ValueError("not a JSON object")
             if obj.get("record") != "cell":
                 raise ValueError("unexpected record")
-            record = ScanRecord.from_json(obj)
+            record = _decode(ScanRecord, obj)
+            if record.verdict not in _VERDICTS:
+                raise ValueError(f"field 'verdict' is not one of {_VERDICTS}: {record.verdict!r}")
+            if not params.m_from <= record.m <= params.m_to:
+                raise ValueError(f"field 'm' is not in {params.m_from}..{params.m_to}: {record.m}")
             ledger.records.setdefault(record.m, record)
     except json.JSONDecodeError as exc:
         problem = f"{exc.msg} at column {exc.colno}"
@@ -328,12 +325,9 @@ def _end_last_line(path: Path) -> None:
 
 
 def _param_diff(existing: ScanParams, wanted: ScanParams) -> str:
-    parts = []
-    for name in ("m_from", "m_to", "depth", "strict"):
-        a, b = getattr(existing, name), getattr(wanted, name)
-        if a != b:
-            parts.append(f"{name}: ledger={a} requested={b}")
-    return "; ".join(parts)
+    names = (f.name for f in fields(ScanParams))
+    pairs = ((name, getattr(existing, name), getattr(wanted, name)) for name in names)
+    return "; ".join(f"{name}: ledger={a} requested={b}" for name, a, b in pairs if a != b)
 
 
 def _create_ledger(path: Path, params: ScanParams) -> None:

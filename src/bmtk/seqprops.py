@@ -139,20 +139,20 @@ def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callabl
     CoeffRow's as Dyadics).
     """
     if isinstance(seq, CoeffRow):
-        e = 2 * seq.m
-        return seq.scaled, lambda p, indices, level: str(Dyadic(p, e * len(indices) << level))
-    kinds = {type(x) for x in seq} - {int}
-    if not kinds:
-        return list(seq), lambda p, indices, level: exact_str(p)
-    if kinds == {Fraction}:
-        d = math.lcm(*(x.denominator for x in seq))
-        return [x.numerator * (d // x.denominator) for x in seq], (
-            lambda p, indices, level: exact_str(Fraction(p, d ** (len(indices) << level)))
-        )
-    if kinds != {Dyadic}:
-        raise TypeError("entries must be ints, mixed with Dyadic or with Fraction values")
-    e = max(x.exp for x in seq if type(x) is Dyadic)
-    plain, n = [type(x) is int for x in seq], len(seq) - 1
+        values, e, plain = seq.scaled, 2 * seq.m, [False] * len(seq.scaled)
+    else:
+        kinds = {type(x) for x in seq} - {int}
+        if kinds == {Fraction}:
+            d = math.lcm(*(x.denominator for x in seq))
+            return [x.numerator * (d // x.denominator) for x in seq], (
+                lambda p, indices, level: exact_str(Fraction(p, d ** (len(indices) << level)))
+            )
+        if kinds - {Dyadic}:
+            raise TypeError("entries must be ints, mixed with Dyadic or with Fraction values")
+        e = max((x.exp for x in seq if type(x) is Dyadic), default=0)
+        plain = [type(x) is int for x in seq]
+        values = [x << e if p else x.num << e - x.exp for x, p in zip(seq, plain)]
+    n = len(values) - 1
 
     def show(p: int, indices: tuple[int, ...], level: int) -> str:
         value = Dyadic(p, e * len(indices) << level)
@@ -162,7 +162,7 @@ def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callabl
                  for i in indices)
         return exact_str(value.num) if all(map(all, spans)) else str(value)
 
-    return [x << e if p else x.num << e - x.exp for x, p in zip(seq, plain)], show
+    return values, show
 
 
 # An enclosure keeps this many leading bits of an entry.

@@ -354,7 +354,17 @@ def test_scan_command(capsys, tmp_path):
         "--ledger", str(ledger),
     )
     assert code == 2
-    assert "depth" in err
+    assert err == f"error: ledger {ledger} parameter mismatch: depth: ledger=2 requested=3\n"
+    code, _, err = run(
+        capsys,
+        "scan", "--from", "2", "--to", "9", "--depth", "2",
+        "--ledger", str(ledger),
+    )
+    assert code == 2
+    assert err == (
+        f"error: ledger {ledger} parameter mismatch: m_to: ledger=8 requested=9;"
+        " strict: ledger=True requested=False\n"
+    )
 
 
 def test_scan_ledger_naming_a_directory_exits_2(capsys, tmp_path):
@@ -390,7 +400,15 @@ def test_scan_ledger_cell_missing_a_field_exits_2_with_its_line(capsys, tmp_path
     assert "line 9: missing field 'depth_requested'" in err
 
 
-@pytest.mark.parametrize("line", ["[]", '{"record": "cell", "m": null}'])
+STRAY_CELL = (
+    '{"record": "cell", "m": 500, "depth_requested": 1, "depth_verified": 1, "verdict": "maybe",'
+    ' "level": null, "witness": null, "wall_time": 0.0, "timestamp": "2026-01-01T00:00:00+00:00"}'
+)
+
+
+@pytest.mark.parametrize(
+    "line", ["[]", '{"record": "cell", "m": null}', pytest.param(STRAY_CELL, id="stray-cell")]
+)
 def test_scan_wrong_shaped_ledger_line_exits_2_with_its_line(capsys, tmp_path, line):
     ledger = tmp_path / "scan.jsonl"
     argv = ("scan", "--from", "2", "--to", "8", "--depth", "1", "--strict",

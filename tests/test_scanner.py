@@ -203,6 +203,22 @@ def test_record_missing_a_field_reports_its_file_line(tmp_path):
         load_ledger(path)
 
 
+def _cell(**fields):
+    """A cell line for m=4 of scan(2, 8, 1, True), with ``fields`` replaced."""
+    cell = {"record": "cell", "m": 4, "depth_requested": 1, "depth_verified": 1,
+            "verdict": "verified", "level": None, "witness": None, "wall_time": 0.0,
+            "timestamp": "2026-01-01T00:00:00+00:00"}
+    return json.dumps({**cell, **fields})
+
+
+def _header(**fields):
+    """The header line of scan(2, 8, 1, True), with ``fields`` replaced."""
+    return json.dumps(
+        {"record": "header", "version": 1, "m_from": 2, "m_to": 8, "depth": 1, "strict": True,
+         "property": RATIO_MONOTONE, **fields}
+    )
+
+
 # file line, replacement text, expected problem; for ledgers of scan(2, 8, 1, True)
 WRONG_SHAPES = {
     "header-not-object": (1, "[]", "not a JSON object"),
@@ -222,6 +238,21 @@ WRONG_SHAPES = {
     "cell-wrong-record": (4, '{"record": "header"}', "unexpected record"),
     "cell-null-m": (4, '{"record": "cell", "m": null}', "field 'm' is not int: None"),
     "cell-string-m": (4, '{"record": "cell", "m": "x"}', "field 'm' is not int: 'x'"),
+    "header-string-depth": (1, _header(depth="1"), "field 'depth' is not int: '1'"),
+    "header-float-m_from": (1, _header(m_from=2.0), "field 'm_from' is not int: 2.0"),
+    "cell-float-m": (4, _cell(m=4.9), "field 'm' is not int: 4.9"),
+    "cell-bool-m": (4, _cell(m=True), "field 'm' is not int: True"),
+    "cell-bool-depth": (4, _cell(depth_verified=False), "field 'depth_verified' is not int: False"),
+    "cell-number-timestamp": (4, _cell(timestamp=5), "field 'timestamp' is not str: 5"),
+    "cell-string-level": (4, _cell(level="0"), "field 'level' is not int | None: '0'"),
+    "cell-list-witness": (4, _cell(witness=[]), "field 'witness' is not dict | None: []"),
+    "cell-unknown-verdict": (
+        4,
+        _cell(verdict="maybe"),
+        "field 'verdict' is not one of ('verified', 'failed', 'positivity-failed'): 'maybe'",
+    ),
+    "cell-m-below-range": (4, _cell(m=1), "field 'm' is not in 2..8: 1"),
+    "cell-m-above-range": (4, _cell(m=500), "field 'm' is not in 2..8: 500"),
 }
 
 
@@ -242,11 +273,46 @@ def test_wrongly_typed_cell_field_reports_its_file_line(tmp_path):
     scan(2, 8, 1, True, path)
     lines = path.read_text().splitlines(keepends=True)
     cell = json.loads(lines[-1])
-    for field, value in (("depth_verified", [1]), ("wall_time", "soon"), ("wall_time", None)):
+    for field, value in (
+        ("depth_verified", [1]),
+        ("wall_time", "soon"),
+        ("wall_time", None),
+        ("wall_time", 10**400),  # an int past the float range
+    ):
         lines[-1] = json.dumps({**cell, field: value}) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"ledger .* line 8: field '{field}' is not"):
             load_ledger(path)
+
+
+def test_int_wall_time_loads_as_a_float(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = _cell(wall_time=3) + "\n"
+    path.write_text("".join(lines))
+    wall_time = load_ledger(path).records[4].wall_time
+    assert type(wall_time) is float and wall_time == 3.0
+
+
+def test_ledger_lines_are_their_records_re_encoded(tmp_path, monkeypatch):
+    fresh = tmp_path / "fresh.jsonl"
+    scan(2, 12, 2, True, fresh)
+    real = scanner.verify_cell
+
+    def failing_at_4(row, depth, strict):
+        if row.m == 4:
+            row = CoeffRow(4, tuple(x << 5 for x in FAILING_ROWS[0]), Method.CLOSED_FORM)
+        return real(row, depth, strict)
+
+    monkeypatch.setattr(scanner, "verify_cell", failing_at_4)
+    failing = tmp_path / "failing.jsonl"
+    assert scan(2, 12, 2, True, failing).records[4].witness is not None
+    for path in (fresh, failing):
+        ledger = load_ledger(path)
+        assert path.read_text().splitlines() == [json.dumps(ledger.params.header())] + [
+            json.dumps(ledger.records[m].to_json()) for m in range(2, 13)
+        ]
 
 
 def test_second_writer_fails_fast_and_leaves_ledger_unchanged(tmp_path):
@@ -330,6 +396,11 @@ def test_scan_parameter_mismatch_refused(tmp_path):
         scan(2, 10, 2, False, path)
     with pytest.raises(LedgerMismatchError, match="m_to"):
         scan(2, 11, 2, True, path)
+    with pytest.raises(LedgerMismatchError) as info:
+        scan(2, 11, 3, True, path)
+    assert str(info.value) == (
+        f"ledger {path} parameter mismatch: m_to: ledger=10 requested=11; depth: ledger=2 requested=3"
+    )
 
 
 def test_scan_argument_validation(tmp_path):
