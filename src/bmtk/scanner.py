@@ -17,9 +17,11 @@ they are declared, and those declarations are the format's only statement.
 Loading takes each value's exact JSON type from its field's annotation: a
 bool is not an int, an int within the float range is read as a float where a
 float is due, and null is accepted only where the annotation allows None.  A
-cell's ``verdict`` is one of "verified", "failed" and "positivity-failed", and
-its ``m`` lies in the header's ``m_from..m_to``; a line breaking any of this
-is refused.
+header's ``property`` is "ratio-monotone".  A cell's ``verdict`` is one of
+"verified", "failed" and "positivity-failed", its ``m`` lies in the header's
+``m_from..m_to``, its ``depth_requested`` is the header's ``depth``, and so is
+its ``depth_verified`` if it is verified; a line breaking any of this is
+refused.
 
 ``wall_time`` is the time :func:`verify_cell` spends checking the cell's row,
 in seconds rounded to the microsecond; generating the row is not part of it.
@@ -35,16 +37,21 @@ ArithmeticError naming m, and none of that segment's cells is recorded.
 A new ledger appears with its whole header at once (a temporary file linked
 into place), so no kill leaves it empty.  The ledger is append-only and
 line-granular (each record is flushed with its newline), so an interrupted
-scan leaves a valid file, at worst with a torn last line, which loading skips
-and a resume cuts off before it appends; re-running skips every m that
-already has a terminal record, so a kill loses at most one segment of work
-per worker.  Resuming with different parameters is refused with the exact
-difference.  A scan holds an exclusive advisory lock on the ledger while it
-appends, so a second scan on the same ledger fails at once instead of
-interleaving records.  Workers may walk distinct segments concurrently; all
-appends go through the single coordinating process, and verdicts are
-order-independent, so interrupt patterns and worker counts never change the
-outcome.
+scan leaves a valid file, at worst with a torn line: the bytes after its last
+newline, and only those.  A torn line that is not valid JSON is skipped by
+loading and cut off by a resume before it appends; one that is a complete
+record counts, and a resume ends it with its newline.  A line that ends with a
+newline and does not parse is corrupt, and refused with its line number.
+Re-running skips every m that already has a terminal record, so a kill loses
+at most one segment of work per worker.  Resuming with different parameters is
+refused with the exact difference.  A scan takes an exclusive advisory lock on
+the ledger before it reads it and holds it while it appends, so a second scan
+on the same ledger fails at once, without reading it, instead of interleaving
+records.  The ledger is opened for writing only when a cell is due, so a rerun
+with nothing to do writes nothing.  Workers may walk distinct segments
+concurrently; all appends go through the single coordinating process, and
+verdicts are order-independent, so interrupt patterns and worker counts never
+change the outcome.
 
 Each row is checked once, by :func:`~bmtk.seqprops.k_property`, as the
 integer vector 4^m d_i(m) over the unit 4^-m.  It decides every level on
@@ -248,18 +255,14 @@ def _segments(todo: list[int], length: int) -> list[list[int]]:
     return runs
 
 
-def load_ledger(path: Path | str) -> ScanLedger:
-    """Parse a ledger file; a trailing partially-written line is ignored.
-
-    Any other line that is not valid JSON, not a JSON object, or a record
-    with a missing or wrongly typed field, and a cell whose verdict is none of
-    the three or whose m lies outside the header's range, is a ValueError
-    naming its line.
-    """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+def _parse(path: Path, data: bytes) -> tuple[ScanLedger, int]:
+    """:func:`load_ledger`'s parser: the ledger held in ``data``, the bytes of
+    the file ``path``, and the offset at which its complete records end, which
+    is the start of the torn line if that is skipped and the end of ``data``
+    otherwise."""
+    if not data:
         raise ValueError(f"ledger {path} is empty")
+    lines = data.decode().split("\n")
     lineno = 1  # the file line being parsed
     try:
         header = json.loads(lines[0])
@@ -268,15 +271,17 @@ def load_ledger(path: Path | str) -> ScanLedger:
         if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
             raise ValueError("not a valid header")
         params = _decode(ScanParams, header)
+        if header["property"] != RATIO_MONOTONE:
+            raise ValueError(f"field 'property' is not {RATIO_MONOTONE!r}: {header['property']!r}")
         ledger = ScanLedger(path, params)
         for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                if lineno == len(lines):
-                    break  # interrupted mid-append; the cell will be redone
+                if lineno == len(lines):  # the torn line
+                    return ledger, data.rfind(b"\n") + 1
+                if not line.strip():
+                    continue
                 raise
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
@@ -287,6 +292,16 @@ def load_ledger(path: Path | str) -> ScanLedger:
                 raise ValueError(f"field 'verdict' is not one of {_VERDICTS}: {record.verdict!r}")
             if not params.m_from <= record.m <= params.m_to:
                 raise ValueError(f"field 'm' is not in {params.m_from}..{params.m_to}: {record.m}")
+            if record.depth_requested != params.depth:
+                raise ValueError(
+                    f"field 'depth_requested' is not the header's depth {params.depth}: "
+                    f"{record.depth_requested}"
+                )
+            if record.verdict == VERDICT_VERIFIED and record.depth_verified != params.depth:
+                raise ValueError(
+                    f"field 'depth_verified' is not the header's depth {params.depth}: "
+                    f"{record.depth_verified}"
+                )
             ledger.records.setdefault(record.m, record)
     except json.JSONDecodeError as exc:
         problem = f"{exc.msg} at column {exc.colno}"
@@ -295,33 +310,26 @@ def load_ledger(path: Path | str) -> ScanLedger:
     except ValueError as exc:
         problem = str(exc)
     else:
-        return ledger
+        return ledger, len(data)
     raise ValueError(f"ledger {path} line {lineno}: {problem}")
 
 
-def _end_last_line(path: Path) -> None:
-    """Make the ledger end with a newline before records are appended.
+def load_ledger(path: Path | str) -> ScanLedger:
+    """Parse a ledger file.
 
-    An interrupted append can leave a last line without its newline.  If that
-    line is a complete record, :func:`load_ledger` has counted it, so it gets
-    its newline; otherwise it is a torn fragment, which load_ledger skipped,
-    and it is cut off.
+    A line ends with a newline.  The bytes after the last newline are the
+    torn line that an interrupted append leaves: it is skipped if it is not
+    valid JSON, and read like any other line if it is, so a complete record
+    that lacks only its newline counts.  Any other line that is not valid
+    JSON, not a JSON object, or a record with a missing or wrongly typed
+    field is a ValueError naming its line, and so is a header whose
+    ``property`` is not "ratio-monotone", and a cell whose verdict is none of
+    the three, whose m lies outside the header's range, whose
+    ``depth_requested`` is not the header's ``depth``, or that is verified to
+    another depth.
     """
-    data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    cut = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[cut:])
-        complete = True
-    except ValueError:
-        complete = False
-    with path.open("r+b") as fh:
-        if complete:
-            fh.seek(0, 2)
-            fh.write(b"\n")
-        else:
-            fh.truncate(cut)
+    path = Path(path)
+    return _parse(path, path.read_bytes())[0]
 
 
 def _param_diff(existing: ScanParams, wanted: ScanParams) -> str:
@@ -331,7 +339,7 @@ def _param_diff(existing: ScanParams, wanted: ScanParams) -> str:
 
 
 def _create_ledger(path: Path, params: ScanParams) -> None:
-    """Create the ledger holding just its header, or raise FileExistsError.
+    """Create the ledger holding just its header, unless it exists.
 
     The header is written to a temporary file in the ledger's directory and
     hard-linked to the ledger's name, so the ledger never exists without its
@@ -348,6 +356,8 @@ def _create_ledger(path: Path, params: ScanParams) -> None:
         with fh:
             fh.write(json.dumps(params.header()) + "\n")
         os.link(tmp, path)
+    except FileExistsError:
+        pass  # an existing ledger is resumed, never truncated
     finally:
         tmp.unlink()
 
@@ -365,53 +375,50 @@ def scan(
     params = ScanParams(m_from, m_to, depth, strict)
     params.validate()
     path = Path(ledger_path)
-    try:
-        _create_ledger(path, params)
-    except FileExistsError:
-        ledger = load_ledger(path)
-    else:
-        ledger = ScanLedger(path, params)
-    if ledger.params != params:
-        raise LedgerMismatchError(
-            f"ledger {path} parameter mismatch: {_param_diff(ledger.params, params)}"
-        )
-
-    todo = [m for m in range(m_from, m_to + 1) if m not in ledger.records]
-    if not todo:
-        return ledger
-
-    with path.open("a") as fh:
+    _create_ledger(path, params)
+    with path.open("rb") as held:  # flock needs no write access
         try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise LedgerLockedError(
-                f"ledger {path} is locked by another scan"
-            ) from None
-        _end_last_line(path)
+            raise LedgerLockedError(f"ledger {path} is locked by another scan") from None
+        data = held.read()
+        ledger, end = _parse(path, data)
+        if ledger.params != params:
+            raise LedgerMismatchError(
+                f"ledger {path} parameter mismatch: {_param_diff(ledger.params, params)}"
+            )
+        todo = [m for m in range(m_from, m_to + 1) if m not in ledger.records]
+        if not todo:
+            return ledger
 
-        def append(record: ScanRecord) -> None:
-            ledger.records[record.m] = record
-            fh.write(json.dumps(record.to_json()) + "\n")
-            fh.flush()
+        with path.open("a") as fh:
+            fh.truncate(end)  # cut off the torn line, if any
+            if not data.endswith(b"\n", 0, end):  # a complete record without its newline
+                fh.write("\n")
 
-        if workers <= 1:
-            for first, last in _segments(todo, _SEGMENT):
-                for record in _scan_segment(first, last, depth, strict):
-                    append(record)
-        else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
+            def append(record: ScanRecord) -> None:
+                ledger.records[record.m] = record
+                fh.write(json.dumps(record.to_json()) + "\n")
+                fh.flush()
 
-            # several segments per worker, so short ranges stay parallel
-            length = max(1, min(_SEGMENT, len(todo) // (4 * workers)))
-            segments = _segments(todo, length)
-            # the pool forks all its workers at once: no more than segments or cores
-            size = min(workers, len(segments), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                futures = [
-                    pool.submit(_scan_segment, first, last, depth, strict)
-                    for first, last in segments
-                ]
-                for future in as_completed(futures):
-                    for record in future.result():
+            if workers <= 1:
+                for first, last in _segments(todo, _SEGMENT):
+                    for record in _scan_segment(first, last, depth, strict):
                         append(record)
+            else:
+                from concurrent.futures import ProcessPoolExecutor, as_completed
+
+                # several segments per worker, so short ranges stay parallel
+                length = max(1, min(_SEGMENT, len(todo) // (4 * workers)))
+                segments = _segments(todo, length)
+                # the pool forks all its workers at once: no more than segments or cores
+                size = min(workers, len(segments), os.cpu_count() or 1)
+                with ProcessPoolExecutor(max_workers=size) as pool:
+                    futures = [
+                        pool.submit(_scan_segment, first, last, depth, strict)
+                        for first, last in segments
+                    ]
+                    for future in as_completed(futures):
+                        for record in future.result():
+                            append(record)
     return ledger

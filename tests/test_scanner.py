@@ -129,6 +129,61 @@ def test_scan_resume_keeps_complete_record_missing_its_newline(tmp_path):
     assert load_ledger(path).all_verified
 
 
+def test_scan_refuses_corrupt_last_line_ending_in_newline_and_leaves_it(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-1] = lines[-1][:20] + "\n"  # cut short, newline kept: corrupt, not torn
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"ledger .* line 8: Unterminated string"):
+        scan(2, 8, 1, True, path)
+    assert path.read_bytes() == before
+
+
+def test_scan_refused_at_the_lock_reads_no_byte(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 12, 2, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5]))
+
+    def no_parse(*args):
+        raise AssertionError("the ledger was parsed")
+
+    monkeypatch.setattr(scanner, "_parse", no_parse)
+    with path.open("rb") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(LedgerLockedError, match="locked"):
+            scan(2, 12, 2, True, path)
+
+
+def test_rerun_with_nothing_to_do_opens_the_ledger_only_for_reading(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 10, 2, True, path)
+    before = path.stat()
+    real_open = type(path).open
+
+    def read_only(self, mode="r", *args, **kwargs):
+        if self == path and set(mode) & set("wxa+"):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "open", read_only)
+    assert scan(2, 10, 2, True, path).all_verified
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def test_ledger_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"verified", b"verifi\xffd")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(UnicodeDecodeError):
+        scan(2, 8, 1, True, path)
+
+
 # Rows for m=4 that are not strictly ratio monotone at level 0; non-strictly,
 # the first fails a comparison at level 1 and the second positivity there.
 FAILING_ROWS = (
@@ -253,6 +308,26 @@ WRONG_SHAPES = {
     ),
     "cell-m-below-range": (4, _cell(m=1), "field 'm' is not in 2..8: 1"),
     "cell-m-above-range": (4, _cell(m=500), "field 'm' is not in 2..8: 500"),
+    "header-missing-property": (
+        1,
+        '{"record": "header", "version": 1, "m_from": 2, "m_to": 8, "depth": 1, "strict": true}',
+        "missing field 'property'",
+    ),
+    "header-other-property": (
+        1,
+        _header(property="log-concave"),
+        "field 'property' is not 'ratio-monotone': 'log-concave'",
+    ),
+    "cell-depth-requested-not-header-depth": (
+        4,
+        _cell(depth_requested=3, depth_verified=3),
+        "field 'depth_requested' is not the header's depth 1: 3",
+    ),
+    "cell-verified-to-other-depth": (
+        4,
+        _cell(depth_verified=0),
+        "field 'depth_verified' is not the header's depth 1: 0",
+    ),
 }
 
 
