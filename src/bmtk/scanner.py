@@ -38,10 +38,11 @@ A new ledger appears with its whole header at once (a temporary file linked
 into place), so no kill leaves it empty.  The ledger is append-only and
 line-granular (each record is flushed with its newline), so an interrupted
 scan leaves a valid file, at worst with a torn line: the bytes after its last
-newline, and only those.  A torn line that is not valid JSON is skipped by
-loading and cut off by a resume before it appends; one that is a complete
+newline, and only those.  A torn line that is not valid UTF-8 JSON is skipped
+by loading and cut off by a resume before it appends; one that is a complete
 record counts, and a resume ends it with its newline.  A line that ends with a
-newline and does not parse is corrupt, and refused with its line number.
+newline and does not decode or parse is corrupt, and refused with its line
+number.
 Re-running skips every m that already has a terminal record, so a kill loses
 at most one segment of work per worker.  Resuming with different parameters is
 refused with the exact difference.  A scan takes an exclusive advisory lock on
@@ -262,10 +263,10 @@ def _parse(path: Path, data: bytes) -> tuple[ScanLedger, int]:
     otherwise."""
     if not data:
         raise ValueError(f"ledger {path} is empty")
-    lines = data.decode().split("\n")
+    lines = data.split(b"\n")
     lineno = 1  # the file line being parsed
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0].decode())
         if not isinstance(header, dict):
             raise ValueError("not a JSON object")
         if header.get("record") != "header" or header.get("version") != LEDGER_VERSION:
@@ -276,12 +277,12 @@ def _parse(path: Path, data: bytes) -> tuple[ScanLedger, int]:
         ledger = ScanLedger(path, params)
         for lineno, line in enumerate(lines[1:], start=2):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
+                obj = json.loads(line.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 if lineno == len(lines):  # the torn line
                     return ledger, data.rfind(b"\n") + 1
-                if not line.strip():
-                    continue
+                if isinstance(exc, json.JSONDecodeError) and not exc.doc.strip():
+                    continue  # a blank line
                 raise
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
@@ -304,7 +305,9 @@ def _parse(path: Path, data: bytes) -> tuple[ScanLedger, int]:
                 )
             ledger.records.setdefault(record.m, record)
     except json.JSONDecodeError as exc:
-        problem = f"{exc.msg} at column {exc.colno}"
+        problem = f"{exc.msg} (column {exc.colno})"
+    except UnicodeDecodeError as exc:
+        problem = f"not UTF-8: {exc.reason} (column {exc.start + 1})"
     except KeyError as exc:
         problem = f"missing field {exc.args[0]!r}"
     except ValueError as exc:
@@ -319,12 +322,12 @@ def load_ledger(path: Path | str) -> ScanLedger:
 
     A line ends with a newline.  The bytes after the last newline are the
     torn line that an interrupted append leaves: it is skipped if it is not
-    valid JSON, and read like any other line if it is, so a complete record
-    that lacks only its newline counts.  Any other line that is not valid
-    JSON, not a JSON object, or a record with a missing or wrongly typed
-    field is a ValueError naming its line, and so is a header whose
-    ``property`` is not "ratio-monotone", and a cell whose verdict is none of
-    the three, whose m lies outside the header's range, whose
+    valid UTF-8 JSON, and read like any other line if it is, so a complete
+    record that lacks only its newline counts.  Any other line that is not
+    UTF-8, not valid JSON, not a JSON object, or a record with a missing or
+    wrongly typed field is a ValueError naming its line, and so is a header
+    whose ``property`` is not "ratio-monotone", and a cell whose verdict is
+    none of the three, whose m lies outside the header's range, whose
     ``depth_requested`` is not the header's ``depth``, or that is verified to
     another depth.
     """
@@ -345,8 +348,12 @@ def _create_ledger(path: Path, params: ScanParams) -> None:
     hard-linked to the ledger's name, so the ledger never exists without its
     whole header: a failed write leaves no ledger, and a kill at worst a
     stray temporary file.  Linking fails on an existing name, so a ledger
-    that appeared meanwhile is never truncated.
+    that appeared meanwhile is never truncated.  An existing ledger is left
+    alone without a temporary file, so a rerun writes nothing to its
+    directory.
     """
+    if path.exists():
+        return
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = tmp.open("x")

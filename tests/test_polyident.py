@@ -1,5 +1,7 @@
 """Tests for sparse polynomial arithmetic and the identity suite."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmtk import closed_form_row
+from bmtk import closed_form_row, polyident
 from bmtk.polyident import (
     REFLECTED_GAP_EXPANSION_GROUPS,
     UPPER_BOUND_EXPANSION_GROUPS,
     MultiPoly,
+    _nonnegative_on,
     grid_nonnegativity,
     group_poly,
     group_value,
@@ -235,6 +238,11 @@ def test_grid_detects_adversarial_group():
 def test_grid_strict_mode():
     assert grid_nonnegativity([N + 1], "triangle", 3, strict=True).ok
     assert not grid_nonnegativity([N], "triangle", 3, strict=True).ok
+    # mixed-sign rows, nonnegative but zero at the row's top or at y = 0
+    for poly in (N - I, I * (N + 1 - I)):
+        assert grid_nonnegativity([poly], "triangle", 3).ok
+        report = grid_nonnegativity([poly], "triangle", 3, strict=True)
+        assert report.violations == _grid_reference([poly], "triangle", 3, True)[1] != []
 
 
 def test_grid_regions_and_validation():
@@ -269,12 +277,26 @@ grid_polys = st.builds(
     ),
 ) | st.builds(MultiPoly.constant, st.integers(-3, 3))
 
+# Squares and products of linear factors: many of their rows have coefficients
+# of both signs yet are nonnegative on the lattice, some provably so by the
+# certificate and some, with a root inside the row, only point by point.
+linear_factors = st.builds(
+    lambda a, b, c: a * N + b * I + c,
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(-4, 4),
+)
+factored_polys = st.builds(lambda f: f * f, linear_factors) | st.builds(
+    lambda fs: functools.reduce(operator.mul, fs),
+    st.lists(linear_factors, min_size=1, max_size=3),
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(grid_polys, max_size=4),
+    st.lists(grid_polys | factored_polys, max_size=4),
     st.sampled_from(["triangle", "half"]),
-    st.integers(1, 15),
+    st.integers(1, 40),
     st.booleans(),
 )
 def test_grid_matches_per_point_reference(polys, region, bound, strict):
@@ -289,6 +311,43 @@ def test_grid_reports_violations_in_lattice_order():
     report = grid_nonnegativity(polys, "triangle", 2, strict=True)
     assert report.violations == _grid_reference(polys, "triangle", 2, True)[1]
     assert report.violations[:4] == [(0, 0, 0, "0"), (1, 0, 0, "-2"), (2, 0, 0, "-1"), (0, 1, 0, "0")]
+
+
+def test_certificate_proves_a_mixed_sign_row_positive():
+    # 10 - y on [0, 5] and y^2 - 4y + 5 on [0, 1]
+    assert _nonnegative_on([10, -1], 5, strict=True)
+    assert _nonnegative_on([5, -4, 1], 1, strict=True)
+
+
+def test_certificate_misses_a_row_negative_between_integers():
+    # y^2 - y is 0 at y = 0 and 1 and -1/4 at y = 1/2
+    assert not _nonnegative_on([0, -1, 1], 4, strict=False)
+    assert grid_nonnegativity([I**2 - I], "triangle", 4).ok
+    assert not grid_nonnegativity([I**2 - I], "triangle", 4, strict=True).ok
+
+
+def test_certificate_in_strict_mode_needs_both_ends_positive():
+    assert _nonnegative_on([0, 1], 3, strict=False)  # y, which is 0 at y = 0
+    assert not _nonnegative_on([0, 1], 3, strict=True)
+    assert _nonnegative_on([3, -1], 3, strict=False)  # 3 - y, which is 0 at y = 3
+    assert not _nonnegative_on([3, -1], 3, strict=True)
+    # a row of the single point y = 0 is decided by p(0)
+    assert _nonnegative_on([0, -5], 0, strict=False)
+    assert not _nonnegative_on([0, -5], 0, strict=True)
+    assert not _nonnegative_on([-1, 5], 0, strict=False)
+
+
+def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):
+    rows = []
+    real = polyident._horner
+
+    def counting(coeffs, ys):
+        rows.append(len(ys))
+        return real(coeffs, ys)
+
+    monkeypatch.setattr(polyident, "_horner", counting)
+    assert all(record["grid_ok"] in (None, True) for record in run_identity_suite(200))
+    assert len(rows) <= 25
 
 
 def test_run_identity_suite_records_at_grid_200():

@@ -174,14 +174,43 @@ def test_rerun_with_nothing_to_do_opens_the_ledger_only_for_reading(tmp_path, mo
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
+def test_rerun_leaves_the_ledger_directory_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 10, 2, True, path)
+    before = (sorted(tmp_path.iterdir()), tmp_path.stat().st_mtime_ns)
+
+    def no_link(*args):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(scanner.os, "link", no_link)
+    assert scan(2, 10, 2, True, path).all_verified
+    assert (sorted(tmp_path.iterdir()), tmp_path.stat().st_mtime_ns) == before
+
+
 def test_ledger_that_is_not_utf8_is_refused(tmp_path):
     path = tmp_path / "ledger.jsonl"
     scan(2, 8, 1, True, path)
     lines = path.read_bytes().splitlines(keepends=True)
+    column = lines[3].index(b"verified") + 7
     lines[3] = lines[3].replace(b"verified", b"verifi\xffd")
     path.write_bytes(b"".join(lines))
-    with pytest.raises(UnicodeDecodeError):
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as info:
         scan(2, 8, 1, True, path)
+    assert str(info.value) == (
+        f"ledger {path} line 4: not UTF-8: invalid start byte (column {column})"
+    )
+    assert path.read_bytes() == before
+
+
+def test_torn_line_that_is_not_utf8_is_skipped_and_cut_off(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 8, 1, True, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:5]) + lines[5][:30] + b"\xff")
+    assert sorted(load_ledger(path).records) == [2, 3, 4, 5]
+    assert scan(2, 8, 1, True, path).all_verified
+    assert sorted(_ledger_ms(path)) == list(range(2, 9))
 
 
 # Rows for m=4 that are not strictly ratio monotone at level 0; non-strictly,
@@ -305,6 +334,9 @@ WRONG_SHAPES = {
         4,
         _cell(verdict="maybe"),
         "field 'verdict' is not one of ('verified', 'failed', 'positivity-failed'): 'maybe'",
+    ),
+    "cell-unterminated-string": (
+        4, '{"record": "cell", "m": "x', "Unterminated string starting at (column 25)"
     ),
     "cell-m-below-range": (4, _cell(m=1), "field 'm' is not in 2..8: 1"),
     "cell-m-above-range": (4, _cell(m=500), "field 'm' is not in 2..8: 500"),
