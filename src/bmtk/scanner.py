@@ -60,7 +60,9 @@ integer vector 4^m d_i(m) over the unit 4^-m.  It decides every level on
 verified cell without forming any iterate exactly.  From the first level whose
 enclosures miss, the row divided by its gcd is iterated exactly, and every
 failing verdict and witness comes from that exact path; witnesses print as the
-dyadic values of the row's iterates.
+dyadic values of the row's iterates.  A cell whose exact iterate would pass
+``k_property``'s size limit raises ValueError, which ends the scan; the
+segments appended before it stay in the ledger.
 
 A finite tool cannot certify the infinite-depth conjecture; the strongest
 statement a ledger makes is "verified to the requested depth for this range".

@@ -1,7 +1,6 @@
 """Order and log-behavior predicates on finite positive sequences.
 
-For a sequence a_0..a_m of positive exact numbers (ints, mixed with either
-dyadic or general rationals):
+For a sequence a_0..a_m of positive exact numbers:
 
   log-concave        a_i^2 >= a_{i-1} a_{i+1} for interior i
   spiral             a_m <= a_0 <= a_{m-1} <= a_1 <= ... <= a_{floor(m/2)}
@@ -24,9 +23,18 @@ as a falsification signal rather than crash.
 
 Every sequence is decided on ints: it enters as c·v, with ints v and one
 positive unit c, and every predicate is invariant under positive scaling and
-L homogeneous of degree 2.  A :class:`~bmtk.bmcoeff.CoeffRow` enters as its
-integer vector 4^m d_i(m) over the unit 4^-m.  Dyadic and Fraction values
-return only in witness strings.  Each level is first decided on enclosures.
+L homogeneous of degree 2.  The input is in one of two number families:
+
+  dyadic    a :class:`~bmtk.bmcoeff.CoeffRow` (v its integer vector
+            4^m d_i(m), c = 4^-m) or Dyadic values alone (c = 2^-E, E the
+            largest exponent); witnesses print as Dyadic values
+  rational  ints and Fractions (c = 1/D, D the lcm of the denominators, an
+            int's being 1); witnesses print through Fraction, so integral
+            values print as ints
+
+and any other mix, such as ints with Dyadic values, raises TypeError.  Dyadic
+and Fraction values return only in witness strings.
+
 An enclosure of an entry x is a triple of ints (lo, hi, k) with
 
     lo·2^k <= x < hi·2^k,
@@ -45,13 +53,30 @@ over the smaller of the two terms' exponents, after which lo' is rounded
 down and hi' up to 64 bits, so each exact iterate lies inside the iterated
 enclosures.
 
-:func:`k_property` walks the levels once.  While every lo is positive and
-every comparison certified, it goes on to the next level's enclosures, and
-if all are certified the success verdict is proved.  At the first miss, at
-level j, v is divided by its gcd (the scale-free enclosures need none) and
-L iterated exactly from level j on; levels below j are proved, not checked
-again.  Exact levels try each comparison on the iterate's level-0 enclosures
-first, so every failing verdict and its witness come from exact products.
+The exponent gaps between the two sides of these formulas double at each
+level, so shifting by them would cost time and memory exponential in the
+depth.  None is needed past 128 bits: every hi is at most 2^64 and every lo
+at least 1, so a product of one or two of them lies in [1, 2^128].  A
+comparison whose sides' exponents differ by more than 128 is decided by that
+difference alone (the larger side is the larger product).  In L, when 2k_i
+exceeds k_{i-1} + k_{i+1} by more than 128, the neighbour product lies
+strictly between 0 and 2^(2k_i), one unit of the square, so the entry is
+enclosed by (lo_i^2 - 1, hi_i^2, 2k_i); in the opposite case the square lies
+strictly between 0 and one unit of the neighbour product, so the entry is
+enclosed by (-hi_{i-1} hi_{i+1}, 1 - lo_{i-1} lo_{i+1}, k_{i-1} + k_{i+1}),
+whose lo is negative.  So an enclosure level costs the same at any depth.
+
+:func:`k_property` runs in two phases.  The enclosure phase goes on to the
+next level's enclosures while every lo is positive and every comparison
+certified; if all k levels are certified the success verdict is proved.
+Otherwise, from its first miss at level j, the exact phase divides v by its
+gcd (the scale-free enclosures need none) and iterates L exactly from level
+0, checking only levels j and after, since those below are proved.  Exact
+levels try each comparison on the iterate's level-0 enclosures first, so
+every failing verdict and its witness come from exact products.  The bits of
+an exact iterate double at each level, so before each exact step the phase
+raises ValueError if the entries to square hold more than 2^22 bits in total
+(the steps up to that size take about a second).
 """
 
 from __future__ import annotations
@@ -129,44 +154,42 @@ class PropertyVerdict:
         }
 
 
-def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callable[..., str]]:
-    """Ints v with seq_i = c·v_i for one unit c > 0: 4^-m for a CoeffRow (v
-    its ``scaled`` vector), 1 for ints, 2^-E for Dyadics and ints (E the
-    largest exponent), 1/D for Fractions and ints (D the lcm of the
-    denominators).  And the printer ``show(p, indices, level)`` of
-    p·c^(t·2^level), the product of the t entries at ``indices`` of an iterate
-    whose int form is p, as arithmetic in the input's types prints it (a
-    CoeffRow's as Dyadics).
+def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callable[[int, int], str]]:
+    """Ints v with seq_i = c·v_i for one unit c > 0, and the printer
+    ``show(p, power)`` of p·c^power in the input's number family.
+
+    The dyadic family is a CoeffRow (v its ``scaled`` vector, c = 4^-m) or
+    Dyadic values only (c = 2^-E, E the largest exponent), printed as Dyadic.
+    The rational family is ints and Fractions (c = 1/D, D the lcm of the
+    denominators, an int's being 1), printed through Fraction, so integral
+    values print as ints.  Any other mix raises TypeError.
     """
     if isinstance(seq, CoeffRow):
-        values, e, plain = seq.scaled, 2 * seq.m, [False] * len(seq.scaled)
+        values, e = seq.scaled, 2 * seq.m
     else:
-        kinds = {type(x) for x in seq} - {int}
-        if kinds == {Fraction}:
+        kinds = {type(x) for x in seq}
+        if kinds <= {int, Fraction}:
             d = math.lcm(*(x.denominator for x in seq))
             return [x.numerator * (d // x.denominator) for x in seq], (
-                lambda p, indices, level: exact_str(Fraction(p, d ** (len(indices) << level)))
+                lambda p, power: exact_str(Fraction(p, d**power))
             )
-        if kinds - {Dyadic}:
-            raise TypeError("entries must be ints, mixed with Dyadic or with Fraction values")
-        e = max((x.exp for x in seq if type(x) is Dyadic), default=0)
-        plain = [type(x) is int for x in seq]
-        values = [x << e if p else x.num << e - x.exp for x, p in zip(seq, plain)]
-    n = len(values) - 1
-
-    def show(p: int, indices: tuple[int, ...], level: int) -> str:
-        value = Dyadic(p, e * len(indices) << level)
-        # entry i of iterate k is made from entry i alone at an end and from
-        # entries i-k..i+k inside; it is an int while all of those are
-        spans = (plain[i : i + 1] if i in (0, n) else plain[max(0, i - level) : i + level + 1]
-                 for i in indices)
-        return exact_str(value.num) if all(map(all, spans)) else str(value)
-
-    return values, show
+        if kinds != {Dyadic}:
+            raise TypeError("entries must be Dyadic values only, or ints and Fractions")
+        e = max(x.exp for x in seq)
+        values = [x.num << e - x.exp for x in seq]
+    return values, lambda p, power: str(Dyadic(p, e * power))
 
 
 # An enclosure keeps this many leading bits of an entry.
 _FILTER_BITS = 64
+
+# Every hi is at most 2^64, so a product of one or two of them is at most
+# 2^128: past an exponent gap of this many bits, the larger side decides.
+_GAP = 2 * _FILTER_BITS
+
+# The most bits, summed over its entries, that an exact iterate may hold
+# before L squares it.
+_EXACT_BITS = 1 << 22
 
 # (lo, hi, k): an entry x with lo·2^k <= x < hi·2^k
 Enclosure = tuple[int, int, int]
@@ -192,7 +215,9 @@ def _certified(
 
     The left product is strictly below the product of the ``hi``s, the right
     one at least the product of the ``lo``s (all positive), so when the first
-    bound is at most the second, lhs < rhs holds, strict or not.
+    bound is at most the second, lhs < rhs holds, strict or not.  Both
+    products lie in [1, 2^128], so a power-of-two gap wider than 128 bits
+    between the sides decides without a shift.
     """
     upper, lower, shift = 1, 1, 0
     for j in lhs:
@@ -203,7 +228,9 @@ def _certified(
         lo, _, k = bounds[j]
         lower *= lo
         shift -= k
-    return upper << shift <= lower if shift >= 0 else upper <= lower << -shift
+    if -_GAP <= shift <= _GAP:
+        return upper << shift <= lower if shift >= 0 else upper <= lower << -shift
+    return shift < 0
 
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -245,20 +272,16 @@ def _unimodal_pairs(m: int) -> Pairs:
     ]
 
 
-# Per property: its comparisons on a_0..a_m, each a pair of index tuples whose
-# entry products must compare lhs <= rhs (lhs < rhs when strict), and the
-# strictness it always uses (None: the caller's).
+# Per property: its comparisons on a_0..a_m with m >= 2 (there are none when
+# m < 2), each a pair of index tuples of one length whose entry products must
+# compare lhs <= rhs (lhs < rhs when strict), and the strictness it always
+# uses (None: the caller's).
 _COMPARISONS: dict[str, tuple[Callable[[int], Pairs], bool | None]] = {
     LOG_CONCAVE: (_log_concave_pairs, None),
     SPIRAL: (_spiral_pairs, False),
     RATIO_MONOTONE: (_ratio_pairs, None),
     UNIMODAL_MIDPEAK: (_unimodal_pairs, True),
 }
-
-
-def _pairs(prop: str, m: int) -> Pairs:
-    """The comparisons of ``prop`` on a_0..a_m; none when m < 2."""
-    return _COMPARISONS[prop][0](m) if m >= 2 else []
 
 
 def is_log_concave(seq: ExactSequence, strict: bool = False) -> PropertyVerdict:
@@ -314,7 +337,9 @@ def _l_enclosure(bounds: list[Enclosure]) -> list[Enclosure]:
 
     Needs every ``lo`` positive.  Entry i gets ``lo_i^2 - hi_{i-1} hi_{i+1}``
     and ``hi_i^2 - lo_{i-1} lo_{i+1}`` over the smaller exponent of the two
-    terms, then ``lo`` rounded down and ``hi`` up to 64 bits.
+    terms, then ``lo`` rounded down and ``hi`` up to 64 bits.  Past a gap of
+    128 bits between the two terms' exponents, the smaller term lies in
+    (0, 1) units of the larger one's, and is taken as such.
     """
     n = len(bounds) - 1
     out = []
@@ -324,10 +349,15 @@ def _l_enclosure(bounds: list[Enclosure]) -> list[Enclosure]:
             lo_left, hi_left, k_left = bounds[i - 1]
             lo_right, hi_right, k_right = bounds[i + 1]
             k_side = k_left + k_right
-            e = min(k, k_side)
-            lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
-            hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
-            k = e
+            if -_GAP <= k - k_side <= _GAP:
+                e = min(k, k_side)
+                lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
+                hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
+                k = e
+            elif k > k_side:  # 0 < x_{i-1} x_{i+1} < 2^k
+                lo -= 1
+            else:  # 0 < x_i^2 < 2^k_side
+                lo, hi, k = -hi_left * hi_right, 1 - lo_left * lo_right, k_side
         s = hi.bit_length() - _FILTER_BITS
         if s > 0:
             lo, hi, k = lo >> s, -(-hi >> s), k + s
@@ -344,15 +374,15 @@ def _certify(bounds: list[Enclosure], pairs: Pairs) -> bool:
 
 
 def _exact_witness(
-    prop: str, current: Sequence[int], pairs: Pairs, strict: bool, show: Callable[..., str]
+    prop: str, current: Sequence[int], pairs: Pairs, strict: bool, show: Callable[[int, int], str]
 ) -> Witness | None:
     """The first non-positive entry of the exact iterate ``current``, else the
     first comparison it violates, each tried on its enclosures first; else
-    None.  ``show(p, indices)`` prints the product p of the entries at indices.
+    None.  ``show(p, t)`` prints the product p of t entries of the iterate.
     """
     for i, x in enumerate(current):
         if x <= 0:
-            return Witness("positivity", (i,), lhs=show(x, (i,)), rhs="0")
+            return Witness("positivity", (i,), lhs=show(x, 1), rhs="0")
     bounds = _enclosures(current)
     for lhs, rhs in pairs:
         if _certified(bounds, lhs, rhs):
@@ -360,9 +390,10 @@ def _exact_witness(
         left, right = math.prod(current[j] for j in lhs), math.prod(current[j] for j in rhs)
         if left < right if strict else left <= right:
             continue
+        t = len(lhs)  # entries on each side
         if prop == LOG_CONCAVE:  # reported as a_i^2 >= a_{i-1} a_{i+1}
-            return Witness("comparison", rhs[:1] + lhs, lhs=show(right, rhs), rhs=show(left, lhs))
-        return Witness("comparison", lhs + rhs, lhs=show(left, lhs), rhs=show(right, rhs))
+            return Witness("comparison", rhs[:1] + lhs, lhs=show(right, t), rhs=show(left, t))
+        return Witness("comparison", lhs + rhs, lhs=show(left, t), rhs=show(right, t))
     return None
 
 
@@ -376,36 +407,42 @@ def k_property(
     an iterate that stopped being positive), or a success verdict carrying
     the deepest level checked.  ``k=1`` is exactly the direct predicate.
 
-    Decided on ints in one walk over the levels (see the module docstring);
-    witness strings are exact values of the input's own iterates.
+    The input is a CoeffRow, Dyadic values alone, or ints and Fractions;
+    any other mix raises TypeError.  Decided on ints in two phases (see the
+    module docstring): enclosures, whose levels cost the same at any depth,
+    then from their first miss the exact iterates, refused with ValueError
+    once an iterate to square holds more than 2^22 bits.  Witness strings
+    are exact values of the input's own iterates.
     """
     if k < 1:
         raise ValueError(f"depth must be >= 1, got {k}")
     if prop not in _COMPARISONS:
         raise ValueError(f"unknown property {prop!r}")
-    fixed = _COMPARISONS[prop][1]
-    if fixed is not None:
-        strict = fixed
+    comparisons, fixed = _COMPARISONS[prop]
+    strict = strict if fixed is None else fixed
     values, show = _integer_form(seq)
-    pairs = _pairs(prop, len(values) - 1)
+    pairs = comparisons(len(values) - 1) if len(values) > 2 else []
     bounds = _enclosures(values)
-    current = None  # the exact iterate, from the first level whose enclosures miss
+    missed = 0  # the first level whose enclosures miss
+    while _certify(bounds, pairs):
+        missed += 1
+        if missed == k:
+            return PropertyVerdict(prop, strict, True, k - 1)
+        bounds = _l_enclosure(bounds)
+    g = math.gcd(*values) or 1
+    current = [v // g for v in values]
     for level in range(k):
-        if current is None:
-            if _certify(bounds, pairs):
-                if level + 1 < k:
-                    bounds = _l_enclosure(bounds)
-                continue
-            g = math.gcd(*values) or 1
-            current = tuple(v // g for v in values)
-            for _ in range(level):
-                current = l_operator(current)
-        else:
+        if level:
+            if sum(x.bit_length() for x in current) > _EXACT_BITS:
+                raise ValueError(
+                    f"level {level}: the exact iterate to square holds over {_EXACT_BITS} bits"
+                )
             current = l_operator(current)
-        witness = _exact_witness(
-            prop, current, pairs, strict,
-            lambda p, indices: show(p * g ** (len(indices) << level), indices, level),
-        )
-        if witness is not None:
-            return PropertyVerdict(prop, strict, False, level, witness)
+        if level >= missed:
+            witness = _exact_witness(
+                prop, current, pairs, strict,
+                lambda p, t: show(p * g ** (t << level), t << level),
+            )
+            if witness is not None:
+                return PropertyVerdict(prop, strict, False, level, witness)
     return PropertyVerdict(prop, strict, True, k - 1)

@@ -240,6 +240,18 @@ def test_check_json_matches_dyadic_verdicts(capsys):
     assert code == (0 if all(v["holds"] for v in expected) else 1)
 
 
+@pytest.mark.parametrize("command", ("gen", "check"))
+def test_rows_above_m_4000_are_refused(capsys, monkeypatch, command):
+    def refuse(m):
+        raise AssertionError("built the row")
+
+    monkeypatch.setattr(bmcoeff, "closed_form_row", refuse)
+    props = ["--props", "ratio"] if command == "check" else []
+    code, out, err = run(capsys, command, "--m", "4001", *props)
+    assert (code, out) == (2, "")
+    assert err == "error: --m must be at most 4000, got 4001\n"
+
+
 def test_check_usage_errors(capsys):
     assert run(capsys, "check", "--seq", "1,2,x", "--props", "spiral")[0] == 2
     assert run(capsys, "check", "--seq", "1,2", "--props", "bogus")[0] == 2

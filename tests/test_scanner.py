@@ -4,13 +4,14 @@ import concurrent.futures
 import errno
 import fcntl
 import json
+import math
 import re
 from concurrent.futures import Future, ProcessPoolExecutor
 from decimal import Decimal
 
 import pytest
 
-from bmtk import CoeffRow, Method, closed_form_row, k_property, scanner
+from bmtk import CoeffRow, Method, closed_form_row, k_property, scanner, seqprops
 from bmtk.seqprops import RATIO_MONOTONE
 from bmtk.scanner import (
     VERDICT_FAILED,
@@ -664,3 +665,18 @@ def test_corrupted_walk_raises_and_records_no_cell_of_its_segment(tmp_path, monk
     with pytest.raises(ArithmeticError, match=rf"recu1 walk from m={SECOND[0]} "):
         scan(2, 100, 2, True, path)
     assert sorted(load_ledger(path).records) == list(range(2, SECOND[0]))
+
+
+def test_cell_past_the_exact_size_limit_ends_the_scan(tmp_path, monkeypatch):
+    # every level exact, with the limit at the first m of the second segment
+    # minus one bit: that cell raises, and the first segment stays recorded
+    monkeypatch.setattr(seqprops, "_certify", lambda *args: False)
+    row = closed_form_row(SECOND[0])
+    g = math.gcd(*row.scaled)
+    monkeypatch.setattr(seqprops, "_EXACT_BITS", sum((v // g).bit_length() for v in row.scaled) - 1)
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(ValueError, match=r"^level 1: "):
+        scan(2, 100, 2, True, path)
+    ledger = load_ledger(path)
+    assert sorted(ledger.records) == list(range(2, SECOND[0]))
+    assert {r.verdict for r in ledger.records.values()} == {VERDICT_VERIFIED}

@@ -504,6 +504,24 @@ moderate_ints = st.lists(
 )
 
 
+def _contained_gaps(seq, levels):
+    """Assert that the iterated enclosures of ``seq`` contain its exact
+    iterates at levels 0..levels-1, or until some lo is not positive, and
+    return the exponent gaps 2k_i - k_{i-1} - k_{i+1} that L's rule met."""
+    bounds = seqprops._enclosures(seq)
+    gaps = []
+    for level in range(levels):
+        assert all(map(_encloses, bounds, seq)), level
+        assert all(hi.bit_length() <= 65 for _, hi, _ in bounds)  # rounded to 64 bits
+        if any(lo <= 0 for lo, _, _ in bounds):
+            break  # L's rule needs positive entries
+        gaps += [
+            2 * bounds[i][2] - bounds[i - 1][2] - bounds[i + 1][2] for i in range(1, len(seq) - 1)
+        ]
+        seq, bounds = l_operator(seq), seqprops._l_enclosure(bounds)
+    return gaps
+
+
 @settings(deadline=None)
 @given(st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows))
 # Rounding lo up breaks the invariant on [16, 20, 9] at level 5 and on the
@@ -512,13 +530,114 @@ moderate_ints = st.lists(
 @example([16, 20, 9])
 @example([154587, 217239, 150696])
 def test_iterated_enclosures_contain_the_exact_iterates(seq):
-    bounds = seqprops._enclosures(seq)
-    for level in range(6):
-        assert all(map(_encloses, bounds, seq)), level
-        assert all(hi.bit_length() <= 65 for _, hi, _ in bounds)  # rounded to 64 bits
-        if any(lo <= 0 for lo, _, _ in bounds):
-            break  # L's rule needs positive entries
-        seq, bounds = l_operator(seq), seqprops._l_enclosure(bounds)
+    _contained_gaps(seq, 6)
+
+
+# An entry's square and its neighbours' product more than 128 bits apart, in
+# both directions: the square wins on rows past level 8 and on real-rooted
+# sequences, the neighbours win at level 0 on sequences with a deep dip.
+@pytest.mark.parametrize("m", (3, 8, 12))
+def test_row_enclosures_contain_the_iterates_past_a_128_bit_gap(m):
+    gaps = _contained_gaps(closed_form_row(m).scaled, 13)
+    assert len(gaps) == 13 * (m - 1)  # every lo stayed positive
+    assert max(gaps) > 128
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=5).map(
+            _expand_roots
+        ),
+        st.lists(
+            st.integers(min_value=1, max_value=400).map(lambda bits: (1 << bits) - 1),
+            min_size=3,
+            max_size=5,
+        ),
+    )
+)
+@example([1 << 200, 1, 1 << 200, 3, 5])
+@example([1, 4, 6, 4, 1])
+def test_short_sequence_enclosures_contain_the_iterates_to_level_12(seq):
+    _contained_gaps(seq, 13)
+
+
+def test_dip_enclosures_contain_the_iterate_past_a_128_bit_gap():
+    assert min(_contained_gaps([1, 1, 1 << 300], 13)) < -128
+
+
+def _l_enclosure_shifted(bounds):
+    """L on enclosures with every gap shifted out in full: the rule before
+    gaps past 128 bits were decided without a shift."""
+    n = len(bounds) - 1
+    out = []
+    for i, (lo, hi, k) in enumerate(bounds):
+        lo, hi, k = lo * lo, hi * hi, 2 * k
+        if 0 < i < n:
+            lo_left, hi_left, k_left = bounds[i - 1]
+            lo_right, hi_right, k_right = bounds[i + 1]
+            k_side = k_left + k_right
+            e = min(k, k_side)
+            lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
+            hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
+            k = e
+        s = hi.bit_length() - 64
+        if s > 0:
+            lo, hi, k = lo >> s, -(-hi >> s), k + s
+        out.append((lo, hi, k))
+    return out
+
+
+def _enclosure(k):
+    """An enclosure (lo, hi, k) with 0 < lo < hi <= 2^64."""
+    return st.integers(min_value=1, max_value=(1 << 64) - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo + 1, max_value=1 << 64), st.just(k))
+    )
+
+
+# Every exponent within 64 bits of a common base: every gap 2k_i - k_{i-1} -
+# k_{i+1} lies in -128..128.
+narrow_gap_bounds = st.integers(min_value=-(10**6), max_value=10**6).flatmap(
+    lambda base: st.lists(
+        st.integers(min_value=0, max_value=64).flatmap(lambda d: _enclosure(base + d)),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@given(narrow_gap_bounds)
+@example([(1, 2, 0), (1, 2, 64), (1, 2, 0)])  # gap 128
+@example([(1, 2, 64), (1, 2, 0), (1, 2, 64)])  # gap -128
+@example([((1 << 64) - 1, 1 << 64, -5), (1, 1 << 64, 59), ((1 << 64) - 1, 1 << 64, -5)])
+def test_l_enclosure_within_128_bit_gaps_is_the_shifted_rule(bounds):
+    assert seqprops._l_enclosure(bounds) == _l_enclosure_shifted(bounds)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_enclosure(0), min_size=4, max_size=4),
+    st.lists(st.integers(min_value=-1000, max_value=1000), min_size=4, max_size=4),
+    st.sampled_from(((0,), (0, 1))),
+    st.sampled_from(((2,), (2, 3), (2, 2))),
+    st.one_of(
+        st.sampled_from((-129, -128, -127, 0, 127, 128, 129)),
+        st.integers(min_value=-200, max_value=200),
+        st.integers(min_value=-(10**6), max_value=10**6),
+    ),
+)
+@example([(1, 2, 0)] * 4, [0] * 4, (0,), (2,), 128)
+@example([((1 << 64) - 1, 1 << 64, 0)] * 4, [0] * 4, (0, 1), (2, 3), -128)
+# shifts of 126 bits that do not decide alone
+@example([(1, 2, 0)] * 2 + [((1 << 64) - 1, 1 << 64, 0)] * 2, [0] * 4, (0,), (2, 3), 126)
+@example([((1 << 64) - 1, 1 << 64, 0)] * 2 + [(1, 2, 0)] * 2, [0] * 4, (0, 1), (2,), -126)
+def test_certified_is_exact_at_any_shift(bounds, ks, lhs, rhs, shift):
+    # entry 0 is on the left only: its exponent sets the shift between the sides
+    ks[0] += shift - sum(ks[j] for j in lhs) + sum(ks[j] for j in rhs)
+    bounds = [(lo, hi, k) for (lo, hi, _), k in zip(bounds, ks)]
+    upper = math.prod(Fraction(bounds[j][1]) * Fraction(2) ** bounds[j][2] for j in lhs)
+    lower = math.prod(Fraction(bounds[j][0]) * Fraction(2) ** bounds[j][2] for j in rhs)
+    assert seqprops._certified(bounds, lhs, rhs) == (upper <= lower)
 
 
 def test_certified_row_builds_no_exact_iterate(monkeypatch):
@@ -527,6 +646,16 @@ def test_certified_row_builds_no_exact_iterate(monkeypatch):
 
     monkeypatch.setattr(seqprops, "l_operator", refuse)
     assert k_property(closed_form_row(400), 8, RATIO_MONOTONE, True).holds
+
+
+def test_deep_certified_row_builds_no_exact_iterate(monkeypatch):
+    # the exponent gaps pass 128 bits from about level 8 and double at each
+    # level after; each level is decided without shifting by them
+    def refuse(seq):
+        raise AssertionError("formed an exact iterate")
+
+    monkeypatch.setattr(seqprops, "l_operator", refuse)
+    assert k_property(closed_form_row(8), 60, RATIO_MONOTONE, True).holds
 
 
 def test_level_two_miss_reaches_the_exact_path(monkeypatch):
@@ -558,17 +687,16 @@ def _integral_as_int(value):
 @st.composite
 def typed_ties(draw):
     """deep_ties and nudged_ties times g over 2^shift, shift 0..40 (Dyadic), or
-    over d in 1..50 (Fraction), some integral entries as plain ints.  Entries
+    over d in 1..50 (Fraction, some integral entries as plain ints).  Entries
     reduce to unequal exponents or denominators; g is odd and prime to d, so
     the int form's gcd is at least g."""
     seq = draw(st.one_of(deep_ties, nudged_ties))
     g = draw(st.sampled_from((53, 97, 101 * 103, 65537)))
     if draw(st.booleans()):
         shift = draw(st.integers(min_value=0, max_value=40))
-        typed = [Dyadic(x * g, shift) for x in seq]
-    else:
-        d = draw(st.integers(min_value=1, max_value=50))
-        typed = [Fraction(x * g, d) for x in seq]
+        return [Dyadic(x * g, shift) for x in seq]
+    d = draw(st.integers(min_value=1, max_value=50))
+    typed = [Fraction(x * g, d) for x in seq]
     as_int = draw(st.lists(st.booleans(), min_size=len(seq), max_size=len(seq)))
     return [_integral_as_int(v) if flag else v for v, flag in zip(typed, as_int)]
 
@@ -583,10 +711,22 @@ def typed_ties(draw):
 @example([Fraction(x * 53, 12) for x in (9, 12, 7)], 4, RATIO_MONOTONE, True)
 @example([Fraction(x * 97, 10) for x in (12, 19, 16, 8)], 4, UNIMODAL_MIDPEAK, True)
 @example([Dyadic(x * 97, 5) for x in (30, 55, 66, 51, 24)], 4, LOG_CONCAVE, False)
-@example([9 * 53, 12 * 53, Dyadic(7 * 53, 0)], 4, UNIMODAL_MIDPEAK, True)
 def test_typed_k_property_matches_typed_reference(seq, depth, prop, strict):
     # the reference iterates L on the Dyadic or Fraction values themselves
     assert k_property(seq, depth, prop, strict) == _exact_k_property(seq, depth, prop, strict)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    (
+        [9 * 53, 12 * 53, Dyadic(7 * 53, 0)],  # ints mixed with Dyadic values
+        [Dyadic(3, 1), Fraction(1, 3), 1],
+        [1, True, 2],
+    ),
+)
+def test_mixed_number_families_are_refused(seq):
+    with pytest.raises(TypeError):
+        k_property(seq, 4, UNIMODAL_MIDPEAK)
 
 
 def _tampered(m, i, percent):
@@ -635,6 +775,25 @@ def test_tampered_row_witness_matches_the_typed_reference(monkeypatch, strict):
     record = verify_cell(row, 5, strict)
     assert (record.level, record.witness) == (3, expected.witness.to_json())
     assert len(iterates) == 3  # levels 1 to 3 formed exactly, once each
+
+
+def test_exact_iterates_stop_at_the_size_limit():
+    # the tie a_2 = a_0 sends level 0 exact, and the middle entry's bits
+    # double at each level
+    assert k_property([1, 2, 1], 20, RATIO_MONOTONE).holds
+    with pytest.raises(ValueError, match=rf"level 24: .* {seqprops._EXACT_BITS} bits"):
+        k_property([1, 2, 1], 40, RATIO_MONOTONE)
+
+
+def test_catch_up_to_a_deep_miss_stops_at_the_size_limit(monkeypatch):
+    # d_1(12) raised by 3% misses at level 3; level 1's exact iterate is
+    # formed, level 2's would pass the limit
+    row = _tampered(12, 1, 3)
+    g = math.gcd(*row.scaled)
+    level_one = l_operator([v // g for v in row.scaled])
+    monkeypatch.setattr(seqprops, "_EXACT_BITS", sum(x.bit_length() for x in level_one) - 1)
+    with pytest.raises(ValueError, match=r"^level 2: "):
+        k_property(row, 5, RATIO_MONOTONE)
 
 
 # Operand bits: products of 4 to 20,000 bits, operands on both sides of 64.
