@@ -13,11 +13,11 @@ denominators and splits it into its odd part and its power of two.  The margin
 is then written in lowest terms in two steps: shift out as many trailing zero
 bits of ``diff`` as the denominator's power of two allows, then take one gcd
 against ``small``; no gcd of two row-sized numbers is formed for an entry
-comparison.  Records are slot objects that build the sides' Fractions only
-when read, and the sides and thm21's minimum ratio are reduced as margins are:
-the power of two is split out of the denominator, then one gcd against its odd
-part.  The only decimal output is the informational minimum-ratio string;
-decimals never feed a verdict.
+comparison.  Records are slotted dataclasses without value equality that
+build the sides' Fractions only when read, and the sides and thm21's minimum
+ratio are reduced as margins are: the power of two is split out of the
+denominator, then one gcd against its odd part.  The only decimal output is
+the informational minimum-ratio string; decimals never feed a verdict.
 
 l32, l33 and l34 evaluate polyident's builders one row at a time: B(m,i)'s
 numerator and denominator and l33's numerator are built once as polynomials in
@@ -88,31 +88,23 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     return obj
 
 
+@dataclass(slots=True, eq=False)
 class BoundRecord:
     """One verified comparison: ``lhs relation rhs`` with its exact margin.
 
-    Sides are integer pairs, reduced to Fractions on read; records compare
-    and hash by value, and nothing mutates one.  The margin is oriented so
-    that nonnegative (positive, for strict relations) means the comparison
-    holds with that much room; equality records carry margin zero exactly
-    when they hold.
+    Sides are integer pairs, reduced to Fractions on read.  A record is
+    plain data, without value equality.  The margin is oriented so that
+    nonnegative (positive, for strict relations) means the comparison holds
+    with that much room; equality records carry margin zero exactly when
+    they hold.
     """
 
-    __slots__ = ("i", "relation", "lhs_pair", "rhs_pair", "holds", "margin")
-
-    def __init__(
-        self, i: int, relation: str, lhs_pair: Pair, rhs_pair: Pair, holds: bool, margin: Fraction
-    ) -> None:
-        self.i = i
-        self.relation = relation  # ">=", ">", "<=", "<", "=="
-        self.lhs_pair = lhs_pair
-        self.rhs_pair = rhs_pair
-        self.holds = holds
-        self.margin = margin
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"BoundRecord({fields})"
+    i: int
+    relation: str  # ">=", ">", "<=", "<", "=="
+    lhs_pair: Pair
+    rhs_pair: Pair
+    holds: bool
+    margin: Fraction
 
     @property
     def lhs(self) -> Fraction:
@@ -121,20 +113,6 @@ class BoundRecord:
     @property
     def rhs(self) -> Fraction:
         return _reduced(*self.rhs_pair)
-
-    def _key(self) -> tuple:
-        return self.i, self.relation, self.holds, self.margin
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundRecord):
-            return NotImplemented
-        (a, b), (c, d) = self.lhs_pair, other.lhs_pair
-        (e, f), (g, h) = self.rhs_pair, other.rhs_pair
-        return self._key() == other._key() and a * d == c * b and e * h == g * f
-
-    def __hash__(self) -> int:
-        # records equal by value have equal keys; no side needs reducing
-        return hash(self._key())
 
     def to_json(self) -> dict:
         return {

@@ -240,6 +240,8 @@ def _cmd_quad(args: argparse.Namespace) -> tuple[bool, object]:
 def _cmd_scan(args: argparse.Namespace) -> tuple[bool, object]:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.m_to > _MAX_ROW_M:  # checked before the ledger is created
+        raise ValueError(f"--to must be at most {_MAX_ROW_M}, got {args.m_to}")
     ledger = scanner.scan(
         args.m_from, args.m_to, args.depth, args.strict, args.ledger, args.workers
     )

@@ -4,12 +4,12 @@ Rows and checks compute on plain ints (the integer vector 4^m d_i(m)); the
 types here are where exact values cross the edge of the toolkit.
 :class:`Dyadic`, a canonical ``num / 2**exp`` pair, is the text form of a row
 entry: it parses and prints ``<num>/2^<exp>``, converts to
-:class:`fractions.Fraction`, and keeps the ring operations and the total order
-that the squared-difference operator and the predicates need on dyadic
-sequences.  :func:`parse_exact` reads a rational token, :func:`exact_str`
-prints any exact value, and :func:`decimal_string` gives an informational
-decimal; all three work past the interpreter's 4,300-digit limit on int/str
-conversion.
+:class:`fractions.Fraction`, and keeps the ring operations and the total
+order.  The predicates decide on ints, so these operations serve
+``seqprops.l_operator`` on Dyadic input and the tests' exact reference.
+:func:`parse_exact` reads a rational token, :func:`exact_str` prints any
+exact value, and :func:`decimal_string` gives an informational decimal; all
+three work past the interpreter's 4,300-digit limit on int/str conversion.
 
 All values are immutable and safe to share between threads or processes.
 :class:`BinomialCache` (with :func:`default_cache` and :func:`binomial`) is a

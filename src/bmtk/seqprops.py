@@ -68,11 +68,12 @@ whose lo is negative.  So an enclosure level costs the same at any depth.
 
 :func:`k_property` runs in two phases.  The enclosure phase goes on to the
 next level's enclosures while every lo is positive and every comparison
-certified; if all k levels are certified the success verdict is proved.
-Otherwise, from its first miss at level j, the exact phase divides v by its
-gcd (the scale-free enclosures need none) and iterates L exactly from level
-0, checking only levels j and after, since those below are proved.  Exact
-levels try each comparison on the iterate's level-0 enclosures first, so
+certified; if all k levels are certified, or level 0 is and the sequence has
+no comparisons (length <= 2, where L only squares the entries), the success
+verdict is proved.  Otherwise, from its first miss at level j, the exact
+phase divides v by its gcd (the scale-free enclosures need none) and iterates
+L exactly from level 0, checking only levels j and after, since those below
+are proved.  Exact levels form both products of every comparison exactly, so
 every failing verdict and its witness come from exact products.  The bits of
 an exact iterate double at each level, so before each exact step the phase
 raises ValueError if the entries to square hold more than 2^22 bits in total
@@ -377,16 +378,13 @@ def _exact_witness(
     prop: str, current: Sequence[int], pairs: Pairs, strict: bool, show: Callable[[int, int], str]
 ) -> Witness | None:
     """The first non-positive entry of the exact iterate ``current``, else the
-    first comparison it violates, each tried on its enclosures first; else
+    first comparison it violates, both of its products formed exactly; else
     None.  ``show(p, t)`` prints the product p of t entries of the iterate.
     """
     for i, x in enumerate(current):
         if x <= 0:
             return Witness("positivity", (i,), lhs=show(x, 1), rhs="0")
-    bounds = _enclosures(current)
     for lhs, rhs in pairs:
-        if _certified(bounds, lhs, rhs):
-            continue
         left, right = math.prod(current[j] for j in lhs), math.prod(current[j] for j in rhs)
         if left < right if strict else left <= right:
             continue
@@ -426,7 +424,9 @@ def k_property(
     missed = 0  # the first level whose enclosures miss
     while _certify(bounds, pairs):
         missed += 1
-        if missed == k:
+        # with no comparison (length <= 2), L only squares the entries, so
+        # once level 0 is positive every level holds
+        if missed == k or not pairs:
             return PropertyVerdict(prop, strict, True, k - 1)
         bounds = _l_enclosure(bounds)
     g = math.gcd(*values) or 1

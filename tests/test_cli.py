@@ -252,6 +252,20 @@ def test_rows_above_m_4000_are_refused(capsys, monkeypatch, command):
     assert err == "error: --m must be at most 4000, got 4001\n"
 
 
+def test_scan_above_m_4000_is_refused_before_the_ledger(capsys, monkeypatch, tmp_path):
+    def refuse(m):
+        raise AssertionError("built a row")
+
+    monkeypatch.setattr(scanner, "closed_form_row", refuse)
+    ledger = tmp_path / "scan.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--from", "8000", "--to", "8000", "--depth", "1", "--ledger", str(ledger)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --to must be at most 4000, got 8000\n"
+    assert not ledger.exists()
+
+
 def test_check_usage_errors(capsys):
     assert run(capsys, "check", "--seq", "1,2,x", "--props", "spiral")[0] == 2
     assert run(capsys, "check", "--seq", "1,2", "--props", "bogus")[0] == 2

@@ -658,6 +658,52 @@ def test_deep_certified_row_builds_no_exact_iterate(monkeypatch):
     assert k_property(closed_form_row(8), 60, RATIO_MONOTONE, True).holds
 
 
+@pytest.mark.parametrize("seq", ([], [5], [5, 1]))
+def test_short_sequences_hold_at_any_depth_from_level_0(monkeypatch, seq):
+    # no comparisons, and L only squares the entries: no level past 0 is walked
+    def refuse(seq):
+        raise AssertionError("walked a level past 0")
+
+    monkeypatch.setattr(seqprops, "_l_enclosure", refuse)
+    monkeypatch.setattr(seqprops, "l_operator", refuse)
+    for prop in EXACT_REFERENCE:
+        for strict in (False, True):
+            verdict = k_property(seq, 10**9, prop, strict)
+            assert (verdict.holds, verdict.level, verdict.witness) == (True, 10**9 - 1, None)
+
+
+@pytest.mark.parametrize(
+    "seq, witness",
+    (
+        ([0, 1], Witness("positivity", (0,), lhs="0", rhs="0")),
+        ([1, -1], Witness("positivity", (1,), lhs="-1", rhs="0")),
+    ),
+)
+def test_short_non_positive_sequences_fail_at_level_0(seq, witness):
+    for prop in EXACT_REFERENCE:
+        verdict = k_property(seq, 10**9, prop)
+        assert (verdict.holds, verdict.level, verdict.witness) == (False, 0, witness)
+
+
+def test_exact_levels_build_no_enclosures(monkeypatch):
+    # level 0's enclosures are built once, by the enclosure phase; the exact
+    # phase forms every product exactly
+    calls = []
+    enclosures = seqprops._enclosures
+
+    def counted(values):
+        calls.append(values)
+        return enclosures(values)
+
+    monkeypatch.setattr(seqprops, "_enclosures", counted)
+    # a tie at every level, so every level is exact
+    assert k_property([1, 2, 1], 5, RATIO_MONOTONE).holds
+    assert len(calls) == 1
+    verdict = k_property(_tampered(8, 4, 3), 4, RATIO_MONOTONE, True)
+    assert (verdict.holds, verdict.level) == (False, 2)
+    assert len(calls) == 2
+
+
 def test_level_two_miss_reaches_the_exact_path(monkeypatch):
     seq = LEVEL_TWO_TIES[0]
     iterates = []
