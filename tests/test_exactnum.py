@@ -115,6 +115,29 @@ def test_parse_exact_and_exact_str_past_the_digit_limit():
     assert exact_str(Dyadic(3, 1)) == "3/2^1"
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["1e30000000", "1/2^10000000", "-1e-1000000", "1e200000", "10e199999", "1/2^664385"]
+    + [
+        "1e1_000_000",
+        pytest.param("1e" + "9" * 5000, id="1e9...9 (5000 nines)"),
+        pytest.param("1" * 200_001, id="1...1 (200001 ones)"),
+        pytest.param("1/" + "3" * 200_000, id="1/3...3 (200000 threes)"),
+    ],
+)
+def test_parse_exact_refuses_a_token_past_200000_digits(token):
+    # refused before conversion: 1e30000000 alone would take seconds to convert
+    with pytest.raises(ValueError, match="spells more than 200000 decimal digits"):
+        parse_exact(token)
+
+
+def test_parse_exact_accepts_a_token_at_200000_digits():
+    assert parse_exact("1e199999") == 10**199999
+    assert parse_exact("-1e-199999") == Fraction(-1, 10**199999)
+    assert parse_exact("1/2^664382") == Fraction(1, 1 << 664382)
+    assert parse_exact("1e-0000000000000000000000001") == Fraction(1, 10)
+
+
 @pytest.mark.parametrize("bad", ["3", "3/4", "3/2^", "1/2^-1", " 3/2^1", "3/2^1 ", "a/2^1"])
 def test_parse_rejects_noncanonical(bad):
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmtk import closed_form_row, polyident
@@ -14,7 +14,6 @@ from bmtk.polyident import (
     REFLECTED_GAP_EXPANSION_GROUPS,
     UPPER_BOUND_EXPANSION_GROUPS,
     MultiPoly,
-    _nonnegative_on,
     grid_nonnegativity,
     group_poly,
     group_value,
@@ -238,7 +237,7 @@ def test_grid_detects_adversarial_group():
 def test_grid_strict_mode():
     assert grid_nonnegativity([N + 1], "triangle", 3, strict=True).ok
     assert not grid_nonnegativity([N], "triangle", 3, strict=True).ok
-    # mixed-sign rows, nonnegative but zero at the row's top or at y = 0
+    # nonnegative on the triangle, but zero on its diagonal or at y = 0
     for poly in (N - I, I * (N + 1 - I)):
         assert grid_nonnegativity([poly], "triangle", 3).ok
         report = grid_nonnegativity([poly], "triangle", 3, strict=True)
@@ -277,9 +276,9 @@ grid_polys = st.builds(
     ),
 ) | st.builds(MultiPoly.constant, st.integers(-3, 3))
 
-# Squares and products of linear factors: many of their rows have coefficients
-# of both signs yet are nonnegative on the lattice, some provably so by the
-# certificate and some, with a root inside the row, only point by point.
+# Squares and products of linear factors: many have coefficients of both
+# signs yet are nonnegative on the lattice, some provably so by the
+# substitution and some, with a root inside the region, only point by point.
 linear_factors = st.builds(
     lambda a, b, c: a * N + b * I + c,
     st.integers(-2, 2),
@@ -299,6 +298,13 @@ factored_polys = st.builds(lambda f: f * f, linear_factors) | st.builds(
     st.integers(1, 40),
     st.booleans(),
 )
+# the cases of the proof tests below: strict needs p(0, 0) > 0, N - 2I is
+# proved on the half only, and I^2 - I is walked
+@example([N + I], "triangle", 3, True)
+@example([N - 2 * I], "half", 6, False)
+@example([N - 2 * I], "triangle", 6, False)
+@example([I**2 - I], "triangle", 4, False)
+@example([I**2 - I], "triangle", 4, True)
 def test_grid_matches_per_point_reference(polys, region, bound, strict):
     report = grid_nonnegativity(polys, region, bound, strict)
     assert (report.region, report.bound) == (region, bound)
@@ -313,31 +319,8 @@ def test_grid_reports_violations_in_lattice_order():
     assert report.violations[:4] == [(0, 0, 0, "0"), (1, 0, 0, "-2"), (2, 0, 0, "-1"), (0, 1, 0, "0")]
 
 
-def test_certificate_proves_a_mixed_sign_row_positive():
-    # 10 - y on [0, 5] and y^2 - 4y + 5 on [0, 1]
-    assert _nonnegative_on([10, -1], 5, strict=True)
-    assert _nonnegative_on([5, -4, 1], 1, strict=True)
-
-
-def test_certificate_misses_a_row_negative_between_integers():
-    # y^2 - y is 0 at y = 0 and 1 and -1/4 at y = 1/2
-    assert not _nonnegative_on([0, -1, 1], 4, strict=False)
-    assert grid_nonnegativity([I**2 - I], "triangle", 4).ok
-    assert not grid_nonnegativity([I**2 - I], "triangle", 4, strict=True).ok
-
-
-def test_certificate_in_strict_mode_needs_both_ends_positive():
-    assert _nonnegative_on([0, 1], 3, strict=False)  # y, which is 0 at y = 0
-    assert not _nonnegative_on([0, 1], 3, strict=True)
-    assert _nonnegative_on([3, -1], 3, strict=False)  # 3 - y, which is 0 at y = 3
-    assert not _nonnegative_on([3, -1], 3, strict=True)
-    # a row of the single point y = 0 is decided by p(0)
-    assert _nonnegative_on([0, -5], 0, strict=False)
-    assert not _nonnegative_on([0, -5], 0, strict=True)
-    assert not _nonnegative_on([-1, 5], 0, strict=False)
-
-
-def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):
+def _walked(monkeypatch):
+    """Record the length of every row grid_nonnegativity walks."""
     rows = []
     real = polyident._horner
 
@@ -346,8 +329,49 @@ def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):
         return real(coeffs, ys)
 
     monkeypatch.setattr(polyident, "_horner", counting)
+    return rows
+
+
+def test_strict_proof_needs_a_positive_constant_term(monkeypatch):
+    rows = _walked(monkeypatch)
+    # N - I + 1 is t + 1 on the triangle: positive, and proved so
+    assert grid_nonnegativity([N - I + 1], "triangle", 3, strict=True).ok
+    assert rows == []
+    # N + I is 2y + t, nonnegative, but 0 at the origin, so strict walks it
+    assert grid_nonnegativity([N + I], "triangle", 3).ok
+    assert rows == []
+    report = grid_nonnegativity([N + I], "triangle", 3, strict=True)
+    assert report.violations == [(0, 0, 0, "0")]
+    assert rows == [1, 2, 3, 4]
+
+
+def test_proof_depends_on_the_region(monkeypatch):
+    rows = _walked(monkeypatch)
+    # N - 2I is t at x = 2y + t on the half, but t - y at x = y + t on the triangle
+    assert grid_nonnegativity([N - 2 * I], "half", 6).ok
+    assert rows == []
+    report = grid_nonnegativity([N - 2 * I], "triangle", 6)
+    assert (0, 1, 1, "-1") in report.violations
+    assert report.violations == _grid_reference([N - 2 * I], "triangle", 6, False)[1]
+
+
+def test_unproved_polynomial_is_walked_point_by_point(monkeypatch):
+    rows = _walked(monkeypatch)
+    # y^2 - y is -1/4 at y = 1/2, so no substitution proves it, yet it is
+    # 0 at y = 0 and 1 and positive at every other integer y
+    assert grid_nonnegativity([I**2 - I], "triangle", 4).ok
+    assert rows == [1, 2, 3, 4, 5]
+    report = grid_nonnegativity([I**2 - I], "triangle", 4, strict=True)
+    assert report.violations == _grid_reference([I**2 - I], "triangle", 4, True)[1] != []
+
+
+def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a suite polynomial was walked point by point")
+
+    monkeypatch.setattr(polyident, "_horner", unexpected)
+    monkeypatch.setattr(polyident, "_y_coefficients", unexpected)
     assert all(record["grid_ok"] in (None, True) for record in run_identity_suite(200))
-    assert len(rows) <= 25
 
 
 def test_run_identity_suite_records_at_grid_200():
