@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from . import bmcoeff, boundcheck, polyident, quadoracle, scanner, seqprops
+from . import bmcoeff, boundcheck, exactnum, polyident, quadoracle, scanner, seqprops
 from .exactnum import decimal_string, exact_str, parse_exact
 
 __all__ = ["main", "build_parser"]
@@ -93,14 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_seq(text: str) -> tuple[Fraction, ...]:
+    """The entries of ``--seq``, refused before any is converted when they
+    spell more than ``exactnum._MAX_SEQ_DIGITS`` decimal digits in all."""
+    tokens = [token.strip() for token in text.split(",")]
+    if sum(map(exactnum._spelled_digits, tokens)) > exactnum._MAX_SEQ_DIGITS:
+        raise ValueError(f"--seq spells more than {exactnum._MAX_SEQ_DIGITS} decimal digits")
     values = []
-    for token in text.split(","):
-        token = token.strip()
+    for token in tokens:
         if not token:
             raise ValueError("empty entry in --seq")
         values.append(parse_exact(token))
-    if not values:
-        raise ValueError("--seq needs at least one entry")
     return tuple(values)
 
 

@@ -234,10 +234,13 @@ def _int_str(n: int) -> str:
     """``str(n)``, also past the interpreter's limit on int-to-decimal digits.
 
     CPython refuses ``str()`` of an int with more than 4,300 digits by
-    default; the decimal module's conversion has no such cap and gives the
-    same digits.
+    default, with ValueError; only then is the value converted by the decimal
+    module, which has no such cap and gives the same digits.
     """
-    return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _parse_int(digits: str) -> int:
@@ -266,6 +269,12 @@ _DECIMAL_RE = re.compile(
 # value is the cost: ``check --seq 1,<token>,1 --props ratio`` took 0.9 s on
 # 1e-199999 and 1/2^664000, 46 s on 1e30000000 (CPython 3.11, 2-vCPU Xeon).
 _MAX_TOKEN_DIGITS = 200_000
+
+# A whole sequence of tokens may spell at most this many digits.  Bringing
+# its entries over one denominator and printing its witnesses is the cost:
+# with ``--props ratio``, ``1,1e-104999,1,1e-104999,1`` took 1.0 s, and ten
+# tokens alternating 1e199999 and 1e-199999 took 13 s (same machine).
+_MAX_SEQ_DIGITS = 210_000
 _EXPONENT_RE = re.compile(r"(?:(/2\^)|[eE])[-+]?([\d_]*)\s*$|$")
 
 

@@ -35,49 +35,66 @@ L homogeneous of degree 2.  The input is in one of two number families:
 and any other mix, such as ints with Dyadic values, raises TypeError.  Dyadic
 and Fraction values return only in witness strings.
 
-An enclosure of an entry x is a triple of ints (lo, hi, k) with
+An enclosure of an entry x at a precision of ``bits`` bits is a triple of
+ints (lo, hi, k) with
 
-    lo·2^k <= x < hi·2^k,
+    lo·2^k <= x < hi·2^k,   hi <= 2^bits:
 
-kept to 64 bits: at level 0, lo is x scaled to its top 64 bits and
-hi = lo + 1.  A comparison is certified when the product of its left
-entries' hi's is at most the product of its right entries' lo's (each
-scaled by its powers of two); with every lo positive this proves lhs < rhs,
-strict or not.  Where every lo is positive, so is every entry; squares and
-products are then monotone in the entries, and L maps enclosures to
-enclosures:
+at level 0, lo is x scaled to its top ``bits`` bits and hi = lo + 1.  Every
+comparison is decided as an index quad (a, b, c, d), meaning
+x_a·x_b < x_c·x_d; a one-entry side is padded with the enclosure (1, 1, 0)
+of the exact number 1.  A quad is certified when hi_a·hi_b is at most
+lo_c·lo_d (each scaled by its powers of two); with every lo positive this
+proves lhs < rhs, strict or not.  The padding's hi = 1 is not above the 1 it
+pads, but the other factor's bound stays strict (x_a < hi_a·2^k_a), so the
+left product is still strictly below the bound.  Where every lo is positive,
+so is every entry; squares and products are then monotone in the entries,
+and L maps enclosures to enclosures:
 
     lo'_i = lo_i^2 - hi_{i-1} hi_{i+1},    hi'_i = hi_i^2 - lo_{i-1} lo_{i+1}
 
-over the smaller of the two terms' exponents, after which lo' is rounded
-down and hi' up to 64 bits, so each exact iterate lies inside the iterated
-enclosures.
+over the smaller of the two terms' exponents (only the term with the larger
+one is shifted), after which lo' is rounded down and hi' up to ``bits``
+bits, so each exact iterate lies inside the iterated enclosures.
 
 The exponent gaps between the two sides of these formulas double at each
 level, so shifting by them would cost time and memory exponential in the
-depth.  None is needed past 128 bits: every hi is at most 2^64 and every lo
-at least 1, so a product of one or two of them lies in [1, 2^128].  A
-comparison whose sides' exponents differ by more than 128 is decided by that
-difference alone (the larger side is the larger product).  In L, when 2k_i
-exceeds k_{i-1} + k_{i+1} by more than 128, the neighbour product lies
-strictly between 0 and 2^(2k_i), one unit of the square, so the entry is
-enclosed by (lo_i^2 - 1, hi_i^2, 2k_i); in the opposite case the square lies
-strictly between 0 and one unit of the neighbour product, so the entry is
-enclosed by (-hi_{i-1} hi_{i+1}, 1 - lo_{i-1} lo_{i+1}, k_{i-1} + k_{i+1}),
+depth.  None is needed past 2·bits: every hi is at most 2^bits and every lo
+at least 1, so a product of one or two of them lies in [1, 2^(2·bits)].  A
+comparison whose sides' exponents differ by more than 2·bits is decided by
+that difference alone (the larger side is the larger product).  In L, when
+2k_i exceeds k_{i-1} + k_{i+1} by more than 2·bits, the neighbour product
+lies strictly between 0 and 2^(2k_i), one unit of the square, so the entry
+is enclosed by (lo_i^2 - 1, hi_i^2, 2k_i); in the opposite case the square
+lies strictly between 0 and one unit of the neighbour product, so the entry
+is enclosed by (-hi_{i-1} hi_{i+1}, 1 - lo_{i-1} lo_{i+1}, k_{i-1} + k_{i+1}),
 whose lo is negative.  So an enclosure level costs the same at any depth.
 
-:func:`k_property` runs in two phases.  The enclosure phase goes on to the
-next level's enclosures while every lo is positive and every comparison
-certified; if all k levels are certified, or level 0 is and the sequence has
-no comparisons (length <= 2, where L only squares the entries), the success
-verdict is proved.  Otherwise, from its first miss at level j, the exact
-phase divides v by its gcd (the scale-free enclosures need none) and iterates
-L exactly from level 0, checking only levels j and after, since those below
-are proved.  Exact levels form both products of every comparison exactly, so
-every failing verdict and its witness come from exact products.  The bits of
-an exact iterate double at each level, so before each exact step the phase
-raises ValueError if the entries to square hold more than 2^22 bits in total
-(the steps up to that size take about a second).
+The enclosure phase climbs a ladder of precisions, 30 bits (one CPython
+digit, so most products stay within two) and then 64.  Each rung builds its
+enclosures from level 0, steps L without certifying through the levels a
+lower rung proved, and certifies from the first level none proved.  A level
+proved at 30 bits is proved, and the 64-bit enclosures of a level lie inside
+its 30-bit ones (level 0 truncates each entry further down, and L and the
+outward rounding keep that order), so their lo's are positive too and L may
+step them.  An enclosure's relative width doubles at each level, so a row
+misses at the first level past its rung's reach: at 30 bits level 12 or
+later up to m=128 but level 4 or 5 from m=163 on, at 64 bits level 50 at
+m=100 and 36 at m=400.
+
+:func:`k_property` runs in two phases.  On each rung the enclosure phase
+goes on to the next level's enclosures while every lo is positive and every
+comparison certified; if all k levels are certified, or level 0 is and the
+sequence has no comparisons (length <= 2, where L only squares the entries),
+the success verdict is proved.  Otherwise, from the first level j that no
+rung certified, the exact phase divides v by its gcd (the scale-free
+enclosures need none) and iterates L exactly from level 0, checking only
+levels j and after, since those below are proved.  Exact levels form both
+products of every comparison exactly, so every failing verdict and its
+witness come from exact products.  The bits of an exact iterate double at
+each level, so before each exact step the phase raises ValueError if the
+entries to square hold more than 2^22 bits in total (the steps up to that
+size take about a second).
 """
 
 from __future__ import annotations
@@ -181,12 +198,9 @@ def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callabl
     return values, lambda p, power: str(Dyadic(p, e * power))
 
 
-# An enclosure keeps this many leading bits of an entry.
-_FILTER_BITS = 64
-
-# Every hi is at most 2^64, so a product of one or two of them is at most
-# 2^128: past an exponent gap of this many bits, the larger side decides.
-_GAP = 2 * _FILTER_BITS
+# The enclosure phase's precisions in bits, tried in this order: one CPython
+# digit, then 64.
+_RUNGS = (30, 64)
 
 # The most bits, summed over its entries, that an exact iterate may hold
 # before L squares it.
@@ -195,43 +209,21 @@ _EXACT_BITS = 1 << 22
 # (lo, hi, k): an entry x with lo·2^k <= x < hi·2^k
 Enclosure = tuple[int, int, int]
 
+# The enclosure of the exact number 1, which pads a one-entry side of a
+# comparison.
+_ONE: Enclosure = (1, 1, 0)
 
-def _enclosures(values: Sequence[int]) -> list[Enclosure]:
+
+def _enclosures(values: Sequence[int], bits: int) -> list[Enclosure]:
     """Per int x, the enclosure ``(lo, lo + 1, k)`` with
-    ``lo·2^k <= x < (lo + 1)·2^k``, where ``lo`` is the top 64 bits of x, and
-    x itself shifted up to 64 bits (k < 0) when it is shorter."""
+    ``lo·2^k <= x < (lo + 1)·2^k``, where ``lo`` is the top ``bits`` bits of
+    x, and x itself shifted up to ``bits`` bits (k < 0) when it is shorter."""
     bounds = []
     for x in values:
-        k = x.bit_length() - _FILTER_BITS
+        k = x.bit_length() - bits
         lo = x >> k if k >= 0 else x << -k
         bounds.append((lo, lo + 1, k))
     return bounds
-
-
-def _certified(
-    bounds: list[Enclosure], lhs: tuple[int, ...], rhs: tuple[int, ...]
-) -> bool:
-    """True when the enclosures prove that the product of the entries at
-    ``lhs`` is below the product of those at ``rhs``.
-
-    The left product is strictly below the product of the ``hi``s, the right
-    one at least the product of the ``lo``s (all positive), so when the first
-    bound is at most the second, lhs < rhs holds, strict or not.  Both
-    products lie in [1, 2^128], so a power-of-two gap wider than 128 bits
-    between the sides decides without a shift.
-    """
-    upper, lower, shift = 1, 1, 0
-    for j in lhs:
-        _, hi, k = bounds[j]
-        upper *= hi
-        shift += k
-    for j in rhs:
-        lo, _, k = bounds[j]
-        lower *= lo
-        shift -= k
-    if -_GAP <= shift <= _GAP:
-        return upper << shift <= lower if shift >= 0 else upper <= lower << -shift
-    return shift < 0
 
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -333,45 +325,84 @@ PROPERTIES: dict[str, Callable[..., PropertyVerdict]] = {
 }
 
 
-def _l_enclosure(bounds: list[Enclosure]) -> list[Enclosure]:
+def _squared(bound: Enclosure, bits: int) -> Enclosure:
+    """The enclosure of an end entry's image under L, its square, rounded to
+    ``bits`` bits."""
+    lo, hi, k = bound
+    lo, hi, k = lo * lo, hi * hi, 2 * k
+    s = hi.bit_length() - bits
+    return (lo >> s, -(-hi >> s), k + s) if s > 0 else (lo, hi, k)
+
+
+def _l_enclosure(bounds: list[Enclosure], bits: int) -> list[Enclosure]:
     """Enclosures of the image under L of every sequence inside ``bounds``.
 
-    Needs every ``lo`` positive.  Entry i gets ``lo_i^2 - hi_{i-1} hi_{i+1}``
-    and ``hi_i^2 - lo_{i-1} lo_{i+1}`` over the smaller exponent of the two
-    terms, then ``lo`` rounded down and ``hi`` up to 64 bits.  Past a gap of
-    128 bits between the two terms' exponents, the smaller term lies in
-    (0, 1) units of the larger one's, and is taken as such.
+    Needs every ``lo`` positive.  Interior entry i gets
+    ``lo_i^2 - hi_{i-1} hi_{i+1}`` and ``hi_i^2 - lo_{i-1} lo_{i+1}`` over the
+    smaller exponent of the two terms (the term with the larger one is
+    shifted), then ``lo`` rounded down and ``hi`` up to ``bits`` bits.  Past a
+    gap of ``2·bits`` between the two terms' exponents, the smaller term lies
+    in (0, 1) units of the larger one's, and is taken as such.
     """
-    n = len(bounds) - 1
-    out = []
-    for i, (lo, hi, k) in enumerate(bounds):
-        lo, hi, k = lo * lo, hi * hi, 2 * k
-        if 0 < i < n:
-            lo_left, hi_left, k_left = bounds[i - 1]
-            lo_right, hi_right, k_right = bounds[i + 1]
-            k_side = k_left + k_right
-            if -_GAP <= k - k_side <= _GAP:
-                e = min(k, k_side)
-                lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
-                hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
-                k = e
-            elif k > k_side:  # 0 < x_{i-1} x_{i+1} < 2^k
-                lo -= 1
-            else:  # 0 < x_i^2 < 2^k_side
-                lo, hi, k = -hi_left * hi_right, 1 - lo_left * lo_right, k_side
-        s = hi.bit_length() - _FILTER_BITS
+    if len(bounds) < 3:
+        return [_squared(bound, bits) for bound in bounds]
+    gap = 2 * bits
+    out = [_squared(bounds[0], bits)]
+    for (lo_l, hi_l, k_l), (lo, hi, k), (lo_r, hi_r, k_r) in zip(bounds, bounds[1:], bounds[2:]):
+        k_side = k_l + k_r
+        d = 2 * k - k_side
+        if 0 <= d <= gap:
+            lo, hi, k = (lo * lo << d) - hi_l * hi_r, (hi * hi << d) - lo_l * lo_r, k_side
+        elif -gap <= d < 0:
+            lo, hi, k = lo * lo - (hi_l * hi_r << -d), hi * hi - (lo_l * lo_r << -d), 2 * k
+        elif d > 0:  # 0 < x_{i-1} x_{i+1} < 2^(2k)
+            lo, hi, k = lo * lo - 1, hi * hi, 2 * k
+        else:  # 0 < x_i^2 < 2^k_side
+            lo, hi, k = -hi_l * hi_r, 1 - lo_l * lo_r, k_side
+        s = hi.bit_length() - bits
         if s > 0:
             lo, hi, k = lo >> s, -(-hi >> s), k + s
         out.append((lo, hi, k))
+    out.append(_squared(bounds[-1], bits))
     return out
 
 
-def _certify(bounds: list[Enclosure], pairs: Pairs) -> bool:
-    """True when every ``lo`` is positive and every comparison in ``pairs``
-    is certified: then every sequence inside ``bounds`` passes them all."""
+Quads = list[tuple[int, int, int, int]]
+
+
+def _quads(pairs: Pairs, one: int) -> Quads:
+    """Each comparison of ``pairs`` as an index quad (a, b, c, d) that holds
+    when x_a·x_b < x_c·x_d, a one-entry side padded with the index ``one``."""
+    return [(lhs + (one,))[:2] + (rhs + (one,))[:2] for lhs, rhs in pairs]
+
+
+def _certify(bounds: list[Enclosure], quads: Quads, bits: int) -> bool:
+    """True when every ``lo`` is positive and ``bounds``, followed by the
+    enclosure of 1, prove every comparison in ``quads``: then every sequence
+    inside ``bounds`` passes them all.
+
+    Quad (a, b, c, d) is proved when hi_a·hi_b is at most lo_c·lo_d, each
+    scaled by its powers of two: the left product is strictly below the
+    first, the right one at least the second, so lhs < rhs holds, strict or
+    not.  Both products lie in [1, 2^(2·bits)], so a power-of-two gap wider
+    than ``2·bits`` between the sides decides without a shift.
+    """
     if any(lo <= 0 for lo, _, _ in bounds):
         return False
-    return all(_certified(bounds, lhs, rhs) for lhs, rhs in pairs)
+    bounds = [*bounds, _ONE]
+    gap = 2 * bits
+    for a, b, c, d in quads:
+        _, hi_a, k_a = bounds[a]
+        _, hi_b, k_b = bounds[b]
+        lo_c, _, k_c = bounds[c]
+        lo_d, _, k_d = bounds[d]
+        shift = k_a + k_b - k_c - k_d
+        if shift >= 0:
+            if shift > gap or hi_a * hi_b << shift > lo_c * lo_d:
+                return False
+        elif shift >= -gap and hi_a * hi_b > lo_c * lo_d << -shift:
+            return False
+    return True
 
 
 def _exact_witness(
@@ -420,15 +451,19 @@ def k_property(
     strict = strict if fixed is None else fixed
     values, show = _integer_form(seq)
     pairs = comparisons(len(values) - 1) if len(values) > 2 else []
-    bounds = _enclosures(values)
-    missed = 0  # the first level whose enclosures miss
-    while _certify(bounds, pairs):
-        missed += 1
-        # with no comparison (length <= 2), L only squares the entries, so
-        # once level 0 is positive every level holds
-        if missed == k or not pairs:
-            return PropertyVerdict(prop, strict, True, k - 1)
-        bounds = _l_enclosure(bounds)
+    quads = _quads(pairs, len(values))
+    missed = 0  # the first level that no rung proved
+    for bits in _RUNGS:
+        bounds = _enclosures(values, bits)
+        for _ in range(missed):  # levels a lower rung proved
+            bounds = _l_enclosure(bounds, bits)
+        while _certify(bounds, quads, bits):
+            missed += 1
+            # with no comparison (length <= 2), L only squares the entries,
+            # so once level 0 is positive every level holds
+            if missed == k or not pairs:
+                return PropertyVerdict(prop, strict, True, k - 1)
+            bounds = _l_enclosure(bounds, bits)
     g = math.gcd(*values) or 1
     current = [v // g for v in values]
     for level in range(k):

@@ -469,6 +469,27 @@ def test_check_seq_past_the_digit_limit(capsys):
     assert json.loads(out)[0]["holds"]
 
 
+# Every token within 200,000 digits, the sequence past 210,000: ten tokens
+# ran 13.7 s and 200 tokens 10.7 s before the whole sequence was bounded.
+@pytest.mark.parametrize(
+    "seq",
+    [
+        pytest.param(",".join(["1e199999", "1e-199999"] * 5), id="ten alternating"),
+        pytest.param(",".join(f"1e-{199999 - i}" for i in range(200)), id="200 descending"),
+    ],
+)
+def test_check_seq_past_the_sequence_digit_limit_is_refused(capsys, seq):
+    code, out, err = run(capsys, "check", "--seq", seq, "--props", "ratio")
+    assert (code, out) == (2, "")
+    assert "--seq spells more than 210000 decimal digits" in err
+
+
+def test_check_seq_of_one_token_at_its_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "check", "--seq", "1,1e-199999,1", "--props", "ratio")
+    assert code == 1
+    assert "ratio-monotone (strict=False): FAILS" in out
+
+
 def _huge_failing_report(m):
     big = 10**5000
     report = BoundReport("thm21", m)

@@ -2,13 +2,14 @@
 
 import math
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmtk import BinomialCache, Dyadic, binomial, decimal_string
+from bmtk import BinomialCache, Dyadic, binomial, decimal_string, exactnum
 from bmtk.exactnum import exact_str, parse_exact
 
 nums = st.integers(min_value=-(10**12), max_value=10**12)
@@ -113,6 +114,12 @@ def test_parse_exact_and_exact_str_past_the_digit_limit():
     assert exact_str(Fraction(big, 1)) == exact_str(big)
     assert exact_str(Fraction(-3, 4)) == "-3/4" and exact_str(7) == "7"
     assert exact_str(Dyadic(3, 1)) == "3/2^1"
+
+
+def test_int_str_is_the_decimal_digits_at_any_size():
+    # str() where the interpreter allows it, the decimal module past its limit
+    for n in (0, 7, -7, 10**4299, 10**4300 - 1, 10**4300, -(10**4300) - 3, 10**5000 + 7):
+        assert exactnum._int_str(n) == str(Decimal(n))
 
 
 @pytest.mark.parametrize(

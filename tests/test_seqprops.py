@@ -20,6 +20,7 @@ from bmtk import (
     is_unimodal_midpeak,
     k_property,
     l_operator,
+    recu1_row,
 )
 from bmtk import seqprops
 from bmtk.exactnum import exact_str
@@ -504,43 +505,54 @@ moderate_ints = st.lists(
 )
 
 
-def _contained_gaps(seq, levels):
-    """Assert that the iterated enclosures of ``seq`` contain its exact
-    iterates at levels 0..levels-1, or until some lo is not positive, and
-    return the exponent gaps 2k_i - k_{i-1} - k_{i+1} that L's rule met."""
-    bounds = seqprops._enclosures(seq)
+RUNGS = seqprops._RUNGS
+
+
+def _contained_gaps(seq, levels, bits):
+    """Assert that the iterated ``bits``-bit enclosures of ``seq`` contain its
+    exact iterates at levels 0..levels-1, or until some lo is not positive,
+    with every hi rounded to ``bits`` bits, and return the exponent gaps
+    2k_i - k_{i-1} - k_{i+1} that L's rule met."""
+    bounds = seqprops._enclosures(seq, bits)
     gaps = []
     for level in range(levels):
         assert all(map(_encloses, bounds, seq)), level
-        assert all(hi.bit_length() <= 65 for _, hi, _ in bounds)  # rounded to 64 bits
+        assert all(hi <= 1 << bits for _, hi, _ in bounds)  # rounded to bits
         if any(lo <= 0 for lo, _, _ in bounds):
             break  # L's rule needs positive entries
         gaps += [
             2 * bounds[i][2] - bounds[i - 1][2] - bounds[i + 1][2] for i in range(1, len(seq) - 1)
         ]
-        seq, bounds = l_operator(seq), seqprops._l_enclosure(bounds)
+        seq, bounds = l_operator(seq), seqprops._l_enclosure(bounds, bits)
     return gaps
 
 
 @settings(deadline=None)
-@given(st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows))
+@given(
+    st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows),
+    st.sampled_from(RUNGS),
+)
 # Rounding lo up breaks the invariant on [16, 20, 9] at level 5 and on the
 # second example at level 2; subtracting lo_{i-1} lo_{i+1} from lo_i^2 in
-# place of hi_{i-1} hi_{i+1} breaks it on the second at level 3.
-@example([16, 20, 9])
-@example([154587, 217239, 150696])
-def test_iterated_enclosures_contain_the_exact_iterates(seq):
-    _contained_gaps(seq, 6)
+# place of hi_{i-1} hi_{i+1} breaks it on the second at level 3 (64 bits).
+@example([16, 20, 9], 64)
+@example([154587, 217239, 150696], 64)
+@example([16, 20, 9], 30)
+@example([154587, 217239, 150696], 30)
+def test_iterated_enclosures_contain_the_exact_iterates(seq, bits):
+    _contained_gaps(seq, 6, bits)
 
 
-# An entry's square and its neighbours' product more than 128 bits apart, in
-# both directions: the square wins on rows past level 8 and on real-rooted
-# sequences, the neighbours win at level 0 on sequences with a deep dip.
+# An entry's square and its neighbours' product more than 128 bits apart (so
+# past 2·bits at every rung), in both directions: the square wins on rows past
+# level 8 and on real-rooted sequences, the neighbours win at level 0 on
+# sequences with a deep dip.
 @pytest.mark.parametrize("m", (3, 8, 12))
 def test_row_enclosures_contain_the_iterates_past_a_128_bit_gap(m):
-    gaps = _contained_gaps(closed_form_row(m).scaled, 13)
-    assert len(gaps) == 13 * (m - 1)  # every lo stayed positive
-    assert max(gaps) > 128
+    for bits in RUNGS:
+        gaps = _contained_gaps(closed_form_row(m).scaled, 13, bits)
+        assert len(gaps) == 13 * (m - 1)  # every lo stayed positive
+        assert max(gaps) > 128
 
 
 @settings(deadline=None)
@@ -554,21 +566,46 @@ def test_row_enclosures_contain_the_iterates_past_a_128_bit_gap(m):
             min_size=3,
             max_size=5,
         ),
-    )
+    ),
+    st.sampled_from(RUNGS),
 )
-@example([1 << 200, 1, 1 << 200, 3, 5])
-@example([1, 4, 6, 4, 1])
-def test_short_sequence_enclosures_contain_the_iterates_to_level_12(seq):
-    _contained_gaps(seq, 13)
+@example([1 << 200, 1, 1 << 200, 3, 5], 64)
+@example([1, 4, 6, 4, 1], 64)
+@example([1 << 200, 1, 1 << 200, 3, 5], 30)
+@example([1, 4, 6, 4, 1], 30)
+def test_short_sequence_enclosures_contain_the_iterates_to_level_12(seq, bits):
+    _contained_gaps(seq, 13, bits)
+
+
+def _within(inner, outer):
+    """True when the interval of enclosure ``inner`` lies inside ``outer``'s."""
+    (lo, hi, k), (lo_out, hi_out, k_out) = inner, outer
+    e = min(k, k_out)
+    return lo_out << k_out - e <= lo << k - e and hi << k - e <= hi_out << k_out - e
+
+
+@settings(deadline=None)
+@given(st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows))
+@example(closed_form_row(400).scaled)
+@example([1, 1, 1 << 300])
+def test_64_bit_enclosures_lie_inside_the_30_bit_ones(seq):
+    # so the 64-bit rung may step L through every level the 30-bit rung proved
+    inner, outer = seqprops._enclosures(seq, 64), seqprops._enclosures(seq, 30)
+    for level in range(8):
+        assert all(map(_within, inner, outer)), level
+        if any(lo <= 0 for lo, _, _ in outer):
+            break
+        inner, outer = seqprops._l_enclosure(inner, 64), seqprops._l_enclosure(outer, 30)
 
 
 def test_dip_enclosures_contain_the_iterate_past_a_128_bit_gap():
-    assert min(_contained_gaps([1, 1, 1 << 300], 13)) < -128
+    for bits in RUNGS:
+        assert min(_contained_gaps([1, 1, 1 << 300], 13, bits)) < -128
 
 
-def _l_enclosure_shifted(bounds):
-    """L on enclosures with every gap shifted out in full: the rule before
-    gaps past 128 bits were decided without a shift."""
+def _l_enclosure_shifted(bounds, bits):
+    """L on ``bits``-bit enclosures with every gap shifted out in full: the
+    rule before gaps past 2·bits were decided without a shift."""
     n = len(bounds) - 1
     out = []
     for i, (lo, hi, k) in enumerate(bounds):
@@ -581,6 +618,34 @@ def _l_enclosure_shifted(bounds):
             lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
             hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
             k = e
+        s = hi.bit_length() - bits
+        if s > 0:
+            lo, hi, k = lo >> s, -(-hi >> s), k + s
+        out.append((lo, hi, k))
+    return out
+
+
+def _l_enclosure_64(bounds):
+    """L on 64-bit enclosures as it stood with one fixed precision: both
+    terms shifted to the smaller exponent, one shift always by 0, and gaps
+    past 128 bits decided without a shift."""
+    n = len(bounds) - 1
+    out = []
+    for i, (lo, hi, k) in enumerate(bounds):
+        lo, hi, k = lo * lo, hi * hi, 2 * k
+        if 0 < i < n:
+            lo_left, hi_left, k_left = bounds[i - 1]
+            lo_right, hi_right, k_right = bounds[i + 1]
+            k_side = k_left + k_right
+            if -128 <= k - k_side <= 128:
+                e = min(k, k_side)
+                lo = (lo << k - e) - (hi_left * hi_right << k_side - e)
+                hi = (hi << k - e) - (lo_left * lo_right << k_side - e)
+                k = e
+            elif k > k_side:
+                lo -= 1
+            else:
+                lo, hi, k = -hi_left * hi_right, 1 - lo_left * lo_right, k_side
         s = hi.bit_length() - 64
         if s > 0:
             lo, hi, k = lo >> s, -(-hi >> s), k + s
@@ -588,80 +653,208 @@ def _l_enclosure_shifted(bounds):
     return out
 
 
-def _enclosure(k):
-    """An enclosure (lo, hi, k) with 0 < lo < hi <= 2^64."""
-    return st.integers(min_value=1, max_value=(1 << 64) - 1).flatmap(
-        lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo + 1, max_value=1 << 64), st.just(k))
+def _enclosure(k, bits=64):
+    """An enclosure (lo, hi, k) with 0 < lo < hi <= 2^bits."""
+    return st.integers(min_value=1, max_value=(1 << bits) - 1).flatmap(
+        lambda lo: st.tuples(
+            st.just(lo), st.integers(min_value=lo + 1, max_value=1 << bits), st.just(k)
+        )
     )
 
 
-# Every exponent within 64 bits of a common base: every gap 2k_i - k_{i-1} -
-# k_{i+1} lies in -128..128.
-narrow_gap_bounds = st.integers(min_value=-(10**6), max_value=10**6).flatmap(
-    lambda base: st.lists(
-        st.integers(min_value=0, max_value=64).flatmap(lambda d: _enclosure(base + d)),
-        min_size=1,
-        max_size=8,
+def _narrow_gap_bounds(bits):
+    """Enclosures whose exponents lie within ``bits`` of a common base: every
+    gap 2k_i - k_{i-1} - k_{i+1} lies in -2·bits..2·bits."""
+    return st.integers(min_value=-(10**6), max_value=10**6).flatmap(
+        lambda base: st.lists(
+            st.integers(min_value=0, max_value=bits).flatmap(
+                lambda d: _enclosure(base + d, bits)
+            ),
+            min_size=1,
+            max_size=8,
+        )
     )
+
+
+@given(
+    st.sampled_from(RUNGS).flatmap(lambda bits: st.tuples(_narrow_gap_bounds(bits), st.just(bits)))
 )
-
-
-@given(narrow_gap_bounds)
-@example([(1, 2, 0), (1, 2, 64), (1, 2, 0)])  # gap 128
-@example([(1, 2, 64), (1, 2, 0), (1, 2, 64)])  # gap -128
-@example([((1 << 64) - 1, 1 << 64, -5), (1, 1 << 64, 59), ((1 << 64) - 1, 1 << 64, -5)])
-def test_l_enclosure_within_128_bit_gaps_is_the_shifted_rule(bounds):
-    assert seqprops._l_enclosure(bounds) == _l_enclosure_shifted(bounds)
+@example(([(1, 2, 0), (1, 2, 64), (1, 2, 0)], 64))  # gap 128
+@example(([(1, 2, 64), (1, 2, 0), (1, 2, 64)], 64))  # gap -128
+@example(([((1 << 64) - 1, 1 << 64, -5), (1, 1 << 64, 59), ((1 << 64) - 1, 1 << 64, -5)], 64))
+@example(([(1, 2, 0), (1, 2, 30), (1, 2, 0)], 30))  # gap 60
+@example(([(1, 2, 30), (1, 2, 0), (1, 2, 30)], 30))  # gap -60
+@example(([((1 << 30) - 1, 1 << 30, -5), (1, 1 << 30, 25), ((1 << 30) - 1, 1 << 30, -5)], 30))
+def test_l_enclosure_within_128_bit_gaps_is_the_shifted_rule(case):
+    # within 2·bits (128 at 64 bits, 60 at 30), the one-shift step is the
+    # rule that shifts both terms to the smaller exponent
+    bounds, bits = case
+    assert seqprops._l_enclosure(bounds, bits) == _l_enclosure_shifted(bounds, bits)
 
 
 @settings(deadline=None)
 @given(
-    st.lists(_enclosure(0), min_size=4, max_size=4),
-    st.lists(st.integers(min_value=-1000, max_value=1000), min_size=4, max_size=4),
-    st.sampled_from(((0,), (0, 1))),
-    st.sampled_from(((2,), (2, 3), (2, 2))),
-    st.one_of(
-        st.sampled_from((-129, -128, -127, 0, 127, 128, 129)),
-        st.integers(min_value=-200, max_value=200),
-        st.integers(min_value=-(10**6), max_value=10**6),
-    ),
+    st.lists(
+        st.integers(min_value=-300, max_value=300).flatmap(_enclosure), min_size=1, max_size=8
+    )
 )
-@example([(1, 2, 0)] * 4, [0] * 4, (0,), (2,), 128)
-@example([((1 << 64) - 1, 1 << 64, 0)] * 4, [0] * 4, (0, 1), (2, 3), -128)
-# shifts of 126 bits that do not decide alone
-@example([(1, 2, 0)] * 2 + [((1 << 64) - 1, 1 << 64, 0)] * 2, [0] * 4, (0,), (2, 3), 126)
-@example([((1 << 64) - 1, 1 << 64, 0)] * 2 + [(1, 2, 0)] * 2, [0] * 4, (0, 1), (2,), -126)
-def test_certified_is_exact_at_any_shift(bounds, ks, lhs, rhs, shift):
+@example([(1, 2, 0), (1, 2, 65), (1, 2, 0)])  # gap 130
+@example([(1, 2, 65), (1, 2, 0), (1, 2, 65)])  # gap -130
+@example([((1 << 64) - 1, 1 << 64, 100), (1, 2, -300), ((1 << 64) - 1, 1 << 64, 100)])
+def test_l_enclosure_at_64_bits_is_the_fixed_precision_rule(bounds):
+    # any gap, either side of 128: the 64-bit rung's L step is bit for bit
+    # the one the enclosure phase used before it had rungs
+    assert seqprops._l_enclosure(bounds, 64) == _l_enclosure_64(bounds)
+
+
+@st.composite
+def certify_cases(draw):
+    """Four ``bits``-bit enclosures, one comparison of one or two entries a
+    side, and the power-of-two shift between its sides, drawn near ±2·bits."""
+    bits = draw(st.sampled_from(RUNGS))
+    bounds = draw(st.lists(_enclosure(0, bits), min_size=4, max_size=4))
+    ks = draw(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=4, max_size=4))
+    lhs = draw(st.sampled_from(((0,), (0, 1))))
+    rhs = draw(st.sampled_from(((2,), (2, 3), (2, 2))))
+    shift = draw(
+        st.one_of(
+            st.builds(
+                lambda sign, near: sign * (2 * bits + near),
+                st.sampled_from((-1, 1)),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            st.integers(min_value=-200, max_value=200),
+            st.integers(min_value=-(10**6), max_value=10**6),
+        )
+    )
+    return bits, bounds, ks, lhs, rhs, shift
+
+
+@settings(deadline=None)
+@given(certify_cases())
+@example((64, [(1, 2, 0)] * 4, [0] * 4, (0,), (2,), 128))
+@example((64, [((1 << 64) - 1, 1 << 64, 0)] * 4, [0] * 4, (0, 1), (2, 3), -128))
+# shifts of 2·bits - 2 that do not decide alone
+@example((64, [(1, 2, 0)] * 2 + [((1 << 64) - 1, 1 << 64, 0)] * 2, [0] * 4, (0,), (2, 3), 126))
+@example((64, [((1 << 64) - 1, 1 << 64, 0)] * 2 + [(1, 2, 0)] * 2, [0] * 4, (0, 1), (2,), -126))
+@example((30, [(1, 2, 0)] * 4, [0] * 4, (0,), (2,), 60))
+@example((30, [((1 << 30) - 1, 1 << 30, 0)] * 4, [0] * 4, (0, 1), (2, 3), -60))
+@example((30, [(1, 2, 0)] * 2 + [((1 << 30) - 1, 1 << 30, 0)] * 2, [0] * 4, (0,), (2, 3), 58))
+@example((30, [((1 << 30) - 1, 1 << 30, 0)] * 2 + [(1, 2, 0)] * 2, [0] * 4, (0, 1), (2,), -58))
+def test_certified_is_exact_at_any_shift(case):
+    # _certify on one quad, a one-entry side padded with the exact 1 at index 4
+    bits, bounds, ks, lhs, rhs, shift = case
     # entry 0 is on the left only: its exponent sets the shift between the sides
     ks[0] += shift - sum(ks[j] for j in lhs) + sum(ks[j] for j in rhs)
     bounds = [(lo, hi, k) for (lo, hi, _), k in zip(bounds, ks)]
     upper = math.prod(Fraction(bounds[j][1]) * Fraction(2) ** bounds[j][2] for j in lhs)
     lower = math.prod(Fraction(bounds[j][0]) * Fraction(2) ** bounds[j][2] for j in rhs)
-    assert seqprops._certified(bounds, lhs, rhs) == (upper <= lower)
+    assert seqprops._certify(bounds, seqprops._quads([(lhs, rhs)], 4), bits) == (upper <= lower)
+
+
+def _refuse(*args):
+    raise AssertionError("formed an exact iterate")
 
 
 def test_certified_row_builds_no_exact_iterate(monkeypatch):
-    def refuse(seq):
-        raise AssertionError("formed an exact iterate")
-
-    monkeypatch.setattr(seqprops, "l_operator", refuse)
+    monkeypatch.setattr(seqprops, "l_operator", _refuse)
     assert k_property(closed_form_row(400), 8, RATIO_MONOTONE, True).holds
 
 
 def test_deep_certified_row_builds_no_exact_iterate(monkeypatch):
     # the exponent gaps pass 128 bits from about level 8 and double at each
     # level after; each level is decided without shifting by them
-    def refuse(seq):
-        raise AssertionError("formed an exact iterate")
-
-    monkeypatch.setattr(seqprops, "l_operator", refuse)
+    monkeypatch.setattr(seqprops, "l_operator", _refuse)
     assert k_property(closed_form_row(8), 60, RATIO_MONOTONE, True).holds
+
+
+def _first_miss(values, bits, cap):
+    """The first level (at most ``cap``) whose ``bits``-bit enclosures miss
+    the strict ratio comparisons of ``values``, built from level 0."""
+    quads = seqprops._quads(seqprops._ratio_pairs(len(values) - 1), len(values))
+    bounds = seqprops._enclosures(values, bits)
+    for level in range(cap):
+        if not seqprops._certify(bounds, quads, bits):
+            return level
+        bounds = seqprops._l_enclosure(bounds, bits)
+    return cap
+
+
+# The first level whose enclosures miss the strict ratio comparisons of row m,
+# as runs (first m, last m, level) at 30 bits over every m in 2..400, and per
+# m at 64 bits.  The relative width of an enclosure doubles at each level, so
+# the levels fall as m grows; rows past m=128 miss at 30 bits by level 8.
+FIRST_MISS_30 = (
+    (2, 2, 33), (3, 3, 32), (4, 6, 31), (7, 8, 30), (9, 11, 29), (12, 14, 28),
+    (15, 17, 27), (18, 22, 26), (23, 25, 25), (26, 29, 24), (30, 34, 23),
+    (35, 42, 22), (43, 48, 21), (49, 54, 20), (55, 61, 19), (62, 69, 18),
+    (70, 81, 17), (82, 91, 16), (92, 101, 15), (102, 113, 14), (114, 124, 13),
+    (125, 128, 12), (129, 131, 7), (132, 132, 8), (133, 134, 6), (135, 135, 7),
+    (136, 150, 6), (151, 151, 5), (152, 153, 6), (154, 154, 5), (155, 157, 6),
+    (158, 158, 5), (159, 160, 6), (161, 161, 5), (162, 162, 6), (163, 220, 5),
+    (221, 223, 4), (224, 224, 5), (225, 400, 4),
+)
+FIRST_MISS_64 = {
+    2: 68, 3: 67, 4: 66, 8: 65, 12: 63, 50: 55, 100: 50, 150: 46, 200: 43, 300: 39,
+    400: 36, 1000: 24,
+}
+
+
+def test_first_missed_level_of_each_rung_is_pinned():
+    row = closed_form_row(1)
+    misses = {}
+    for m in range(2, 401):
+        row = recu1_row(row)
+        misses[m] = _first_miss(row.scaled, 30, 40)
+    pinned = {m: level for first, last, level in FIRST_MISS_30 for m in range(first, last + 1)}
+    assert misses == pinned
+    misses = {m: _first_miss(closed_form_row(m).scaled, 64, 80) for m in FIRST_MISS_64}
+    assert misses == FIRST_MISS_64
+
+
+def test_scan_deep_rows_build_no_64_bit_enclosure(monkeypatch):
+    # rows 62..120 are certified to depth 6 on the 30-bit rung alone
+    rungs = []
+    enclosures = seqprops._enclosures
+
+    def counted(values, bits):
+        rungs.append(bits)
+        return enclosures(values, bits)
+
+    monkeypatch.setattr(seqprops, "_enclosures", counted)
+    monkeypatch.setattr(seqprops, "l_operator", _refuse)
+    for m in range(62, 121):
+        assert verify_cell(closed_form_row(m), 6, True).verdict == "verified"
+    assert rungs == [30] * 59
+
+
+def test_row_missed_at_30_bits_is_decided_on_the_64_bit_rung(monkeypatch):
+    # row 400 misses at level 4 on 30 bits; the 64-bit rung replays L through
+    # levels 0..3 and certifies levels 4..7, none below
+    row, miss = closed_form_row(400), FIRST_MISS_30[-1][2]
+    level = seqprops._enclosures(row.scaled, 64)
+    for _ in range(miss):
+        level = seqprops._l_enclosure(level, 64)
+    calls = []
+    certify = seqprops._certify
+
+    def counted(bounds, quads, bits):
+        calls.append((bits, certify(bounds, quads, bits)))
+        if len(calls) == miss + 2:
+            assert bounds == level  # the 64-bit enclosures of level 4
+        return calls[-1][1]
+
+    monkeypatch.setattr(seqprops, "_certify", counted)
+    monkeypatch.setattr(seqprops, "l_operator", _refuse)
+    verdict = k_property(row, 8, RATIO_MONOTONE, True)
+    assert (verdict.holds, verdict.level) == (True, 7)
+    assert calls == [(30, True)] * miss + [(30, False)] + [(64, True)] * (8 - miss)
 
 
 @pytest.mark.parametrize("seq", ([], [5], [5, 1]))
 def test_short_sequences_hold_at_any_depth_from_level_0(monkeypatch, seq):
     # no comparisons, and L only squares the entries: no level past 0 is walked
-    def refuse(seq):
+    def refuse(*args):
         raise AssertionError("walked a level past 0")
 
     monkeypatch.setattr(seqprops, "_l_enclosure", refuse)
@@ -686,22 +879,22 @@ def test_short_non_positive_sequences_fail_at_level_0(seq, witness):
 
 
 def test_exact_levels_build_no_enclosures(monkeypatch):
-    # level 0's enclosures are built once, by the enclosure phase; the exact
-    # phase forms every product exactly
+    # level 0's enclosures are built once per rung, in rung order, by the
+    # enclosure phase; the exact phase forms every product exactly
     calls = []
     enclosures = seqprops._enclosures
 
-    def counted(values):
-        calls.append(values)
-        return enclosures(values)
+    def counted(values, bits):
+        calls.append(bits)
+        return enclosures(values, bits)
 
     monkeypatch.setattr(seqprops, "_enclosures", counted)
     # a tie at every level, so every level is exact
     assert k_property([1, 2, 1], 5, RATIO_MONOTONE).holds
-    assert len(calls) == 1
+    assert calls == list(RUNGS)
     verdict = k_property(_tampered(8, 4, 3), 4, RATIO_MONOTONE, True)
     assert (verdict.holds, verdict.level) == (False, 2)
-    assert len(calls) == 2
+    assert calls == list(RUNGS) * 2
 
 
 def test_level_two_miss_reaches_the_exact_path(monkeypatch):
