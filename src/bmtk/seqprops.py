@@ -11,8 +11,10 @@ For a sequence a_0..a_m of positive exact numbers:
 
 Ratio monotonicity implies both log-concavity and the spiral property.
 Every comparison is a cross-multiplied product comparison, never a ratio:
-each predicate lists its comparisons once, as pairs of index tuples whose
-entry products must compare lhs <= rhs (lhs < rhs when strict).  The chain
+each predicate lists its comparisons once, as index quads (a, b, c, d)
+meaning a_a·a_b <= a_c·a_d (< when strict).  A one-entry side is padded with
+index m + 1, the position of an exact 1 placed after a_0..a_m, so both the
+enclosure phase and the exact phase below read one list of quads.  The chain
 predicates hold vacuously on sequences of length <= 2.
 
 The squared-difference operator L maps a_i to a_i^2 - a_{i-1} a_{i+1} (with
@@ -41,11 +43,10 @@ ints (lo, hi, k) with
     lo·2^k <= x < hi·2^k,   hi <= 2^bits:
 
 at level 0, lo is x scaled to its top ``bits`` bits and hi = lo + 1.  Every
-comparison is decided as an index quad (a, b, c, d), meaning
-x_a·x_b < x_c·x_d; a one-entry side is padded with the enclosure (1, 1, 0)
-of the exact number 1.  A quad is certified when hi_a·hi_b is at most
-lo_c·lo_d (each scaled by its powers of two); with every lo positive this
-proves lhs < rhs, strict or not.  The padding's hi = 1 is not above the 1 it
+quad (a, b, c, d) is decided on enclosures as x_a·x_b < x_c·x_d; the
+padding index reads the enclosure (1, 1, 0) of the exact number 1.  A quad
+is certified when hi_a·hi_b is at most lo_c·lo_d (each scaled by its powers
+of two); with every lo positive this proves lhs < rhs, strict or not.  The padding's hi = 1 is not above the 1 it
 pads, but the other factor's bound stays strict (x_a < hi_a·2^k_a), so the
 left product is still strictly below the bound.  Where every lo is positive,
 so is every entry; squares and products are then monotone in the entries,
@@ -209,8 +210,8 @@ _EXACT_BITS = 1 << 22
 # (lo, hi, k): an entry x with lo·2^k <= x < hi·2^k
 Enclosure = tuple[int, int, int]
 
-# The enclosure of the exact number 1, which pads a one-entry side of a
-# comparison.
+# The enclosure of the exact number 1, which a comparison's padding index
+# m + 1 reads.
 _ONE: Enclosure = (1, 1, 0)
 
 
@@ -226,54 +227,47 @@ def _enclosures(values: Sequence[int], bits: int) -> list[Enclosure]:
     return bounds
 
 
-Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
+Quads = list[tuple[int, int, int, int]]
 
 
-def _log_concave_pairs(m: int) -> Pairs:
-    return [((i - 1, i + 1), (i, i)) for i in range(1, m)]
+def _log_concave_quads(m: int) -> Quads:
+    return [(i - 1, i + 1, i, i) for i in range(1, m)]
 
 
-def _spiral_pairs(m: int) -> Pairs:
+def _spiral_quads(m: int) -> Quads:
     # walk m, 0, m-1, 1, m-2, 2, ... down to floor(m/2)
-    order: list[int] = []
-    lo, hi = 0, m
-    while lo <= hi:
-        order.append(hi)
-        if lo < hi:
-            order.append(lo)
-        hi -= 1
-        lo += 1
-    return [((order[t],), (order[t + 1],)) for t in range(len(order) - 1)]
+    order = [t // 2 if t % 2 else m - t // 2 for t in range(m + 1)]
+    return [(a, m + 1, c, m + 1) for a, c in zip(order, order[1:])]
 
 
-def _ratio_pairs(m: int) -> Pairs:
+def _ratio_quads(m: int) -> Quads:
     # front chain: a_{i-1}/a_{m-i} <= a_i/a_{m-1-i}, then last ratio <= 1
     half = m // 2
-    pairs = [((i - 1, m - 1 - i), (i, m - i)) for i in range(1, half)]
-    pairs.append(((half - 1,), (m - half,)))
+    quads = [(i - 1, m - 1 - i, i, m - i) for i in range(1, half)]
+    quads.append((half - 1, m + 1, m - half, m + 1))
     # reflected chain: a_{m-i}/a_i <= a_{m-1-i}/a_{i+1}, then last ratio <= 1
     rhalf = (m - 1) // 2
-    pairs += [((m - i, i + 1), (m - 1 - i, i)) for i in range(rhalf)]
-    pairs.append(((m - rhalf,), (rhalf,)))
-    return pairs
+    quads += [(m - i, i + 1, m - 1 - i, i) for i in range(rhalf)]
+    quads.append((m - rhalf, m + 1, rhalf, m + 1))
+    return quads
 
 
-def _unimodal_pairs(m: int) -> Pairs:
+def _unimodal_quads(m: int) -> Quads:
     peak = m // 2
-    return [((i,), (i + 1,)) for i in range(peak)] + [
-        ((i + 1,), (i,)) for i in range(peak, m)
+    return [(i, m + 1, i + 1, m + 1) for i in range(peak)] + [
+        (i + 1, m + 1, i, m + 1) for i in range(peak, m)
     ]
 
 
 # Per property: its comparisons on a_0..a_m with m >= 2 (there are none when
-# m < 2), each a pair of index tuples of one length whose entry products must
-# compare lhs <= rhs (lhs < rhs when strict), and the strictness it always
-# uses (None: the caller's).
-_COMPARISONS: dict[str, tuple[Callable[[int], Pairs], bool | None]] = {
-    LOG_CONCAVE: (_log_concave_pairs, None),
-    SPIRAL: (_spiral_pairs, False),
-    RATIO_MONOTONE: (_ratio_pairs, None),
-    UNIMODAL_MIDPEAK: (_unimodal_pairs, True),
+# m < 2), each an index quad (a, b, c, d) that must hold as
+# a_a·a_b <= a_c·a_d (< when strict), a one-entry side padded with the index
+# m + 1 of an exact 1; and the strictness it always uses (None: the caller's).
+_COMPARISONS: dict[str, tuple[Callable[[int], Quads], bool | None]] = {
+    LOG_CONCAVE: (_log_concave_quads, None),
+    SPIRAL: (_spiral_quads, False),
+    RATIO_MONOTONE: (_ratio_quads, None),
+    UNIMODAL_MIDPEAK: (_unimodal_quads, True),
 }
 
 
@@ -367,15 +361,6 @@ def _l_enclosure(bounds: list[Enclosure], bits: int) -> list[Enclosure]:
     return out
 
 
-Quads = list[tuple[int, int, int, int]]
-
-
-def _quads(pairs: Pairs, one: int) -> Quads:
-    """Each comparison of ``pairs`` as an index quad (a, b, c, d) that holds
-    when x_a·x_b < x_c·x_d, a one-entry side padded with the index ``one``."""
-    return [(lhs + (one,))[:2] + (rhs + (one,))[:2] for lhs, rhs in pairs]
-
-
 def _certify(bounds: list[Enclosure], quads: Quads, bits: int) -> bool:
     """True when every ``lo`` is positive and ``bounds``, followed by the
     enclosure of 1, prove every comparison in ``quads``: then every sequence
@@ -406,23 +391,30 @@ def _certify(bounds: list[Enclosure], quads: Quads, bits: int) -> bool:
 
 
 def _exact_witness(
-    prop: str, current: Sequence[int], pairs: Pairs, strict: bool, show: Callable[[int, int], str]
+    prop: str, current: Sequence[int], quads: Quads, strict: bool, show: Callable[[int, int], str]
 ) -> Witness | None:
     """The first non-positive entry of the exact iterate ``current``, else the
     first comparison it violates, both of its products formed exactly; else
     None.  ``show(p, t)`` prints the product p of t entries of the iterate.
+
+    The quads read ``current`` followed by 1, as :func:`_certify` reads the
+    enclosures followed by that of 1; a side is one entry when its second
+    index is that of the 1, and the witness names only the entries.
     """
     for i, x in enumerate(current):
         if x <= 0:
             return Witness("positivity", (i,), lhs=show(x, 1), rhs="0")
-    for lhs, rhs in pairs:
-        left, right = math.prod(current[j] for j in lhs), math.prod(current[j] for j in rhs)
+    one = len(current)
+    entries = [*current, 1]
+    for a, b, c, d in quads:
+        left, right = entries[a] * entries[b], entries[c] * entries[d]
         if left < right if strict else left <= right:
             continue
-        t = len(lhs)  # entries on each side
+        if b == one:  # one entry a side
+            return Witness("comparison", (a, c), lhs=show(left, 1), rhs=show(right, 1))
         if prop == LOG_CONCAVE:  # reported as a_i^2 >= a_{i-1} a_{i+1}
-            return Witness("comparison", rhs[:1] + lhs, lhs=show(right, t), rhs=show(left, t))
-        return Witness("comparison", lhs + rhs, lhs=show(left, t), rhs=show(right, t))
+            return Witness("comparison", (c, a, b), lhs=show(right, 2), rhs=show(left, 2))
+        return Witness("comparison", (a, b, c, d), lhs=show(left, 2), rhs=show(right, 2))
     return None
 
 
@@ -450,8 +442,7 @@ def k_property(
     comparisons, fixed = _COMPARISONS[prop]
     strict = strict if fixed is None else fixed
     values, show = _integer_form(seq)
-    pairs = comparisons(len(values) - 1) if len(values) > 2 else []
-    quads = _quads(pairs, len(values))
+    quads = comparisons(len(values) - 1) if len(values) > 2 else []
     missed = 0  # the first level that no rung proved
     for bits in _RUNGS:
         bounds = _enclosures(values, bits)
@@ -461,7 +452,7 @@ def k_property(
             missed += 1
             # with no comparison (length <= 2), L only squares the entries,
             # so once level 0 is positive every level holds
-            if missed == k or not pairs:
+            if missed == k or not quads:
                 return PropertyVerdict(prop, strict, True, k - 1)
             bounds = _l_enclosure(bounds, bits)
     g = math.gcd(*values) or 1
@@ -475,7 +466,7 @@ def k_property(
             current = l_operator(current)
         if level >= missed:
             witness = _exact_witness(
-                prop, current, pairs, strict,
+                prop, current, quads, strict,
                 lambda p, t: show(p * g ** (t << level), t << level),
             )
             if witness is not None:

@@ -490,6 +490,19 @@ def test_check_seq_of_one_token_at_its_limit_is_accepted(capsys):
     assert "ratio-monotone (strict=False): FAILS" in out
 
 
+def test_four_property_witnesses_match_their_one_property_runs(capsys):
+    # one 200,000-digit token: each witness prints a value of up to 400,000 digits
+    argv = ("check", "--seq", "1,1e-199999,1", "--format", "json", "--props")
+    code, out, _ = run(capsys, *argv, "ratio,logconcave,spiral,unimodal")
+    assert code == 1
+    verdicts = json.loads(out)
+    assert [v["holds"] for v in verdicts] == [False] * 4
+    for token, verdict in zip(("ratio", "logconcave", "spiral", "unimodal"), verdicts):
+        code, out, _ = run(capsys, *argv, token)
+        assert code == 1
+        assert json.loads(out) == [verdict]
+
+
 def _huge_failing_report(m):
     big = 10**5000
     report = BoundReport("thm21", m)

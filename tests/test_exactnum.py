@@ -1,6 +1,7 @@
 """Tests for the exact number foundations."""
 
 import math
+import random
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -120,6 +121,50 @@ def test_int_str_is_the_decimal_digits_at_any_size():
     # str() where the interpreter allows it, the decimal module past its limit
     for n in (0, 7, -7, 10**4299, 10**4300 - 1, 10**4300, -(10**4300) - 3, 10**5000 + 7):
         assert exactnum._int_str(n) == str(Decimal(n))
+
+
+# Ints of 4,298 to 4,302 digits (the interpreter's str/int limit is 4,300),
+# powers of ten and of two near the halving points of the divide and conquer,
+# and random ints up to 700,000 bits.
+EDGE_INTS = [
+    sign * (10**k + offset)
+    for k in (4298, 4299, 4300, 4301, 12_000)
+    for offset in (-1, 0, 7)
+    for sign in (1, -1)
+] + [0, 10**65_536 - 1, -(10**65_536), 2**12_000, 2**12_001 - 1, 2**65_536, 2**131_072 - 1]
+_RNG = random.Random(26)
+RANDOM_INTS = [_RNG.getrandbits(b) | 1 << b - 1 for b in (14_000, 14_400, 24_001, 100_000, 700_000)]
+
+
+@pytest.mark.parametrize(
+    "n", EDGE_INTS + RANDOM_INTS + [-RANDOM_INTS[3]], ids=lambda n: f"{'-' * (n < 0)}{n.bit_length()}bits"
+)
+def test_int_str_and_parse_int_match_the_decimal_reference(n):
+    # the reference converts through Decimal alone, in time quadratic in the
+    # digits, and exactly, so n is also int(Decimal(text))
+    text = str(Decimal(n))
+    assert exactnum._int_str(n) == text
+    assert exactnum._parse_int(text) == n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0" * 9000,
+        "-" + "0" * 9000,
+        "0" * 5000 + "123",
+        "-" + "0" * 4500 + "9" * 4500,
+        "+" + "0" * 3999 + "5" * 4001,
+        "1_" * 5000 + "1",
+        "-" + "12_345" * 2000,
+        "9" * 4000,
+        "9" * 4001,
+        "-" + "9" * 4000,
+    ],
+    ids=lambda text: f"{text[:6]}...({len(text)} chars)",
+)
+def test_parse_int_of_signs_leading_zeros_and_underscores(text):
+    assert exactnum._parse_int(text) == int(Decimal(text))
 
 
 @pytest.mark.parametrize(
