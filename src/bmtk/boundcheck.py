@@ -2,22 +2,21 @@
 
 Each check evaluates one family of inequalities (or boundary equalities) on
 actual generated rows, exactly, and reports per-index records with exact
-margins so tightness studies are reproducible.  Both sides of a comparison are
-integer (numerator, denominator) pairs, and one integer difference
-``diff = (lhs - rhs) * small * 2^shift`` decides it.  A comparison between row
-entries (thm21, thm22 but for the central binomial, l32, l33's bound) forms
-``diff`` straight from the rows' integer vectors 4^m d_i(m): both sides sit
-over 4^m times a small cofactor, so ``small`` is that cofactor and ``shift``
-is 2m or 2m+2.  Any other comparison puts both sides over the lcm of their
-denominators and splits it into its odd part and its power of two.  The margin
-is then written in lowest terms in two steps: shift out as many trailing zero
-bits of ``diff`` as the denominator's power of two allows, then take one gcd
-against ``small``; no gcd of two row-sized numbers is formed for an entry
-comparison.  Records are slotted dataclasses without value equality that
-build the sides' Fractions only when read, and the sides and thm21's minimum
-ratio are reduced as margins are: the power of two is split out of the
-denominator, then one gcd against its odd part.  The only decimal output is
-the informational minimum-ratio string; decimals never feed a verdict.
+margins so tightness studies are reproducible.  Every exact quantity is a
+side ``(n, small, shift)``, the value n / (small * 2^shift) with small > 0
+and shift >= 0, and one function, :func:`_record`, decides every comparison:
+over the gcd-reduced smalls and the larger shift, one integer difference
+gives the verdict and the margin.  A check writes its sides straight from
+the rows' integer vectors 4^m d_i(m): an entry of row m+1 is
+``(f_i, 1, 2m+2)``, a factor num/den times an entry of row m is
+``(num * e_i, den, 2m)``, and a ratio of two entries is
+``(e_{j+1}, e_j, 0)``.  Sides, margins and thm21's minimum ratio are written
+in lowest terms by :func:`_lowest_terms`: shift out as many trailing zero
+bits of n as the shift allows, then take one gcd against small, so no gcd of
+two row-sized numbers is formed for a side over a power of two.  Records are
+slotted dataclasses without value equality that keep their sides in this
+form and build the sides' Fractions only when read.  The only decimal output
+is the informational minimum-ratio string; decimals never feed a verdict.
 
 l32, l33 and l34 evaluate polyident's builders one row at a time: B(m,i)'s
 numerator and denominator and l33's numerator are built once as polynomials in
@@ -51,7 +50,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
-from .exactnum import decimal_string, exact_str
+from .exactnum import _coprime_fraction, decimal_string, exact_str
 from .polyident import MultiPoly, _horner, _y_coefficients, predecessor_ratio_numerator
 from .polyident import ratio_bound_denominator, ratio_bound_numerator
 
@@ -73,27 +72,15 @@ __all__ = [
 BOUND_IDS = ("thm21", "thm22", "l31", "l32", "l33", "l34", "sec4")
 
 
-Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
-
-
-def _coprime_fraction(n: int, d: int) -> Fraction:
-    """n/d for coprime n and d > 0, built without a gcd.
-
-    This is what 3.12's Fraction._from_coprime_ints does, on every version.
-    Fraction(n, d, _normalize=False) (3.10 and 3.11 only) costs 1.4 us per
-    call against 0.3 us here (CPython 3.11, Xeon VM).
-    """
-    obj = object.__new__(Fraction)
-    obj._numerator, obj._denominator = n, d
-    return obj
+Side = tuple[int, int, int]  # (n, small, shift): n / (small * 2^shift)
 
 
 @dataclass(slots=True, eq=False)
 class BoundRecord:
     """One verified comparison: ``lhs relation rhs`` with its exact margin.
 
-    Sides are integer pairs, reduced to Fractions on read.  A record is
-    plain data, without value equality.  The margin is oriented so that
+    Sides are kept as (n, small, shift), reduced to Fractions on read.  A
+    record is plain data, without value equality.  The margin is oriented so that
     nonnegative (positive, for strict relations) means the comparison holds
     with that much room; equality records carry margin zero exactly when
     they hold.
@@ -101,18 +88,18 @@ class BoundRecord:
 
     i: int
     relation: str  # ">=", ">", "<=", "<", "=="
-    lhs_pair: Pair
-    rhs_pair: Pair
+    lhs_side: Side
+    rhs_side: Side
     holds: bool
     margin: Fraction
 
     @property
     def lhs(self) -> Fraction:
-        return _reduced(*self.lhs_pair)
+        return _lowest_terms(*self.lhs_side)
 
     @property
     def rhs(self) -> Fraction:
-        return _reduced(*self.rhs_pair)
+        return _lowest_terms(*self.rhs_side)
 
     def to_json(self) -> dict:
         return {
@@ -169,48 +156,27 @@ def _lowest_terms(n: int, small: int, shift: int) -> Fraction:
     return _coprime_fraction(n, small << (shift - t))
 
 
-def _reduced(n: int, d: int) -> Fraction:
-    """n/d in lowest terms for d > 0, its denominator split into its odd part
-    and power of two as a margin's is."""
-    shift = (d & -d).bit_length() - 1
-    return _lowest_terms(n, d >> shift, shift)
-
-
-def _decide(
-    i: int, relation: str, lhs: Pair, rhs: Pair, diff: int, small: int, shift: int
-) -> BoundRecord:
-    """Decide ``lhs relation rhs`` from diff = (lhs - rhs) * small * 2^shift."""
-    if relation in (">=", ">"):
-        margin = diff
-    elif relation in ("<=", "<"):
-        margin = -diff
-    elif relation == "==":
-        margin = -abs(diff)
+def _record(i: int, relation: str, lhs: Side, rhs: Side) -> BoundRecord:
+    """Decide ``lhs relation rhs`` and write its margin in lowest terms."""
+    (a, b, p), (c, d, q) = lhs, rhs
+    g = math.gcd(b, d)
+    if g > 1:
+        b, d = b // g, d // g
+    a, c = a * d, c * b  # lhs and rhs times b*d*g, over 2^p and 2^q
+    if p < q:
+        a, shift = a << q - p, q
     else:
+        c, shift = c << p - q, p
+    # (lhs - rhs) * b*d*g * 2^shift, then oriented so that room is positive
+    margin = a - c
+    if relation in ("<=", "<"):
+        margin = -margin
+    elif relation == "==":
+        margin = -abs(margin)
+    elif relation not in (">=", ">"):
         raise ValueError(f"unknown relation {relation!r}")
     holds = margin > 0 if relation in (">", "<") else margin >= 0
-    return BoundRecord(i, relation, lhs, rhs, holds, _lowest_terms(margin, small, shift))
-
-
-def _record(i: int, relation: str, lhs: Pair, rhs: Pair) -> BoundRecord:
-    """Decide ``lhs relation rhs`` for sides over any positive denominators."""
-    (a, b), (c, d) = lhs, rhs
-    # over the lcm b*d*g of the denominators, split into odd part and 2^shift
-    g = math.gcd(b, d)
-    b, d = b // g, d // g
-    den = b * d * g
-    shift = (den & -den).bit_length() - 1
-    return _decide(i, relation, lhs, rhs, a * d - c * b, den >> shift, shift)
-
-
-def _versus(
-    i: int, relation: str, m: int, up: int, f: int, e: int, num: int, den: int
-) -> BoundRecord:
-    """Decide ``f/4^(m+up) relation (num/den) e/4^m`` for entries f and e."""
-    shift = 2 * (m + up)
-    rhs = num * e
-    diff = f * den - (rhs << 2 * up)  # (lhs - rhs) * den * 4^(m+up)
-    return _decide(i, relation, (f, 1 << shift), (rhs, den << 2 * m), diff, den, shift)
+    return BoundRecord(i, relation, lhs, rhs, holds, _lowest_terms(margin, b * d * g, shift))
 
 
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
@@ -232,7 +198,7 @@ def growth_upper_bound(m: int, i: int) -> Fraction:
     return Fraction(ratio_bound_numerator(m, i), ratio_bound_denominator(m, i))
 
 
-def _growth_lower_coefficient(m: int, i: int) -> Pair:
+def _growth_lower_coefficient(m: int, i: int) -> tuple[int, int]:
     """(4m^2+7m+i+3) / (2(m+1-i)(m+1)), the thm21 factor on d_i(m)."""
     return 4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1)
 
@@ -243,16 +209,16 @@ def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     m = row_m.m
     report = _new_report("thm21", m, 1)
     e, f = row_m.scaled, row_next.scaled
-    low = None  # the least bound/d_i(m+1) so far, as a pair
+    low = None  # the least bound/d_i(m+1) so far, as a side
     for i in range(1, m):
         num, den = _growth_lower_coefficient(m, i)
-        record = _versus(i, ">=", m, 1, f[i], e[i], num, den)
-        report.records.append(record)
-        ratio = record.rhs_pair[0] << 2, den * f[i]  # 4^m cancels
+        bound = num * e[i]
+        report.records.append(_record(i, ">=", (f[i], 1, 2 * m + 2), (bound, den, 2 * m)))
+        ratio = bound << 2, den * f[i], 0  # 4^m cancels
         if low is None or ratio[0] * low[1] < low[0] * ratio[1]:
             low = ratio
     if low is not None:
-        report.min_ratio = _reduced(*low)
+        report.min_ratio = _lowest_terms(*low)
     return report
 
 
@@ -263,13 +229,14 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     report = _new_report("thm22", m, 2)
     e, f = row_m.scaled, row_next.scaled
     for i in range(1, m):
-        report.records.append(_versus(i, ">", m, 1, f[i], e[i], *_growth_lower_coefficient(m, i)))
+        num, den = _growth_lower_coefficient(m, i)
+        report.records.append(_record(i, ">", (f[i], 1, 2 * m + 2), (num * e[i], den, 2 * m)))
     # boundary equalities
-    top_step = (2 * m + 3) * (2 * m + 1), 2 * (m + 1)
+    top_step = (2 * m + 3) * (2 * m + 1) * e[m], 2 * (m + 1), 2 * m
     report.records += [
-        _versus(0, "==", m, 1, f[0], e[0], 4 * m + 3, 2 * (m + 1)),
-        _versus(m, "==", m, 1, f[m], e[m], *top_step),
-        _record(m, "==", (e[m], 1 << 2 * m), (math.comb(2 * m, m), 1 << m)),
+        _record(0, "==", (f[0], 1, 2 * m + 2), ((4 * m + 3) * e[0], 2 * (m + 1), 2 * m)),
+        _record(m, "==", (f[m], 1, 2 * m + 2), top_step),
+        _record(m, "==", (e[m], 1, 2 * m), (math.comb(2 * m, m), 1, m)),
     ]
     return report
 
@@ -278,9 +245,9 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     """l31: (m-j)/(j+1) > d_{j+1}(m)/d_j(m) for 1 <= j <= m-1."""
     m = row.m
     report = _new_report("l31", m, 2)
+    e = row.scaled
     for j in range(1, m):
-        rhs = row.scaled[j + 1], row.scaled[j]
-        report.records.append(_record(j, ">", (m - j, j + 1), rhs))
+        report.records.append(_record(j, ">", (m - j, j + 1, 0), (e[j + 1], e[j], 0)))
     return report
 
 
@@ -304,7 +271,8 @@ def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport
     e, f = row_m.scaled, row_next.scaled
     nums, dens = _table(_BOUND_NUM, m), _table(_BOUND_DEN, m)
     for i in range(m + 1):
-        report.records.append(_versus(i, "<=", m, 1, f[i], e[i], nums[i], dens[i]))
+        bound = nums[i] * e[i], dens[i], 2 * m
+        report.records.append(_record(i, "<=", (f[i], 1, 2 * m + 2), bound))
     return report
 
 
@@ -316,8 +284,9 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     preds, dens = _table(_L33_NUM, m), _table(_BOUND_DEN, m)
     for j in range(1, m + 1):
         num, den = preds[j], dens[j]
-        report.records.append(_record(j, ">", (num, den), (0, 1)))
-        report.records.append(_versus(j, "<=", m, 0, e[j - 1], e[j], num, 2 * (m + j) * den))
+        report.records.append(_record(j, ">", (num, den, 0), (0, 1, 0)))
+        bound = num * e[j], 2 * (m + j) * den, 2 * m
+        report.records.append(_record(j, "<=", (e[j - 1], 1, 2 * m), bound))
     return report
 
 
@@ -328,8 +297,8 @@ def check_reflected_ratio_gap(m: int) -> BoundReport:
     for i in range(m // 2 + 1):
         # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
         # expands to 2j(m+1) times a polynomial with positive coefficients
-        lhs = 2 * (2 * m - i) * dens[m - i], preds[m - i]
-        report.records.append(_record(i, ">", lhs, (preds[i], 2 * (m + i) * dens[i])))
+        lhs = 2 * (2 * m - i) * dens[m - i], preds[m - i], 0
+        report.records.append(_record(i, ">", lhs, (preds[i], 2 * (m + i) * dens[i], 0)))
     return report
 
 
@@ -337,11 +306,12 @@ def check_endpoint_ratios(row: CoeffRow) -> BoundReport:
     """sec4: d_1/d_0 < m < d_{m-1}/d_m, and the top ratio's closed form."""
     m = row.m
     report = _new_report("sec4", m, 2)
-    high = row.scaled[m - 1], row.scaled[m]
-    report.records.append(_record(1, "<", (row.scaled[1], row.scaled[0]), (m, 1)))
-    report.records.append(_record(m - 1, ">", high, (m, 1)))
+    e = row.scaled
+    high = e[m - 1], e[m], 0
+    report.records.append(_record(1, "<", (e[1], e[0], 0), (m, 1, 0)))
+    report.records.append(_record(m - 1, ">", high, (m, 1, 0)))
     central = math.comb(2 * m, m)
-    closed = math.comb(2 * m - 1, m) + m * central, central
+    closed = math.comb(2 * m - 1, m) + m * central, central, 0
     report.records.append(_record(m - 1, "==", high, closed))
     return report
 

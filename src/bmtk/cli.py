@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bmcoeff, boundcheck, exactnum, polyident, quadoracle, scanner, seqprops
-from .exactnum import decimal_string, exact_str, parse_exact
+from .exactnum import decimal_string, parse_exact
 
 __all__ = ["main", "build_parser"]
 
@@ -177,8 +177,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[bool, object]:
     if args.format == "csv":
         csv = ["bound,m,i,relation,lhs,rhs,holds,margin"]
         csv += [
-            f"{rep.bound_id},{rep.m},{rec.i},{rec.relation},{exact_str(rec.lhs)},"
-            f"{exact_str(rec.rhs)},{rec.holds},{exact_str(rec.margin)}"
+            ",".join(map(str, (rep.bound_id, rep.m, *rec.to_json().values())))
             for rep in reports
             for rec in rep.records
         ]
@@ -189,7 +188,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[bool, object]:
         extra = f" (min ratio {rep.min_ratio_decimal})" if rep.min_ratio is not None else ""
         plain.append(f"{rep.bound_id} at m={rep.m}: {status}{extra}")
         plain += [
-            f"  violated at i={rec.i}: {exact_str(rec.lhs)} {rec.relation} {exact_str(rec.rhs)}"
+            "  violated at i={i}: {lhs} {relation} {rhs}".format_map(rec.to_json())
             for rec in rep.records
             if not rec.holds
         ]

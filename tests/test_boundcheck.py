@@ -257,7 +257,7 @@ def test_margin_sign_consistency_and_json():
 
 
 def test_record_sides_are_reduced_on_read():
-    unreduced = BoundRecord(3, "<", (2, 4), (6, 8), True, Fraction(1, 4))
+    unreduced = BoundRecord(3, "<", (2, 4, 0), (6, 1, 3), True, Fraction(1, 4))
     assert unreduced.lhs == Fraction(1, 2) and unreduced.rhs == Fraction(3, 4)
 
 
@@ -296,7 +296,7 @@ def _reference_record(i, relation, lhs, rhs):
         "<": (diff < 0, -diff),
         "==": (diff == 0, -abs(diff)),
     }[relation]
-    sides = [(x.numerator, x.denominator) for x in (lhs, rhs)]
+    sides = [(x.numerator, x.denominator, 0) for x in (lhs, rhs)]
     return BoundRecord(i, relation, *sides, holds, margin)
 
 
@@ -455,10 +455,51 @@ def test_lowest_terms_matches_fraction(n, zeros, small, shift):
     assert (reduced.numerator, reduced.denominator) == (expected.numerator, expected.denominator)
 
 
+_SIDES = st.tuples(
+    st.integers(-(2**400), 2**400) | st.integers(-40, 40),
+    st.integers(1, 2**200) | st.integers(1, 64),
+    st.integers(0, 300),
+)
+
+
+# equal values written in different forms, zero sides, even and odd smalls
+@example(">=", (2, 1, 1), (1, 1, 0), False, 1, 0)
+@example(">", (2, 1, 1), (1, 1, 0), False, 1, 0)
+@example("==", (3, 6, 0), (1, 1, 1), False, 1, 0)
+@example("<", (-4, 12, 2), (-1, 3, 2), False, 1, 0)
+@example("<=", (0, 5, 7), (0, 1, 0), False, 1, 0)
+@example("==", (1, 3, 0), (1, 1, 0), False, 1, 0)
+@given(
+    st.sampled_from([">=", ">", "<=", "<", "=="]),
+    _SIDES,
+    _SIDES,
+    st.booleans(),
+    st.integers(1, 2**40) | st.integers(1, 12),
+    st.integers(0, 40),
+)
+def test_record_matches_fraction_arithmetic(relation, lhs, rhs, tie, factor, bits):
+    if tie:  # rhs is lhs's value, written with its small and shift scaled up
+        n, small, shift = lhs
+        rhs = n * factor << bits, small * factor, shift + bits
+    values = [Fraction(n, small << shift) for n, small, shift in (lhs, rhs)]
+    record = _record(7, relation, lhs, rhs)
+    expected = _reference_record(7, relation, *values)
+    assert (record.holds, record.margin) == (expected.holds, expected.margin)
+    margin = record.margin
+    assert type(margin) is Fraction and margin.denominator > 0
+    assert math.gcd(margin.numerator, margin.denominator) == 1
+    assert [record.lhs, record.rhs] == values
+
+
+def test_record_refuses_an_unknown_relation():
+    with pytest.raises(ValueError):
+        _record(1, "!=", (1, 1, 0), (2, 1, 0))
+
+
 def test_record_and_report_json_past_the_digit_limit():
     # str() of an int or Fraction with more than 4,300 digits raises by default
     big, digits = 10**5000, "1" + "0" * 5000
-    record = _record(2, "<", (big, 7), (big + 1, 7))
+    record = _record(2, "<", (big, 7, 0), (big + 1, 7, 0))
     assert record.to_json() == {
         "i": 2,
         "relation": "<",

@@ -1,5 +1,6 @@
 """Tests for the command-line frontend."""
 
+import hashlib
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from bmtk import (
     scanner,
     seqprops,
 )
-from bmtk.boundcheck import BoundReport
+from bmtk.boundcheck import BoundRecord, BoundReport
 from bmtk.cli import PROP_TOKENS, main
 from bmtk.quadoracle import QuadResult
 from bmtk.seqprops import PropertyVerdict
@@ -95,12 +96,13 @@ def _refuse(*args, **kwargs):
 def _builds_only(capsys, monkeypatch, argv, fmt, builders):
     """Run argv in fmt, then again with the builders of every other format
     made to raise: the exit code and output must not change.  ``builders``
-    holds (format, owner, attribute name) triples."""
+    holds (formats, owner, attribute name) triples, formats naming every
+    format that uses the builder, separated by spaces."""
     argv = (*argv, "--format", fmt)
     expected = run(capsys, *argv)
     assert expected[0] in (0, 1) and expected[1]
-    for other, owner, name in builders:
-        if other != fmt:
+    for formats, owner, name in builders:
+        if fmt not in formats.split():
             refuse = property(_refuse) if isinstance(vars(owner).get(name), property) else _refuse
             monkeypatch.setattr(owner, name, refuse)
     assert run(capsys, *argv) == expected
@@ -123,10 +125,12 @@ def test_check_builds_only_the_requested_format(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_bounds_builds_only_the_requested_format(capsys, monkeypatch, fmt):
-    # every bound holds at m=40, so plain output formats no side
+    # every bound holds at m=40, so plain output formats no record; csv lines
+    # are joined from the records' json values, and only csv prints no ratio
     _builds_only(capsys, monkeypatch, ("bounds", "--m", "40"), fmt, [
         ("json", BoundReport, "to_json"),
-        ("csv", cli, "exact_str"),
+        ("json csv", BoundRecord, "to_json"),
+        ("json plain", BoundReport, "min_ratio_decimal"),
     ])
 
 
@@ -506,7 +510,7 @@ def test_four_property_witnesses_match_their_one_property_runs(capsys):
 def _huge_failing_report(m):
     big = 10**5000
     report = BoundReport("thm21", m)
-    report.records.append(boundcheck._record(1, ">=", (big + 1, 7), (big + 2, 7)))
+    report.records.append(boundcheck._record(1, ">=", (big + 1, 7, 0), (big + 2, 7, 0)))
     report.min_ratio = Fraction(big + 2, big + 1)
     return [report]
 
@@ -528,6 +532,28 @@ def test_bounds_report_past_the_digit_limit(capsys, monkeypatch, fmt):
         assert report["min_ratio"] == f"{stem}2/{stem}1"
         assert report["records"][0]["lhs"] == lhs
         assert report["records"][0]["margin"] == "-1/7"
+
+
+# sha256 of stdout for ``bmtk bounds --m M --format F``: every record's sides and
+# margin, byte for byte
+BOUNDS_STDOUT_SHA256 = {
+    (2, "plain"): "0562db86110fd57dc9db42d63ada8246aa6e85f020e2b3d23e37ff2379c756a0",
+    (2, "json"): "593f57b3c41bf92a8f884d49e5997442094b45a829a0994a67c4f10ad84c3bb7",
+    (2, "csv"): "648221febfbce937f32df22350ee6a6ed6793151695a3f4aef7f23ea9656e9d9",
+    (3, "plain"): "162ef7431e9d69593dc4e7c7df4fe763a9e3e9ca3080046de435f6b6ed3a016b",
+    (3, "json"): "1ba2113bb91734894ba8e550f1d0a09c1f518508d2c882d9e67517cc957e5a84",
+    (3, "csv"): "ca1788b4ab48a1e08b18f4bd5740bf7434f6e42049ddfdef42f50ca5b26c3fa3",
+    (250, "plain"): "86b11555bde2f664c8b7fcdbb311d2a3341d64add316576ec7251c9f461dc6ad",
+    (250, "json"): "9ab0fa1122c68430c47fed6ab66ad3b9cf3f37ef9d61e0636c87460aee3fbaad",
+    (250, "csv"): "f8142797f8afbafde7bf8990764676ba2137d684ec665d3cb6efa67a4d851f17",
+}
+
+
+@pytest.mark.parametrize("m, fmt", list(BOUNDS_STDOUT_SHA256))
+def test_bounds_output_is_pinned(capsys, m, fmt):
+    code, out, err = run(capsys, "bounds", "--m", str(m), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_STDOUT_SHA256[m, fmt]
 
 
 def _readme_cli_commands():

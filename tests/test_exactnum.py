@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bmtk import BinomialCache, Dyadic, binomial, decimal_string, exactnum
@@ -105,6 +105,49 @@ def test_parse_exact_rejects_what_fraction_rejects(bad):
         parse_exact(bad)
 
 
+# digit runs with single underscores between them, leading zeros included
+_DIGIT_RUNS = st.lists(st.text("0123456789", min_size=1, max_size=30), min_size=1, max_size=4)
+
+
+@st.composite
+def _decimal_tokens(draw):
+    """A decimal literal: optional sign, whole and fraction digits (one may be
+    absent), an optional exponent, and whitespace around it."""
+    fives = st.builds(lambda k, c: str(5**k * c), st.integers(0, 90), st.integers(1, 99))
+    runs = _DIGIT_RUNS.map("_".join) | fives  # fives: many factors of 5 to divide out
+    whole = draw(st.none() | runs)
+    frac = draw(st.none() | st.just("") | runs)  # "" is a bare point
+    if whole is None and not frac:
+        frac = draw(runs)
+    power = st.lists(st.text("0123456789", min_size=1, max_size=2), min_size=1, max_size=2)
+    sign = st.sampled_from(["", "+", "-"])
+    exponent = st.tuples(st.sampled_from("eE"), sign, power.map("_".join))
+    space = st.text(" \t\n", max_size=2)
+    return "".join([
+        draw(space),
+        draw(sign),
+        whole or "",
+        "" if frac is None else "." + frac,
+        "".join(draw(st.none() | exponent) or ()),
+        draw(space),
+    ])
+
+
+@example("0.0625")  # 1/16: every factor of 5 taken
+@example("-0.000_390_625")  # 5^8 / 10^9
+@example("95367431640625e-30")  # 5^20 / 10^30
+@example("1220703125e-5")  # 5^13 / 10^5: more fives than the scale
+@example(" +007.50E+002\n")
+@example("-0.0e-3")
+@example("1.e3")
+@example(".5")
+@given(_decimal_tokens())
+def test_parse_exact_decimals_match_the_decimal_reference(text):
+    value, expected = parse_exact(text), Fraction(Decimal(text))
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
 def test_parse_exact_and_exact_str_past_the_digit_limit():
     big = 10**5000 + 7
     assert parse_exact("21/2^3") == Fraction(21, 8)
@@ -188,6 +231,10 @@ def test_parse_exact_accepts_a_token_at_200000_digits():
     assert parse_exact("-1e-199999") == Fraction(-1, 10**199999)
     assert parse_exact("1/2^664382") == Fraction(1, 1 << 664382)
     assert parse_exact("1e-0000000000000000000000001") == Fraction(1, 10)
+    # Fraction(Decimal(text)) takes 1.5 s on each of these
+    sevens = 7 * (10**199_999 - 1) // 9
+    assert parse_exact("7" * 199_999) == sevens
+    assert parse_exact("7" * 199_998 + ".5") == Fraction(2 * (sevens // 10) + 1, 2)
 
 
 @pytest.mark.parametrize("bad", ["3", "3/4", "3/2^", "1/2^-1", " 3/2^1", "3/2^1 ", "a/2^1"])
