@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable
 
-from .exactnum import Dyadic, decimal_string
+from .exactnum import Dyadic, as_fraction, decimal_string
 
 __all__ = [
     "Method",
@@ -232,12 +232,6 @@ def rows(method: Method | str, m_max: int) -> list[CoeffRow]:
 # -- exact evaluation of P_m at rational points ------------------------------
 
 
-def _as_fraction(a: Fraction | Dyadic | int) -> Fraction:
-    if isinstance(a, Dyadic):
-        return a.as_fraction()
-    return Fraction(a)
-
-
 def double_sum_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
     """P_m(a) by the defining double sum over (j, k), exactly.
 
@@ -248,7 +242,7 @@ def double_sum_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
     central = [1]  # C(2s, s) for 0 <= s <= m
     for s in range(m):
         central.append(central[s] * 2 * (2 * s + 1) // (s + 1))
-    af = _as_fraction(a)
+    af = as_fraction(a)
     up, down = af + 1, af - 1
     total = Fraction(0)
     n = 2 * m + 1
@@ -272,7 +266,7 @@ def hypergeometric_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    z = (_as_fraction(a) + 1) / 2
+    z = (as_fraction(a) + 1) / 2
     term = Fraction(1)
     total = Fraction(1)
     for k in range(m):
@@ -286,7 +280,7 @@ def eval_poly(row: CoeffRow, a: Fraction | Dyadic | int) -> Fraction:
 
     With a = p/q the sum runs on integers: q^m 4^m P_m(a) = sum_i e_i p^i q^(m-i).
     """
-    af = _as_fraction(a)
+    af = as_fraction(a)
     p, q = af.numerator, af.denominator
     acc = 0
     q_pow = 1

@@ -20,8 +20,8 @@ is the informational minimum-ratio string; decimals never feed a verdict.
 
 l32, l33 and l34 evaluate polyident's builders one row at a time: B(m,i)'s
 numerator and denominator and l33's numerator are built once as polynomials in
-(m, i), and at each m collapsed to coefficients in i and evaluated at
-0 <= i <= m by polyident's Horner rule.
+(m, i), and at each m tabulated at 0 <= i <= m by :func:`_table`: collapsed
+to coefficients in i and evaluated by Horner's rule.
 
 Check ids (the CLI tokens):
 
@@ -51,7 +51,7 @@ from typing import Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
 from .exactnum import _coprime_fraction, decimal_string, exact_str
-from .polyident import MultiPoly, _horner, _y_coefficients, predecessor_ratio_numerator
+from .polyident import MultiPoly, predecessor_ratio_numerator
 from .polyident import ratio_bound_denominator, ratio_bound_numerator
 
 __all__ = [
@@ -259,8 +259,15 @@ _L33_NUM = 2 * (_M + 1) * predecessor_ratio_numerator(_M, _I)
 
 
 def _table(poly: MultiPoly, m: int) -> list[int]:
-    """poly(m, i) at 0 <= i <= m, by Horner's rule in i."""
-    return _horner(_y_coefficients(poly, m), range(m + 1))
+    """poly(m, i) at 0 <= i <= m: poly collapsed to its coefficients in i at
+    this m, constant first, then evaluated by Horner's rule in i."""
+    coeffs = [0] * (max(e1 for _, e1 in poly.terms) + 1)
+    for (e0, e1), c in poly.terms.items():
+        coeffs[e1] += c * m**e0
+    values = [coeffs[-1]] * (m + 1)
+    for c in reversed(coeffs[:-1]):
+        values = [v * i + c for i, v in enumerate(values)]
+    return values
 
 
 def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:

@@ -213,13 +213,8 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[bool, object]:
 
 
 def _cmd_quad(args: argparse.Namespace) -> tuple[bool, object]:
-    try:
-        result = quadoracle.quartic_integral(args.m, args.a, args.tol)
-        error = None
-    except quadoracle.QuadratureConvergenceError as exc:
-        result = exc.result
-        error = str(exc)
-    ok = error is None and result.relative_deviation <= 10.0 * args.tol
+    cell = quadoracle.sweep_cell(args.m, args.a, args.tol)
+    result, error, ok = cell.result, cell.error, not cell.flagged
     if args.format == "json":
         return ok, {**result.to_json(), "error": error, "ok": ok}
     if args.format == "csv":

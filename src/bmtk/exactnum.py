@@ -7,9 +7,10 @@ entry: it parses and prints ``<num>/2^<exp>``, converts to
 :class:`fractions.Fraction`, and keeps the ring operations and the total
 order.  The predicates decide on ints, so these operations serve
 ``seqprops.l_operator`` on Dyadic input and the tests' exact reference.
+:func:`as_fraction` gives any exact value as a Fraction,
 :func:`parse_exact` reads a rational token, :func:`exact_str` prints any
-exact value, and :func:`decimal_string` gives an informational decimal; all
-three work past the interpreter's 4,300-digit limit on int/str conversion.
+exact value, and :func:`decimal_string` gives an informational decimal; the
+last three work past the interpreter's 4,300-digit limit on int/str conversion.
 Past that limit, an int is printed and a digit string read by divide and
 conquer: halves that ``str()`` and ``int()`` accept, joined by one exact
 multiply-add each, in time subquadratic in the digits.
@@ -22,6 +23,7 @@ table, grown on demand under a lock, independent of ``math.comb``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -31,6 +33,7 @@ from fractions import Fraction
 __all__ = [
     "Dyadic",
     "BinomialCache",
+    "as_fraction",
     "binomial",
     "default_cache",
     "decimal_string",
@@ -42,6 +45,7 @@ __all__ = [
 _DYADIC_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
 
 
+@functools.total_ordering
 class Dyadic:
     """Canonical dyadic rational ``num / 2**exp``.
 
@@ -137,6 +141,7 @@ class Dyadic:
         return self.num != 0
 
     # -- comparisons (exact, by shifting to a common denominator) ------------
+    # functools.total_ordering derives <=, > and >= from __lt__ and __eq__.
 
     def _cmp(self, o: "Dyadic") -> int:
         e = self.exp if self.exp >= o.exp else o.exp
@@ -157,24 +162,6 @@ class Dyadic:
         if o is NotImplemented:
             return NotImplemented
         return self._cmp(o) < 0
-
-    def __le__(self, other: "Dyadic | int") -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) <= 0
-
-    def __gt__(self, other: "Dyadic | int") -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) > 0
-
-    def __ge__(self, other: "Dyadic | int") -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) >= 0
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -339,13 +326,14 @@ def parse_exact(text: str) -> Fraction:
     with an optional exponent), at up to 200,000 decimal digits.  A token
     that spells more is refused with ValueError before it is converted.
 
-    A decimal token's digits, point removed, are read by :func:`_parse_int`
-    as n, the value n / 10^scale, and the factors of 2 and 5 that n shares
-    with 10^scale are divided out directly: the trailing zero bits, then 5,
-    5^2, 5^4, ... while each divides n, then the same powers from the largest
-    down.  That takes time that grows with the factors taken, where
-    ``Fraction(Decimal(text))`` is quadratic in the digits: 1.4 s on 199,999
-    sevens, against 0.08 s here (CPython 3.11, 2-vCPU Xeon).
+    A decimal token's digits, point and trailing zeros removed, are read by
+    :func:`_parse_int` as n, the value n / 10^scale, and the factors of 2
+    and 5 that n shares with 10^scale are divided out directly: the trailing
+    zero bits, then 5, 5^2, 5^4, ... while each divides n, then the same
+    powers from the largest down.  That takes time that grows with the
+    factors taken, where ``Fraction(Decimal(text))`` is quadratic in the
+    digits: 1.4 s on 199,999 sevens, against 0.08 s here (CPython 3.11,
+    2-vCPU Xeon).
     """
     if _spelled_digits(text) > _MAX_TOKEN_DIGITS:
         raise ValueError(f"{text!r} spells more than {_MAX_TOKEN_DIGITS} decimal digits")
@@ -362,8 +350,11 @@ def parse_exact(text: str) -> Fraction:
         raise ValueError(f"not an exact number: {text!r}")
     sign, whole, frac, bare_frac, exponent = mo.groups("")
     frac = (frac + bare_frac).replace("_", "")  # one of the two is empty
-    n = _parse_int(sign + whole.replace("_", "") + frac)
-    scale = len(frac) - _parse_int(exponent or "0")  # the value is n / 10^scale
+    digits = whole.replace("_", "") + frac
+    kept = digits.rstrip("0")
+    n = _parse_int(sign + (kept or "0"))
+    # the value is n / 10^scale; each trailing zero cut off lowers the scale
+    scale = len(frac) - (len(digits) - len(kept)) - _parse_int(exponent or "0")
     if scale <= 0 or not n:
         return Fraction(n * 10 ** max(-scale, 0))
     twos = min((n & -n).bit_length() - 1, scale)
@@ -380,15 +371,15 @@ def parse_exact(text: str) -> Fraction:
     return _coprime_fraction(n, 5 ** (scale - fives) << scale - twos)
 
 
+def as_fraction(value: Dyadic | Fraction | int) -> Fraction:
+    """The exact value of a Dyadic, Fraction or int, as a Fraction."""
+    return value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
+
+
 def decimal_string(value: Dyadic | Fraction | int) -> str:
     """Render an exact value as a decimal string with 20 significant digits
     (informational only; correctly rounded, never used in verdicts)."""
-    if isinstance(value, Dyadic):
-        num, den = value.num, 1 << value.exp
-    elif isinstance(value, Fraction):
-        num, den = value.numerator, value.denominator
-    else:
-        num, den = int(value), 1
+    num, den = as_fraction(value).as_integer_ratio()
     with localcontext() as ctx:
         ctx.prec = 20
         return str(Decimal(num) / Decimal(den))

@@ -13,7 +13,9 @@ The long right-hand-side expansions are kept verbatim as data tables of
 so a transcription slip and an algebra bug stay distinguishable.  The grouped
 terms, and the other polynomials the proofs need of one sign, are proved so
 on the regions where the proofs use them, for every n, by one substitution
-each (see :func:`grid_nonnegativity`).
+each (see :func:`grid_nonnegativity`); a polynomial the substitution does
+not prove is walked over the lattice points of its region, one
+:meth:`MultiPoly.evaluate` each.
 
 Variables are fixed internally as (n, i); identities stated in other letters
 are mapped by renaming at this table layer.
@@ -184,8 +186,7 @@ class MultiPoly:
 # -- the named polynomial families --------------------------------------------
 # Builders are generic: pass ints for numeric instances, Fractions for exact
 # bound evaluation, or MultiPoly variables for symbolic work; boundcheck
-# builds its bound polynomials here and evaluates them with _y_coefficients
-# and _horner one m at a time.
+# builds its bound polynomials here and tabulates them one m at a time.
 
 
 def ratio_bound_numerator(m, i):
@@ -416,7 +417,7 @@ def _proportional(x: Combo, y: Combo) -> MultiPoly:
     zero = MultiPoly()
     anchor = next((k for k in keys if not y.get(k, zero).is_zero), None)
     if anchor is None:
-        return next((x[k] for k in keys if not x[k].is_zero), zero)
+        return next((x[k] for k in sorted(x) if not x[k].is_zero), zero)
     xa, ya = x.get(anchor, zero), y[anchor]
     for k in keys:
         residual = x.get(k, zero) * ya - y.get(k, zero) * xa
@@ -498,22 +499,6 @@ class GridReport:
         return not self.violations
 
 
-def _y_coefficients(poly: MultiPoly, x: int) -> list[int]:
-    """The coefficients of poly(x, y) as a polynomial in y, constant first."""
-    coeffs = [0] * (max((e1 for _, e1 in poly.terms), default=0) + 1)
-    for (e0, e1), c in poly.terms.items():
-        coeffs[e1] += c * x**e0
-    return coeffs
-
-
-def _horner(coeffs: list[int], ys: Sequence[int]) -> list[int]:
-    """The polynomial with these coefficients at every y in ys."""
-    values = [coeffs[-1]] * len(ys)
-    for c in reversed(coeffs[:-1]):
-        values = [v * y + c for v, y in zip(values, ys)]
-    return values
-
-
 def grid_nonnegativity(
     polys: Sequence[MultiPoly], region: str, bound: int, strict: bool = False
 ) -> GridReport:
@@ -525,10 +510,9 @@ def grid_nonnegativity(
     x = y + t (triangle) or x = 2y + t (half) gives q(t, y) = p(x, y), and
     the region has t >= 0 and y >= 0.  If every coefficient of q is
     nonnegative, q(t, y) >= q(0, 0) = p(0, 0) there, so p has no violation
-    unless strict and p(0, 0) <= 0.  Only a p this misses is walked, row x
-    by row: collapsed to its coefficients in y and evaluated by Horner's
-    rule.  Violations come out in lattice order, (x, y) then the index g, as
-    (g, x, y, str(value)), with the values MultiPoly.evaluate gives.
+    unless strict and p(0, 0) <= 0.  Only a p this misses is walked, point
+    by point with MultiPoly.evaluate.  Violations come out in lattice order,
+    (x, y) then the index g, as (g, x, y, str(value)).
     """
     if bound < 1:
         raise ValueError(f"grid bound must be >= 1, got {bound}")
@@ -553,11 +537,11 @@ def grid_nonnegativity(
         report.points += len(ys)
         if not walked:
             continue
-        rows = [(g, _horner(_y_coefficients(polys[g], x), ys)) for g in walked]
         for y in ys:
-            for g, row in rows:
-                if fails(row[y]):
-                    report.violations.append((g, x, y, str(row[y])))
+            for g in walked:
+                value = polys[g].evaluate(x, y)
+                if fails(value):
+                    report.violations.append((g, x, y, str(value)))
     return report
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "SweepCell",
     "QuadratureConvergenceError",
     "quartic_integral",
+    "sweep_cell",
     "identity_sweep",
 ]
 
@@ -242,13 +243,24 @@ class SweepCell:
     flagged: bool
 
 
+def sweep_cell(m: int, a: float, tol: float, *, row: CoeffRow | None = None) -> SweepCell:
+    """One cell of the identity check: :func:`quartic_integral` at (m, a),
+    flagged when the quadrature did not converge (its best estimate is kept,
+    with the error text) or its relative deviation exceeds 10*tol.  A
+    ValueError from :func:`quartic_integral` is raised."""
+    try:
+        result = quartic_integral(m, a, tol, row=row)
+    except QuadratureConvergenceError as exc:
+        return SweepCell(m, a, exc.result, str(exc), True)
+    return SweepCell(m, a, result, None, result.relative_deviation > 10.0 * tol)
+
+
 def identity_sweep(
     m_max: int, a_values: Sequence[float], tol: float = 1e-10
 ) -> list[SweepCell]:
-    """Run the identity check over the (m, a) grid, flagging any cell whose
-    relative deviation exceeds 10*tol; per-cell failures, a convergence
-    failure or a ValueError from :func:`quartic_integral`, are recorded as
-    flagged cells, not raised.  Each m's row is built once, for all its a."""
+    """:func:`sweep_cell` over the (m, a) grid; a ValueError is recorded as
+    a flagged cell without a result, not raised.  Each m's row is built
+    once, for all its a."""
     cells = []
     if not a_values:
         return cells
@@ -256,12 +268,7 @@ def identity_sweep(
         row = closed_form_row(m)
         for a in a_values:
             try:
-                result = quartic_integral(m, a, tol, row=row)
-            except QuadratureConvergenceError as exc:
-                cells.append(SweepCell(m, a, exc.result, str(exc), True))
+                cells.append(sweep_cell(m, a, tol, row=row))
             except ValueError as exc:
                 cells.append(SweepCell(m, a, None, str(exc), True))
-            else:
-                flagged = result.relative_deviation > 10.0 * tol
-                cells.append(SweepCell(m, a, result, None, flagged))
     return cells

@@ -17,11 +17,13 @@ they are declared, and those declarations are the format's only statement.
 Loading takes each value's exact JSON type from its field's annotation: a
 bool is not an int, an int within the float range is read as a float where a
 float is due, and null is accepted only where the annotation allows None.  A
-header's ``property`` is "ratio-monotone".  A cell's ``verdict`` is one of
-"verified", "failed" and "positivity-failed", its ``m`` lies in the header's
-``m_from..m_to``, its ``depth_requested`` is the header's ``depth``, and so is
-its ``depth_verified`` if it is verified; a line breaking any of this is
-refused.
+header's ``property`` is "ratio-monotone", and its parameters are ones
+:func:`scan` accepts: constructing :class:`ScanParams` checks them, so a
+header that ``scan`` would refuse is refused on load, with the same text.
+A cell's ``verdict`` is one of "verified", "failed" and "positivity-failed",
+its ``m`` lies in the header's ``m_from..m_to``, its ``depth_requested`` is
+the header's ``depth``, and so is its ``depth_verified`` if it is verified; a
+line breaking any of this is refused.
 
 ``wall_time`` is the time :func:`verify_cell` spends checking the cell's row,
 in seconds rounded to the microsecond; generating the row is not part of it.
@@ -41,8 +43,8 @@ scan leaves a valid file, at worst with a torn line: the bytes after its last
 newline, and only those.  A torn line that is not valid UTF-8 JSON is skipped
 by loading and cut off by a resume before it appends; one that is a complete
 record counts, and a resume ends it with its newline.  A line that ends with a
-newline and does not decode or parse is corrupt, and refused with its line
-number.
+newline and does not decode or parse, a blank one included, is corrupt, and
+refused with its line number.
 Re-running skips every m that already has a terminal record, so a kill loses
 at most one segment of work per worker.  Resuming with different parameters is
 refused with the exact difference.  A scan takes an exclusive advisory lock on
@@ -126,7 +128,7 @@ class ScanParams:
     depth: int
     strict: bool
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 2 <= self.m_from <= self.m_to:
             raise ValueError(
                 f"need 2 <= m_from <= m_to, got {self.m_from}..{self.m_to}"
@@ -281,11 +283,9 @@ def _parse(path: Path, data: bytes) -> tuple[ScanLedger, int]:
         for lineno, line in enumerate(lines[1:], start=2):
             try:
                 obj = json.loads(line.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 if lineno == len(lines):  # the torn line
                     return ledger, data.rfind(b"\n") + 1
-                if isinstance(exc, json.JSONDecodeError) and not exc.doc.strip():
-                    continue  # a blank line
                 raise
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
@@ -328,8 +328,9 @@ def load_ledger(path: Path | str) -> ScanLedger:
     valid UTF-8 JSON, and read like any other line if it is, so a complete
     record that lacks only its newline counts.  Any other line that is not
     UTF-8, not valid JSON, not a JSON object, or a record with a missing or
-    wrongly typed field is a ValueError naming its line, and so is a header
-    whose ``property`` is not "ratio-monotone", and a cell whose verdict is
+    wrongly typed field is a ValueError naming its line, and so is a blank
+    line, a header whose parameters :func:`scan` would refuse or whose
+    ``property`` is not "ratio-monotone", and a cell whose verdict is
     none of the three, whose m lies outside the header's range, whose
     ``depth_requested`` is not the header's ``depth``, or that is verified to
     another depth.
@@ -383,7 +384,6 @@ def scan(
     """Verify every m in the range, appending verdicts; create the ledger if
     missing, resume it (skipping completed cells) if present."""
     params = ScanParams(m_from, m_to, depth, strict)
-    params.validate()
     path = Path(ledger_path)
     _create_ledger(path, params)
     with path.open("rb") as held:  # flock needs no write access

@@ -1,5 +1,6 @@
 """Tests for the command-line frontend."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from bmtk import (
     closed_form_row,
     k_property,
     polyident,
+    quadoracle,
     scanner,
     seqprops,
 )
@@ -276,6 +278,24 @@ def test_check_usage_errors(capsys):
     assert run(capsys, "check", "--m", "4", "--props", "ratio", "--depth", "0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (("--m", "-1"), "--m must be nonnegative, got -1"),
+        (("--seq", "1,,2"), "empty entry in --seq"),
+    ],
+)
+def test_check_refuses_a_negative_m_and_an_empty_entry(capsys, argv, problem):
+    assert run(capsys, "check", *argv, "--props", "ratio") == (2, "", f"error: {problem}\n")
+
+
+def test_scan_without_workers_exits_2_and_creates_no_ledger(capsys, tmp_path):
+    ledger = tmp_path / "scan.jsonl"
+    argv = ("scan", "--from", "2", "--to", "4", "--depth", "1", "--ledger", str(ledger))
+    assert run(capsys, *argv, "--workers", "0") == (2, "", "error: --workers must be >= 1, got 0\n")
+    assert not ledger.exists()
+
+
 def test_unknown_flag_and_missing_args_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen", "--m", "3", "--bogus"])
@@ -336,6 +356,50 @@ def test_identities_grid_above_cap_exits_2(capsys):
     code, out, err = run(capsys, "identities", "--grid", "100000")
     assert (code, out) == (2, "")
     assert err == "error: grid bound must be at most 2000, got 100000\n"
+
+
+def test_identities_csv_lines(capsys):
+    code, out, err = run(capsys, "identities", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "identity,equal,grid_ok",
+        "strict-growth-step,True,None",
+        "upper-bound-expansion,True,True",
+        "upper-bound-quotient,True,True",
+        "reflected-gap-expansion,True,True",
+        "predecessor-numerator,True,None",
+        "recurrence-interderivation,True,None",
+    ]
+
+
+def test_identity_that_fails_exits_1(capsys, monkeypatch):
+    real = polyident.ratio_bound_numerator
+    monkeypatch.setattr(polyident, "ratio_bound_numerator", lambda m, i: real(m, i) + 1)
+    code, out, _ = run(capsys, "identities", "--grid", "10")
+    assert code == 1
+    assert "  upper-bound-expansion: NOT EQUAL, grid ok" in out.splitlines()
+
+
+def test_quad_short_of_its_tolerance_exits_1_with_the_error(capsys):
+    argv = ("quad", "--m", "3", "--a", "0.3", "--tol", "1e-30")
+    error = "tolerance 1e-30 not reached within 4096 splits (error estimate "
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].startswith(f"  verdict          = {error}")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    result = json.loads(out)
+    assert (code, err, result["ok"]) == (1, "", False)
+    assert result["error"].startswith(error)
+
+
+def test_quad_deviating_past_10_tol_exits_1_as_a_mismatch(capsys, monkeypatch):
+    real = quadoracle.quartic_integral
+    monkeypatch.setattr(quadoracle, "quartic_integral", lambda m, a, tol, *, row=None: (
+        dataclasses.replace(real(m, a, tol, row=row), relative_deviation=2e-9)
+    ))
+    code, out, err = run(capsys, "quad", "--m", "8", "--a", "0.5")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == ["  rel deviation    = 2.000e-09", "  verdict          = MISMATCH"]
 
 
 def test_quad_command(capsys):
@@ -416,6 +480,19 @@ def test_scan_corrupt_ledger_line_exits_2_with_its_line(capsys, tmp_path):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "line 3:" in err
+
+
+def test_scan_ledger_with_a_blank_line_exits_2_and_is_left_alone(capsys, tmp_path):
+    ledger = tmp_path / "scan.jsonl"
+    argv = ("scan", "--from", "2", "--to", "4", "--depth", "1", "--ledger", str(ledger))
+    assert run(capsys, *argv)[0] == 0
+    lines = ledger.read_bytes().splitlines(keepends=True)
+    ledger.write_bytes(b"".join(lines[:2] + [b"\n"] + lines[2:]))
+    before = ledger.read_bytes()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: ledger {ledger} line 3: Expecting value (column 1)\n"
+    assert ledger.read_bytes() == before
 
 
 def test_scan_ledger_cell_missing_a_field_exits_2_with_its_line(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bmtk import BinomialCache, Dyadic, binomial, decimal_string, exactnum
-from bmtk.exactnum import exact_str, parse_exact
+from bmtk.exactnum import as_fraction, exact_str, parse_exact
 
 nums = st.integers(min_value=-(10**12), max_value=10**12)
 exps = st.integers(min_value=0, max_value=64)
@@ -60,6 +60,46 @@ def test_arithmetic_agrees_with_fraction_embedding(n1, e1, n2, e2):
     assert (a < b) == (fa < fb)
     assert (a == b) == (fa == fb)
     assert (a >= b) == (fa >= fb)
+
+
+_ORDERS = (
+    ("<", lambda a, b: a < b),
+    ("<=", lambda a, b: a <= b),
+    (">", lambda a, b: a > b),
+    (">=", lambda a, b: a >= b),
+    ("==", lambda a, b: a == b),
+    ("!=", lambda a, b: a != b),
+)
+
+
+@given(nums, exps, nums, exps | st.none())
+@example(3, 1, 6, 2)  # equal values
+@example(-1, 0, -1, None)  # equal to an int
+def test_all_six_comparisons_agree_with_fraction(n1, e1, n2, e2):
+    # e2 None puts the int n2 on the right, and on the left reflected
+    a = Dyadic(n1, e1)
+    b = n2 if e2 is None else Dyadic(n2, e2)
+    fa, fb = as_fraction(a), as_fraction(b)
+    for name, compare in _ORDERS:
+        assert compare(a, b) == compare(fa, fb), name
+        assert compare(b, a) == compare(fb, fa), name
+
+
+@pytest.mark.parametrize("other", [0.5, "1/2"])
+def test_ordering_against_a_float_or_str_is_a_type_error(other):
+    half = Dyadic(1, 1)
+    for name, compare in _ORDERS[:4]:
+        with pytest.raises(TypeError):
+            compare(half, other)
+        with pytest.raises(TypeError):
+            compare(other, half)
+    assert (half == "1/2") is False and (half != "1/2") is True
+
+
+def test_as_fraction_of_each_exact_type():
+    cases = [(Dyadic(21, 3), Fraction(21, 8)), (Fraction(-2, 6), Fraction(-1, 3)), (7, 7)]
+    for value, expected in cases:
+        assert type(as_fraction(value)) is Fraction and as_fraction(value) == expected
 
 
 def test_int_interop():
@@ -141,6 +181,12 @@ def _decimal_tokens(draw):
 @example("-0.0e-3")
 @example("1.e3")
 @example(".5")
+# trailing zeros, cut off before conversion
+@example("1200e-2")
+@example("-10.0e1")
+@example("0.000")
+@example("1_000.000_0")
+@example("5.")
 @given(_decimal_tokens())
 def test_parse_exact_decimals_match_the_decimal_reference(text):
     value, expected = parse_exact(text), Fraction(Decimal(text))
@@ -235,6 +281,12 @@ def test_parse_exact_accepts_a_token_at_200000_digits():
     sevens = 7 * (10**199_999 - 1) // 9
     assert parse_exact("7" * 199_999) == sevens
     assert parse_exact("7" * 199_998 + ".5") == Fraction(2 * (sevens // 10) + 1, 2)
+
+
+def test_parse_exact_cuts_trailing_zeros_before_conversion():
+    # each took about 0.2 s while the zeros were converted and divided out
+    assert parse_exact("0.1" + "0" * 199_997) == Fraction(1, 10)
+    assert parse_exact(exact_str(5**140_000) + "." + "0" * 100_000) == 5**140_000
 
 
 @pytest.mark.parametrize("bad", ["3", "3/4", "3/2^", "1/2^-1", " 3/2^1", "3/2^1 ", "a/2^1"])

@@ -320,58 +320,61 @@ def test_grid_reports_violations_in_lattice_order():
 
 
 def _walked(monkeypatch):
-    """Record the length of every row grid_nonnegativity walks."""
-    rows = []
-    real = polyident._horner
+    """Record every lattice point at which grid_nonnegativity evaluates a
+    polynomial; its proof step evaluates at MultiPoly arguments instead."""
+    points = []
+    real = MultiPoly.evaluate
 
-    def counting(coeffs, ys):
-        rows.append(len(ys))
-        return real(coeffs, ys)
+    def counting(poly, x, y):
+        if isinstance(x, int):
+            points.append((x, y))
+        return real(poly, x, y)
 
-    monkeypatch.setattr(polyident, "_horner", counting)
-    return rows
+    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    return points
+
+
+def _triangle(bound):
+    return [(x, y) for x in range(bound + 1) for y in range(x + 1)]
 
 
 def test_strict_proof_needs_a_positive_constant_term(monkeypatch):
-    rows = _walked(monkeypatch)
+    points = _walked(monkeypatch)
     # N - I + 1 is t + 1 on the triangle: positive, and proved so
     assert grid_nonnegativity([N - I + 1], "triangle", 3, strict=True).ok
-    assert rows == []
+    assert points == []
     # N + I is 2y + t, nonnegative, but 0 at the origin, so strict walks it
     assert grid_nonnegativity([N + I], "triangle", 3).ok
-    assert rows == []
+    assert points == []
     report = grid_nonnegativity([N + I], "triangle", 3, strict=True)
     assert report.violations == [(0, 0, 0, "0")]
-    assert rows == [1, 2, 3, 4]
+    assert points == _triangle(3)
 
 
 def test_proof_depends_on_the_region(monkeypatch):
-    rows = _walked(monkeypatch)
+    points = _walked(monkeypatch)
     # N - 2I is t at x = 2y + t on the half, but t - y at x = y + t on the triangle
     assert grid_nonnegativity([N - 2 * I], "half", 6).ok
-    assert rows == []
+    assert points == []
     report = grid_nonnegativity([N - 2 * I], "triangle", 6)
     assert (0, 1, 1, "-1") in report.violations
     assert report.violations == _grid_reference([N - 2 * I], "triangle", 6, False)[1]
 
 
 def test_unproved_polynomial_is_walked_point_by_point(monkeypatch):
-    rows = _walked(monkeypatch)
+    points = _walked(monkeypatch)
     # y^2 - y is -1/4 at y = 1/2, so no substitution proves it, yet it is
     # 0 at y = 0 and 1 and positive at every other integer y
     assert grid_nonnegativity([I**2 - I], "triangle", 4).ok
-    assert rows == [1, 2, 3, 4, 5]
+    assert points == _triangle(4)
     report = grid_nonnegativity([I**2 - I], "triangle", 4, strict=True)
     assert report.violations == _grid_reference([I**2 - I], "triangle", 4, True)[1] != []
 
 
 def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):
-    def unexpected(*args):
-        raise AssertionError("a suite polynomial was walked point by point")
-
-    monkeypatch.setattr(polyident, "_horner", unexpected)
-    monkeypatch.setattr(polyident, "_y_coefficients", unexpected)
+    points = _walked(monkeypatch)
     assert all(record["grid_ok"] in (None, True) for record in run_identity_suite(200))
+    assert points == []
 
 
 def test_run_identity_suite_records_at_grid_200():
@@ -383,6 +386,32 @@ def test_run_identity_suite_records_at_grid_200():
         {"identity": "predecessor-numerator", "equal": True, "grid_ok": None},
         {"identity": "recurrence-interderivation", "equal": True, "grid_ok": None},
     ]
+
+
+def test_suite_reports_identities_that_fail(monkeypatch):
+    real = polyident.ratio_bound_numerator
+    monkeypatch.setattr(polyident, "ratio_bound_numerator", lambda m, i: real(m, i) + 1)
+    unequal = {"upper-bound-expansion", "upper-bound-quotient", "predecessor-numerator"}
+    assert [(r["identity"], r["equal"]) for r in run_identity_suite(10)] == [
+        (r["identity"], r["identity"] not in unequal) for r in run_identity_suite(1)
+    ]
+    # the quotient's own difference is caught before its top corner is checked
+    assert not verify_upper_bound_quotient().equal
+    # part (a) of the interderivation failing ends the check there
+    residual = MultiPoly.constant(3)
+    monkeypatch.setattr(polyident, "_proportional", lambda x, y: residual)
+    result = verify_recurrence_interderivation()
+    assert (result.equal, result.difference) == (False, residual)
+
+
+def test_proportional_returns_a_residual_unless_proportional():
+    proportional = polyident._proportional
+    assert proportional({"x": N * (I + 1), "y": I * (I + 1)}, {"x": N, "y": I}).is_zero
+    assert proportional({"x": N, "y": I}, {"x": N, "y": N}) == N * I - N**2
+    # an all-zero y: x's first nonzero entry, in key order
+    zero = MultiPoly()
+    assert proportional({"x": zero, "y": I + 1}, {"x": zero, "y": zero}) == I + 1
+    assert proportional({"y": N}, {"x": zero}) == N
 
 
 def test_run_identity_suite_refuses_grid_above_cap():

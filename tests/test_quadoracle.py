@@ -1,5 +1,6 @@
 """Tests for the floating-point quadrature cross-check."""
 
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from bmtk.quadoracle import (
     QuadratureConvergenceError,
     identity_sweep,
     quartic_integral,
+    sweep_cell,
 )
 
 A_GRID = (-0.5, 0.0, 0.5, 1.0, 2.0, 10.0)
@@ -155,6 +157,28 @@ def test_identity_sweep_flags_a_corrupted_coefficient(monkeypatch):
     cells = identity_sweep(6, [0.5, 2.0])
     assert [(c.m, c.a) for c in cells if c.flagged] == [(5, 0.5), (5, 2.0)]
     assert all(c.error is None for c in cells)
+
+
+def _deviating(monkeypatch, deviation):
+    """Make every result read ``deviation``; sweep_cell, like perfbench's
+    tracer, reaches quartic_integral through the module."""
+    real = quadoracle.quartic_integral
+
+    def replaced(m, a, tol, *, row=None):
+        return dataclasses.replace(real(m, a, tol, row=row), relative_deviation=deviation)
+
+    monkeypatch.setattr(quadoracle, "quartic_integral", replaced)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_sweep_cell_flags_a_deviation_above_10_tol(monkeypatch, above):
+    deviation = 10 * 1e-10
+    if above:
+        deviation = math.nextafter(deviation, math.inf)
+    _deviating(monkeypatch, deviation)
+    cell = sweep_cell(8, 0.5, 1e-10)
+    assert (cell.result.relative_deviation, cell.error, cell.flagged) == (deviation, None, above)
+    assert [c.flagged for c in identity_sweep(1, [0.5], 1e-10)] == [above, above]
 
 
 def test_identity_sweep_passes():

@@ -351,6 +351,11 @@ WRONG_SHAPES = {
         _header(property="log-concave"),
         "field 'property' is not 'ratio-monotone': 'log-concave'",
     ),
+    "header-m-range-reversed": (
+        1, _header(m_from=9, m_to=3, depth=0), "need 2 <= m_from <= m_to, got 9..3"
+    ),
+    "header-depth-0": (1, _header(depth=0), "depth must be >= 1, got 0"),
+    "blank-line": (3, "", "Expecting value (column 1)"),
     "cell-depth-requested-not-header-depth": (
         4,
         _cell(depth_requested=3, depth_verified=3),
@@ -519,6 +524,33 @@ def test_scan_argument_validation(tmp_path):
         scan(5, 4, 2, True, path)
     with pytest.raises(ValueError):
         scan(2, 10, 0, True, path)
+
+
+@pytest.mark.parametrize(
+    "params, problem",
+    [
+        ((1, 10, 2, True), "need 2 <= m_from <= m_to, got 1..10"),
+        ((5, 4, 2, True), "need 2 <= m_from <= m_to, got 5..4"),
+        ((2, 10, 0, False), "depth must be >= 1, got 0"),
+    ],
+    ids=["m_from-1", "reversed", "depth-0"],
+)
+def test_scan_and_load_refuse_the_same_headers(tmp_path, params, problem):
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(ValueError) as info:
+        scan(*params, path)
+    assert str(info.value) == problem
+    assert not path.exists()
+    m_from, m_to, depth, strict = params
+    path.write_text(_header(m_from=m_from, m_to=m_to, depth=depth, strict=strict) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_ledger(path)
+    assert str(info.value) == f"ledger {path} line 1: {problem}"
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as info:
+        scan(2, 4, 1, True, path)
+    assert str(info.value) == f"ledger {path} line 1: {problem}"
+    assert path.read_bytes() == before
 
 
 def test_scan_with_workers_matches_sequential(tmp_path):
