@@ -4,24 +4,34 @@ Each check evaluates one family of inequalities (or boundary equalities) on
 actual generated rows, exactly, and reports per-index records with exact
 margins so tightness studies are reproducible.  Every exact quantity is a
 side ``(n, small, shift)``, the value n / (small * 2^shift) with small > 0
-and shift >= 0, and one function, :func:`_record`, decides every comparison:
-over the gcd-reduced smalls and the larger shift, one integer difference
-gives the verdict and the margin.  A check writes its sides straight from
-the rows' integer vectors 4^m d_i(m): an entry of row m+1 is
-``(f_i, 1, 2m+2)``, a factor num/den times an entry of row m is
-``(num * e_i, den, 2m)``, and a ratio of two entries is
-``(e_{j+1}, e_j, 0)``.  Sides, margins and thm21's minimum ratio are written
-in lowest terms by :func:`_lowest_terms`: shift out as many trailing zero
-bits of n as the shift allows, then take one gcd against small, so no gcd of
-two row-sized numbers is formed for a side over a power of two.  Records are
-slotted dataclasses without value equality that keep their sides in this
-form and build the sides' Fractions only when read.  The only decimal output
-is the informational minimum-ratio string; decimals never feed a verdict.
+and shift >= 0.  A check writes its sides straight from the rows' integer
+vectors 4^m d_i(m): an entry of row m+1 is ``(f_i, 1, 2m+2)``, a factor
+num/den times an entry of row m is ``(num * e_i, den, 2m)``, and a ratio of
+two entries is ``(e_{j+1}, e_j, 0)``.
 
-l32, l33 and l34 evaluate polyident's builders one row at a time: B(m,i)'s
-numerator and denominator and l33's numerator are built once as polynomials in
-(m, i), and at each m tabulated at 0 <= i <= m by :func:`_table`: collapsed
-to coefficients in i and evaluated by Horner's rule.
+One function, :func:`_records`, decides every comparison, a batch at a time:
+a check hands it one relation and the list of its ``(i, lhs, rhs)``.  The
+relation is read once per batch.  For each pair, over the gcd-reduced smalls
+and the larger shift, one integer difference gives the verdict and the
+margin; no gcd or cross-multiply is formed when a small is 1 or both smalls
+are equal.  Margins, sides and thm21's minimum ratio are written in lowest
+terms the same way: shift out as many trailing zero bits of n as the shift
+allows, then take one gcd against small, so no gcd of two row-sized numbers
+is formed for a side over a power of two.  Records are slotted dataclasses
+without value equality that keep their sides in this form and build the
+sides' Fractions only when read.  The only decimal output is the
+informational minimum-ratio string; decimals never feed a verdict.
+
+Two things are computed once and shared, each in a size-1 memo.  thm21's and
+thm22's interior comparisons are the same sides with >= against >, so they
+are decided once per row pair, keyed on the rows' values.  Each report
+builds its own records from them; thm21 takes ``holds = margin >= 0`` and the
+same margin Fractions.  B(m,i)'s numerator and
+denominator and l33's numerator, which l32, l33 and l34 read, are built once
+as polynomials in (m, i) and tabulated once per m by :func:`_table`:
+collapsed to coefficients in i and evaluated by Horner's rule.  thm21's
+minimum ratio is decided on the top 64 bits of both cross products, which
+are formed exactly only when those bounds overlap.
 
 Check ids (the CLI tokens):
 
@@ -44,10 +54,11 @@ i <= floor(m/2) for integer i).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bmcoeff import CoeffRow, closed_form_row, recu1_row
 from .exactnum import _coprime_fraction, decimal_string, exact_str
@@ -156,27 +167,59 @@ def _lowest_terms(n: int, small: int, shift: int) -> Fraction:
     return _coprime_fraction(n, small << (shift - t))
 
 
-def _record(i: int, relation: str, lhs: Side, rhs: Side) -> BoundRecord:
-    """Decide ``lhs relation rhs`` and write its margin in lowest terms."""
-    (a, b, p), (c, d, q) = lhs, rhs
-    g = math.gcd(b, d)
-    if g > 1:
-        b, d = b // g, d // g
-    a, c = a * d, c * b  # lhs and rhs times b*d*g, over 2^p and 2^q
-    if p < q:
-        a, shift = a << q - p, q
-    else:
-        c, shift = c << p - q, p
-    # (lhs - rhs) * b*d*g * 2^shift, then oriented so that room is positive
-    margin = a - c
-    if relation in ("<=", "<"):
-        margin = -margin
-    elif relation == "==":
-        margin = -abs(margin)
-    elif relation not in (">=", ">"):
+# relation -> (orientation, strict): the margin is orientation * (lhs - rhs),
+# or -|lhs - rhs| for "==" (orientation 0)
+_RELATIONS = {
+    ">=": (1, False), ">": (1, True), "<=": (-1, False), "<": (-1, True), "==": (0, False)
+}
+
+
+def _records(relation: str, batch: Iterable[tuple[int, Side, Side]]) -> list[BoundRecord]:
+    """Decide ``lhs relation rhs`` for each ``(i, lhs, rhs)`` of batch.
+
+    Over the gcd-reduced smalls and the larger shift, one integer difference
+    gives the verdict and the margin; the gcd and the cross-multiply are
+    skipped when a small is 1 or both smalls are equal.  The margin is then
+    written in lowest terms as :func:`_lowest_terms` writes it.
+    """
+    if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    holds = margin > 0 if relation in (">", "<") else margin >= 0
-    return BoundRecord(i, relation, lhs, rhs, holds, _lowest_terms(margin, b * d * g, shift))
+    orientation, strict = _RELATIONS[relation]
+    gcd, coprime = math.gcd, _coprime_fraction
+    out = []
+    for i, lhs, rhs in batch:
+        (a, b, p), (c, d, q) = lhs, rhs
+        if b == d:
+            small = b
+        elif b == 1:
+            a, small = a * d, d
+        elif d == 1:
+            c, small = c * b, b
+        else:
+            g = gcd(b, d)
+            a, c, small = a * (d // g), c * (b // g), b // g * d
+        if p < q:
+            a, shift = a << q - p, q
+        else:
+            c, shift = c << p - q, p
+        # (lhs - rhs) * small * 2^shift, oriented so that room is positive
+        n = a - c if orientation > 0 else c - a if orientation else -abs(a - c)
+        holds = n > 0 if strict else n >= 0
+        if n:
+            if shift and not n & 1:
+                t = (n & -n).bit_length() - 1
+                if t > shift:
+                    t = shift
+                n, shift = n >> t, shift - t
+            if small > 1:
+                g = gcd(n, small)
+                if g > 1:
+                    n, small = n // g, small // g
+            margin = coprime(n, small << shift)
+        else:
+            margin = coprime(0, 1)
+        out.append(BoundRecord(i, relation, lhs, rhs, holds, margin))
+    return out
 
 
 def _require_consecutive(row_m: CoeffRow, row_next: CoeffRow) -> None:
@@ -198,27 +241,79 @@ def growth_upper_bound(m: int, i: int) -> Fraction:
     return Fraction(ratio_bound_numerator(m, i), ratio_bound_denominator(m, i))
 
 
-def _growth_lower_coefficient(m: int, i: int) -> tuple[int, int]:
-    """(4m^2+7m+i+3) / (2(m+1-i)(m+1)), the thm21 factor on d_i(m)."""
-    return 4 * m * m + 7 * m + i + 3, 2 * (m + 1 - i) * (m + 1)
+@functools.lru_cache(maxsize=1)
+def _growth_interior(e: tuple[int, ...], f: tuple[int, ...]) -> tuple[BoundRecord, ...]:
+    """thm22's interior records d_i(m+1) > (4m^2+7m+i+3)/(2(m+1-i)(m+1)) d_i(m)
+    for 0 < i < m, on rows m and m+1 given by their integer vectors.
+
+    thm21 makes the same comparisons with >=, so a size-1 memo keyed on the
+    rows' values decides them once for the two checks.  These records stay
+    private: each report builds its own from them, sharing only the immutable
+    sides and margins.
+    """
+    m = len(e) - 1
+    c, shift = 4 * m * m + 7 * m + 3, 2 * m
+    batch = [
+        (i, (f[i], 1, shift + 2), ((c + i) * e[i], 2 * (m + 1 - i) * (m + 1), shift))
+        for i in range(1, m)
+    ]
+    return tuple(_records(">", batch))
+
+
+def _top(x: int) -> tuple[int, int]:
+    """(t, k) with t·2^k <= x < (t + 1)·2^k and 2^63 <= t < 2^64, for x > 0;
+    k < 0 when x is shorter than 64 bits, and then t·2^k is x exactly."""
+    k = x.bit_length() - 64
+    return (x >> k if k >= 0 else x << -k), k
+
+
+def _least_ratio(pairs: Iterable[tuple[int, int]]) -> Fraction | None:
+    """The least n/d over pairs of positive ints, in lowest terms.
+
+    A candidate n/d is compared with the least so far, u/v, on the top 64 bits
+    of both cross products n·v and u·d: each lies between the product of its
+    operands' tops and the product of the tops plus one, scaled by the tops'
+    powers of two.  Those products all lie in [2^126, 2^128], so a power-of-two
+    gap of 2 or more decides alone; n·v and u·d are formed exactly only when
+    the two ranges overlap.  No float is formed, since a ratio of
+    perturbed rows can leave float range.
+    """
+    least = None
+    for n, d in pairs:
+        tn, kn = _top(n)
+        td, kd = _top(d)
+        if least is None:
+            least, tu, ku, tv, kv = (n, d), tn, kn, td, kd
+            continue
+        s = kn + kv - ku - kd
+        if s >= 2:
+            continue
+        if s > -2:
+            lo_l, hi_l, lo_r, hi_r = tn * tv, (tn + 1) * (tv + 1), tu * td, (tu + 1) * (td + 1)
+            if s >= 0:
+                lo_l, hi_l = lo_l << s, hi_l << s
+            else:
+                lo_r, hi_r = lo_r << -s, hi_r << -s
+            if lo_l >= hi_r or hi_l > lo_r and n * least[1] >= least[0] * d:
+                continue
+        least, tu, ku, tv, kv = (n, d), tn, kn, td, kd
+    return None if least is None else _lowest_terms(*least, 0)
 
 
 def check_growth_lower_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
     """thm21 on 0 < i < m; also reports the minimum of the tightness ratio."""
     _require_consecutive(row_m, row_next)
-    m = row_m.m
-    report = _new_report("thm21", m, 1)
-    e, f = row_m.scaled, row_next.scaled
-    low = None  # the least bound/d_i(m+1) so far, as a side
-    for i in range(1, m):
-        num, den = _growth_lower_coefficient(m, i)
-        bound = num * e[i]
-        report.records.append(_record(i, ">=", (f[i], 1, 2 * m + 2), (bound, den, 2 * m)))
-        ratio = bound << 2, den * f[i], 0  # 4^m cancels
-        if low is None or ratio[0] * low[1] < low[0] * ratio[1]:
-            low = ratio
-    if low is not None:
-        report.min_ratio = _lowest_terms(*low)
+    report = _new_report("thm21", row_m.m, 1)
+    interior = _growth_interior(row_m.scaled, row_next.scaled)
+    # a strict record that fails holds with >= exactly when its margin is 0
+    report.records = [
+        BoundRecord(r.i, ">=", r.lhs_side, r.rhs_side, r.holds or not r.margin, r.margin)
+        for r in interior
+    ]
+    # bound/d_i(m+1) at each i, as 4·bound over den·f_i since 4^m cancels
+    report.min_ratio = _least_ratio(
+        (r.rhs_side[0] << 2, r.rhs_side[1] * r.lhs_side[0]) for r in interior
+    )
     return report
 
 
@@ -228,16 +323,17 @@ def check_strict_growth_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundRepor
     m = row_m.m
     report = _new_report("thm22", m, 2)
     e, f = row_m.scaled, row_next.scaled
-    for i in range(1, m):
-        num, den = _growth_lower_coefficient(m, i)
-        report.records.append(_record(i, ">", (f[i], 1, 2 * m + 2), (num * e[i], den, 2 * m)))
-    # boundary equalities
     top_step = (2 * m + 3) * (2 * m + 1) * e[m], 2 * (m + 1), 2 * m
-    report.records += [
-        _record(0, "==", (f[0], 1, 2 * m + 2), ((4 * m + 3) * e[0], 2 * (m + 1), 2 * m)),
-        _record(m, "==", (f[m], 1, 2 * m + 2), top_step),
-        _record(m, "==", (e[m], 1, 2 * m), (math.comb(2 * m, m), 1, m)),
+    boundary = [
+        (0, (f[0], 1, 2 * m + 2), ((4 * m + 3) * e[0], 2 * (m + 1), 2 * m)),
+        (m, (f[m], 1, 2 * m + 2), top_step),
+        (m, (e[m], 1, 2 * m), (math.comb(2 * m, m), 1, m)),
     ]
+    interior = [
+        BoundRecord(r.i, ">", r.lhs_side, r.rhs_side, r.holds, r.margin)
+        for r in _growth_interior(e, f)
+    ]
+    report.records = interior + _records("==", boundary)
     return report
 
 
@@ -246,8 +342,8 @@ def check_successor_ratio_bound(row: CoeffRow) -> BoundReport:
     m = row.m
     report = _new_report("l31", m, 2)
     e = row.scaled
-    for j in range(1, m):
-        report.records.append(_record(j, ">", (m - j, j + 1, 0), (e[j + 1], e[j], 0)))
+    batch = [(j, (m - j, j + 1, 0), (e[j + 1], e[j], 0)) for j in range(1, m)]
+    report.records = _records(">", batch)
     return report
 
 
@@ -270,16 +366,24 @@ def _table(poly: MultiPoly, m: int) -> list[int]:
     return values
 
 
+@functools.lru_cache(maxsize=1)
+def _bound_tables(m: int) -> tuple[tuple[int, ...], ...]:
+    """B(m,i)'s numerator and denominator and l33's numerator at 0 <= i <= m.
+
+    l32, l33 and l34 all read them at the same m, so a size-1 memo keyed on m
+    builds them once for the three checks."""
+    return tuple(tuple(_table(poly, m)) for poly in (_BOUND_NUM, _BOUND_DEN, _L33_NUM))
+
+
 def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
     """l32: d_i(m+1) <= B(m,i) d_i(m) for all 0 <= i <= m."""
     _require_consecutive(row_m, row_next)
     m = row_m.m
     report = _new_report("l32", m, 2)
     e, f = row_m.scaled, row_next.scaled
-    nums, dens = _table(_BOUND_NUM, m), _table(_BOUND_DEN, m)
-    for i in range(m + 1):
-        bound = nums[i] * e[i], dens[i], 2 * m
-        report.records.append(_record(i, "<=", (f[i], 1, 2 * m + 2), bound))
+    nums, dens, _ = _bound_tables(m)
+    batch = [(i, (f[i], 1, 2 * m + 2), (nums[i] * e[i], dens[i], 2 * m)) for i in range(m + 1)]
+    report.records = _records("<=", batch)
     return report
 
 
@@ -288,24 +392,27 @@ def check_predecessor_bound(row: CoeffRow) -> BoundReport:
     m = row.m
     report = _new_report("l33", m, 2)
     e = row.scaled
-    preds, dens = _table(_L33_NUM, m), _table(_BOUND_DEN, m)
-    for j in range(1, m + 1):
-        num, den = preds[j], dens[j]
-        report.records.append(_record(j, ">", (num, den, 0), (0, 1, 0)))
-        bound = num * e[j], 2 * (m + j) * den, 2 * m
-        report.records.append(_record(j, "<=", (e[j - 1], 1, 2 * m), bound))
+    _, dens, preds = _bound_tables(m)
+    js = range(1, m + 1)
+    positive = _records(">", [(j, (preds[j], dens[j], 0), (0, 1, 0)) for j in js])
+    bounded = _records("<=", [
+        (j, (e[j - 1], 1, 2 * m), (preds[j] * e[j], 2 * (m + j) * dens[j], 2 * m)) for j in js
+    ])
+    report.records = [r for pair in zip(positive, bounded) for r in pair]
     return report
 
 
 def check_reflected_ratio_gap(m: int) -> BoundReport:
     """l34 for 0 <= i <= floor(m/2); pure rational-function comparison."""
     report = _new_report("l34", m, 1)
-    preds, dens = _table(_L33_NUM, m), _table(_BOUND_DEN, m)
-    for i in range(m // 2 + 1):
-        # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
-        # expands to 2j(m+1) times a polynomial with positive coefficients
-        lhs = 2 * (2 * m - i) * dens[m - i], preds[m - i], 0
-        report.records.append(_record(i, ">", lhs, (preds[i], 2 * (m + i) * dens[i], 0)))
+    _, dens, preds = _bound_tables(m)
+    # 2(m+1)B(m,m-i) - (6m-2i+3) is l33's numerator at j = m-i >= 1; it
+    # expands to 2j(m+1) times a polynomial with positive coefficients
+    batch = [
+        (i, (2 * (2 * m - i) * dens[m - i], preds[m - i], 0), (preds[i], 2 * (m + i) * dens[i], 0))
+        for i in range(m // 2 + 1)
+    ]
+    report.records = _records(">", batch)
     return report
 
 
@@ -315,11 +422,13 @@ def check_endpoint_ratios(row: CoeffRow) -> BoundReport:
     report = _new_report("sec4", m, 2)
     e = row.scaled
     high = e[m - 1], e[m], 0
-    report.records.append(_record(1, "<", (e[1], e[0], 0), (m, 1, 0)))
-    report.records.append(_record(m - 1, ">", high, (m, 1, 0)))
     central = math.comb(2 * m, m)
     closed = math.comb(2 * m - 1, m) + m * central, central, 0
-    report.records.append(_record(m - 1, "==", high, closed))
+    report.records = [
+        *_records("<", [(1, (e[1], e[0], 0), (m, 1, 0))]),
+        *_records(">", [(m - 1, high, (m, 1, 0))]),
+        *_records("==", [(m - 1, high, closed)]),
+    ]
     return report
 
 
@@ -331,8 +440,9 @@ def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
 
     Raises ValueError for an unknown bound id or an m above 2000.  Row
     generation and the records' sizes grow faster than m squared: ``bmtk
-    bounds`` took 1.6 s at m=1000, 8.3 s at 2000 and 25 s at 3000 in json
-    (CPython 3.11, one core of a 2-vCPU Xeon VM).
+    bounds``, start-up included, took 0.37 s at m=1000 and 2.0 s at 2000 in
+    json, and 0.12 s and 0.52 s in plain (CPython 3.11, one core of a 2-vCPU
+    Xeon VM).
     """
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:

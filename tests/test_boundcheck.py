@@ -12,8 +12,9 @@ from bmtk.boundcheck import (
     BOUND_IDS,
     BoundRecord,
     BoundReport,
+    _least_ratio,
     _lowest_terms,
-    _record,
+    _records,
     check_endpoint_ratios,
     check_growth_lower_bound,
     check_growth_upper_bound,
@@ -261,6 +262,11 @@ def test_record_sides_are_reduced_on_read():
     assert unreduced.lhs == Fraction(1, 2) and unreduced.rhs == Fraction(3, 4)
 
 
+def _clear_memos():
+    boundcheck._growth_interior.cache_clear()
+    boundcheck._bound_tables.cache_clear()
+
+
 def test_checks_build_one_fraction_per_record(monkeypatch):
     built = []
 
@@ -274,14 +280,20 @@ def test_checks_build_one_fraction_per_record(monkeypatch):
     # margins come from the coprime constructor, every other value from Fraction
     monkeypatch.setattr(boundcheck, "Fraction", counting(Fraction))
     monkeypatch.setattr(boundcheck, "_coprime_fraction", counting(Fraction))
+    _clear_memos()
     reports = run_checks(40)
     records = [r for rep in reports for r in rep.records]
     assert all(r.holds and r.margin >= 0 for r in records)
     with_ratio = [rep.min_ratio for rep in reports if rep.min_ratio is not None]
     assert len(with_ratio) == 1  # thm21's
-    assert len(built) == len(records) + len(with_ratio)
+    # thm21's 39 interior records share thm22's margins, so build none
+    shared = reports[0].records
+    assert len(shared) == 39
+    assert [r.margin for r in shared] == [r.margin for r in reports[1].records[:39]]
+    assert all(a.margin is b.margin for a, b in zip(shared, reports[1].records))
+    assert len(built) == len(records) - len(shared) + len(with_ratio)
     assert records[0].lhs > 0  # a side is built when read, not before
-    assert len(built) == len(records) + len(with_ratio) + 1
+    assert len(built) == len(records) - len(shared) + len(with_ratio) + 1
 
 
 # -- the integer-pair checks against a Fraction-chain reference -------------------
@@ -349,16 +361,25 @@ def _reference_reports(row, nxt):
     return [thm21, thm22, l31, l32, l33, l34, sec4]
 
 
+_CHECKS = dict(zip(BOUND_IDS, (
+    check_growth_lower_bound,
+    check_strict_growth_bound,
+    check_successor_ratio_bound,
+    check_growth_upper_bound,
+    check_predecessor_bound,
+    check_reflected_ratio_gap,
+    check_endpoint_ratios,
+)))
+
+
+def _check(bound_id, row, nxt):
+    """One check called alone on rows m and m+1."""
+    args = {"l31": (row,), "l33": (row,), "l34": (row.m,), "sec4": (row,)}
+    return _CHECKS[bound_id](*args.get(bound_id, (row, nxt)))
+
+
 def _checks(row, nxt):
-    return [
-        check_growth_lower_bound(row, nxt),
-        check_strict_growth_bound(row, nxt),
-        check_successor_ratio_bound(row),
-        check_growth_upper_bound(row, nxt),
-        check_predecessor_bound(row),
-        check_reflected_ratio_gap(row.m),
-        check_endpoint_ratios(row),
-    ]
+    return [_check(bound_id, row, nxt) for bound_id in BOUND_IDS]
 
 
 def _assert_same(reports, reference):
@@ -435,6 +456,111 @@ def test_integer_pair_checks_match_fraction_reference_on_failing_rows():
     assert {(">=", True), (">", False), ("<=", True), ("<", False)} <= ties
 
 
+# -- the memos: thm21 and thm22 share one row pair's interior, l32, l33 and l34 one m's tables
+
+
+def _one(bound_id, row, nxt):
+    """One check alone on rows m and m+1, and its Fraction-chain reference."""
+    reference = _reference_reports(row, nxt)[BOUND_IDS.index(bound_id)]
+    return _check(bound_id, row, nxt), reference
+
+
+def test_memoized_checks_alone_match_the_reference():
+    for m in (2, 3, 17):
+        row, nxt = _rows(m)
+        for bound_id in ("thm22", "thm21", "l32", "l33", "l34"):
+            _clear_memos()
+            report, reference = _one(bound_id, row, nxt)
+            _assert_same([report], [reference])
+
+
+def test_memos_alternating_between_two_row_pairs():
+    first, second = _rows(9), _rows(12)
+    # the same m with other values: d_3(10) changed, so thm21/thm22 must not reuse
+    changed = first[0], _perturbed(first[1], 3, lambda e: e + 1)
+    _clear_memos()
+    for bound_id in ("thm21", "thm22", "thm22", "thm21", "l32", "l34", "l33", "l32"):
+        for pair in (first, second, changed, first):
+            report, reference = _one(bound_id, *pair)
+            _assert_same([report], [reference])
+
+
+def test_interior_memo_is_keyed_on_the_rows_values():
+    row, nxt = _rows(14)
+    # value-equal rows that are distinct objects, with another method
+    twin, twin_next = (CoeffRow(r.m, list(r.scaled), "recu2") for r in (row, nxt))
+    assert twin is not row and twin.scaled is not row.scaled and twin != row
+    _clear_memos()
+    reference = _reference_reports(row, nxt)
+    _assert_same([check_growth_lower_bound(row, nxt)], reference[:1])
+    _assert_same([check_strict_growth_bound(twin, twin_next)], reference[1:2])
+    assert boundcheck._growth_interior.cache_info().hits == 1
+    _assert_same([check_growth_lower_bound(twin, twin_next)], reference[:1])
+    assert boundcheck._growth_interior.cache_info().hits == 2
+
+
+def test_interior_memo_on_tied_rows():
+    # d_i(m+1) on thm21's bound: thm21 holds with margin 0 and thm22 fails
+    seen = 0
+    for m in (3, 8, 25):
+        row, nxt = _rows(m)
+        for i in range(1, m):
+            tied = _on_growth_bound(row, nxt, i)
+            if tied is None:
+                continue
+            seen += 1
+            for order in (("thm21", "thm22"), ("thm22", "thm21")):
+                _clear_memos()
+                for bound_id in order:
+                    report, reference = _one(bound_id, row, tied)
+                    _assert_same([report], [reference])
+                    rec = report.records[i - 1]
+                    assert rec.margin == 0 and rec.holds == (bound_id == "thm21")
+    assert seen
+
+
+_POSITIVE = st.integers(1, 2**2000) | st.integers(1, 2**70) | st.integers(1, 100)
+
+
+@st.composite
+def _ratio_lists(draw):
+    """Positive pairs, with pairs near a drawn one: its ratio times a/b, with
+    a and b at most 4, in longer ints that differ from it only past their top
+    64 bits (exact ties when a = b and the change is 0)."""
+    pairs = draw(st.lists(st.tuples(_POSITIVE, _POSITIVE), max_size=6))
+    if pairs:
+        for n, d in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            s, change = draw(st.integers(64, 400)), draw(st.integers(-3, 3))
+            pairs.append((max(1, (a * n << s) + change), b * d << s))
+    return draw(st.permutations(pairs))
+
+
+# u/v then 3u/3v moved by a unit past the top 64 bits, where the tops' powers
+# of two differ by 1 and the ranges of the cross products overlap
+_U, _V = 0x79EEFAA4C5CE786BA33, 0x8141552B16169EEAB4B  # candidate below the least
+_X, _Y = 0x15220D672B15AD9A9D, 0x1B489C80C4DE9367ED9  # candidate above the least
+
+
+@example([(_U, _V), ((3 * _U << 64) - 2, 3 * _V << 64)])
+@example([(_X, _Y), ((3 * _X << 64) + 1, 3 * _Y << 64)])
+# ratios far outside float range, equal values in other forms, one pair, none
+@example([(1 << 3000, 1), (1, 1 << 3000), (3 << 1100, 1 << 1100)])
+@example([(5, 7), (10, 14), (15 << 200, 21 << 200), ((5 << 200) - 1, 7 << 200)])
+@example([(2**64 - 1, 2**64), (2**64, 2**64 + 1)])
+@example([(7, 3)])
+@example([])
+@given(_ratio_lists())
+def test_least_ratio_matches_the_fraction_minimum(pairs):
+    least = _least_ratio(pairs)
+    if not pairs:
+        assert least is None
+        return
+    expected = min(Fraction(n, d) for n, d in pairs)
+    assert type(least) is Fraction
+    assert (least.numerator, least.denominator) == (expected.numerator, expected.denominator)
+
+
 # the trailing zeros of n against shift, even and odd small, zero and signs
 @example(0, 0, 1, 0)
 @example(0, 0, 12, 40)
@@ -463,43 +589,50 @@ _SIDES = st.tuples(
 
 
 # equal values written in different forms, zero sides, even and odd smalls
-@example(">=", (2, 1, 1), (1, 1, 0), False, 1, 0)
-@example(">", (2, 1, 1), (1, 1, 0), False, 1, 0)
-@example("==", (3, 6, 0), (1, 1, 1), False, 1, 0)
-@example("<", (-4, 12, 2), (-1, 3, 2), False, 1, 0)
-@example("<=", (0, 5, 7), (0, 1, 0), False, 1, 0)
-@example("==", (1, 3, 0), (1, 1, 0), False, 1, 0)
+@example([((2, 1, 1), (1, 1, 0))], False, 1, 0)
+@example([((3, 6, 0), (1, 1, 1))], False, 1, 0)
+@example([((-4, 12, 2), (-1, 3, 2))], False, 1, 0)
+@example([((0, 5, 7), (0, 1, 0))], False, 1, 0)
+@example([((1, 3, 0), (1, 1, 0)), ((5, 7, 3), (5, 7, 1))], False, 1, 0)
+@example([((7, 1, 4), (3, 9, 2)), ((6, 4, 0), (1, 1, 0))], True, 3, 2)
 @given(
-    st.sampled_from([">=", ">", "<=", "<", "=="]),
-    _SIDES,
-    _SIDES,
+    st.lists(st.tuples(_SIDES, _SIDES), max_size=4),
     st.booleans(),
     st.integers(1, 2**40) | st.integers(1, 12),
     st.integers(0, 40),
 )
-def test_record_matches_fraction_arithmetic(relation, lhs, rhs, tie, factor, bits):
-    if tie:  # rhs is lhs's value, written with its small and shift scaled up
-        n, small, shift = lhs
-        rhs = n * factor << bits, small * factor, shift + bits
-    values = [Fraction(n, small << shift) for n, small, shift in (lhs, rhs)]
-    record = _record(7, relation, lhs, rhs)
-    expected = _reference_record(7, relation, *values)
-    assert (record.holds, record.margin) == (expected.holds, expected.margin)
-    margin = record.margin
-    assert type(margin) is Fraction and margin.denominator > 0
-    assert math.gcd(margin.numerator, margin.denominator) == 1
-    assert [record.lhs, record.rhs] == values
+def test_record_matches_fraction_arithmetic(pairs, tie, factor, bits):
+    batch = []
+    for i, (lhs, rhs) in enumerate(pairs):
+        if tie and i % 2:  # rhs is lhs's value, written with its small and shift scaled up
+            n, small, shift = lhs
+            rhs = n * factor << bits, small * factor, shift + bits
+        batch.append((i, lhs, rhs))
+    for relation in (">=", ">", "<=", "<", "=="):
+        records = _records(relation, batch)
+        assert len(records) == len(batch)
+        for record, (i, lhs, rhs) in zip(records, batch):
+            values = [Fraction(n, small << shift) for n, small, shift in (lhs, rhs)]
+            expected = _reference_record(i, relation, *values)
+            assert (record.i, record.relation) == (i, relation)
+            assert (record.holds, record.margin) == (expected.holds, expected.margin)
+            margin = record.margin
+            assert type(margin) is Fraction and margin.denominator > 0
+            assert math.gcd(margin.numerator, margin.denominator) == 1
+            assert (record.lhs_side, record.rhs_side) == (lhs, rhs)
+            assert [record.lhs, record.rhs] == values
 
 
 def test_record_refuses_an_unknown_relation():
-    with pytest.raises(ValueError):
-        _record(1, "!=", (1, 1, 0), (2, 1, 0))
+    for batch in ([], [(1, (1, 1, 0), (2, 1, 0))]):
+        with pytest.raises(ValueError, match="unknown relation"):
+            _records("!=", batch)
 
 
 def test_record_and_report_json_past_the_digit_limit():
     # str() of an int or Fraction with more than 4,300 digits raises by default
     big, digits = 10**5000, "1" + "0" * 5000
-    record = _record(2, "<", (big, 7, 0), (big + 1, 7, 0))
+    [record] = _records("<", [(2, (big, 7, 0), (big + 1, 7, 0))])
     assert record.to_json() == {
         "i": 2,
         "relation": "<",

@@ -586,8 +586,8 @@ def test_four_property_witnesses_match_their_one_property_runs(capsys):
 
 def _huge_failing_report(m):
     big = 10**5000
-    report = BoundReport("thm21", m)
-    report.records.append(boundcheck._record(1, ">=", (big + 1, 7, 0), (big + 2, 7, 0)))
+    records = boundcheck._records(">=", [(1, (big + 1, 7, 0), (big + 2, 7, 0))])
+    report = BoundReport("thm21", m, records)
     report.min_ratio = Fraction(big + 2, big + 1)
     return [report]
 
