@@ -13,25 +13,25 @@ One function, :func:`_records`, decides every comparison, a batch at a time:
 a check hands it one relation and the list of its ``(i, lhs, rhs)``.  The
 relation is read once per batch.  For each pair, over the gcd-reduced smalls
 and the larger shift, one integer difference gives the verdict and the
-margin; no gcd or cross-multiply is formed when a small is 1 or both smalls
-are equal.  Margins, sides and thm21's minimum ratio are written in lowest
-terms the same way: shift out as many trailing zero bits of n as the shift
-allows, then take one gcd against small, so no gcd of two row-sized numbers
-is formed for a side over a power of two.  Records are slotted dataclasses
-without value equality that keep their sides in this form and build the
-sides' Fractions only when read.  The only decimal output is the
-informational minimum-ratio string; decimals never feed a verdict.
+margin; no gcd or cross-multiply is formed when a small is 1.  Margins,
+sides and thm21's minimum ratio are written in lowest terms the same way:
+shift out as many trailing zero bits of n as the shift allows, then take one
+gcd against small, so no gcd of two row-sized numbers is formed for a side
+over a power of two.  Records are slotted dataclasses without value equality
+that keep their sides in this form and build the sides' Fractions only when
+read.  The only decimal output is the informational minimum-ratio string;
+decimals never feed a verdict.
 
 Two things are computed once and shared, each in a size-1 memo.  thm21's and
 thm22's interior comparisons are the same sides with >= against >, so they
 are decided once per row pair, keyed on the rows' values.  Each report
 builds its own records from them; thm21 takes ``holds = margin >= 0`` and the
-same margin Fractions.  B(m,i)'s numerator and
-denominator and l33's numerator, which l32, l33 and l34 read, are built once
-as polynomials in (m, i) and tabulated once per m by :func:`_table`:
-collapsed to coefficients in i and evaluated by Horner's rule.  thm21's
-minimum ratio is decided on the top 64 bits of both cross products, which
-are formed exactly only when those bounds overlap.
+same margin Fractions.  B(m,i)'s numerator and denominator and l33's
+numerator, which l32, l33 and l34 read, are built once as polynomials in
+(m, i) and tabulated once per m by :func:`_table`: collapsed to coefficients
+in i and evaluated by Horner's rule.  thm21's minimum ratio orders its
+candidates n/d by the floor quotient of n·2^64 by d, and cross-multiplies two
+candidates only when those quotients are equal.
 
 Check ids (the CLI tokens):
 
@@ -179,8 +179,8 @@ def _records(relation: str, batch: Iterable[tuple[int, Side, Side]]) -> list[Bou
 
     Over the gcd-reduced smalls and the larger shift, one integer difference
     gives the verdict and the margin; the gcd and the cross-multiply are
-    skipped when a small is 1 or both smalls are equal.  The margin is then
-    written in lowest terms as :func:`_lowest_terms` writes it.
+    skipped when a small is 1.  The margin is then written in lowest terms as
+    :func:`_lowest_terms` writes it.
     """
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
@@ -189,9 +189,7 @@ def _records(relation: str, batch: Iterable[tuple[int, Side, Side]]) -> list[Bou
     out = []
     for i, lhs, rhs in batch:
         (a, b, p), (c, d, q) = lhs, rhs
-        if b == d:
-            small = b
-        elif b == 1:
+        if b == 1:
             a, small = a * d, d
         elif d == 1:
             c, small = c * b, b
@@ -260,43 +258,20 @@ def _growth_interior(e: tuple[int, ...], f: tuple[int, ...]) -> tuple[BoundRecor
     return tuple(_records(">", batch))
 
 
-def _top(x: int) -> tuple[int, int]:
-    """(t, k) with t·2^k <= x < (t + 1)·2^k and 2^63 <= t < 2^64, for x > 0;
-    k < 0 when x is shorter than 64 bits, and then t·2^k is x exactly."""
-    k = x.bit_length() - 64
-    return (x >> k if k >= 0 else x << -k), k
-
-
 def _least_ratio(pairs: Iterable[tuple[int, int]]) -> Fraction | None:
     """The least n/d over pairs of positive ints, in lowest terms.
 
-    A candidate n/d is compared with the least so far, u/v, on the top 64 bits
-    of both cross products n·v and u·d: each lies between the product of its
-    operands' tops and the product of the tops plus one, scaled by the tops'
-    powers of two.  Those products all lie in [2^126, 2^128], so a power-of-two
-    gap of 2 or more decides alone; n·v and u·d are formed exactly only when
-    the two ranges overlap.  No float is formed, since a ratio of
-    perturbed rows can leave float range.
+    Each candidate is keyed by floor(n·2^64 / d), which never decreases as
+    n/d grows: a smaller key proves a smaller ratio and a larger key a larger
+    one.  A candidate is cross-multiplied against the least so far only when
+    the two keys are equal.  No float is formed, since a ratio of perturbed
+    rows can leave float range.
     """
-    least = None
+    least, low = None, 0
     for n, d in pairs:
-        tn, kn = _top(n)
-        td, kd = _top(d)
-        if least is None:
-            least, tu, ku, tv, kv = (n, d), tn, kn, td, kd
-            continue
-        s = kn + kv - ku - kd
-        if s >= 2:
-            continue
-        if s > -2:
-            lo_l, hi_l, lo_r, hi_r = tn * tv, (tn + 1) * (tv + 1), tu * td, (tu + 1) * (td + 1)
-            if s >= 0:
-                lo_l, hi_l = lo_l << s, hi_l << s
-            else:
-                lo_r, hi_r = lo_r << -s, hi_r << -s
-            if lo_l >= hi_r or hi_l > lo_r and n * least[1] >= least[0] * d:
-                continue
-        least, tu, ku, tv, kv = (n, d), tn, kn, td, kd
+        key = (n << 64) // d
+        if least is None or key < low or key == low and n * least[1] < least[0] * d:
+            least, low = (n, d), key
     return None if least is None else _lowest_terms(*least, 0)
 
 
@@ -441,8 +416,8 @@ def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
     Raises ValueError for an unknown bound id or an m above 2000.  Row
     generation and the records' sizes grow faster than m squared: ``bmtk
     bounds``, start-up included, took 0.37 s at m=1000 and 2.0 s at 2000 in
-    json, and 0.12 s and 0.52 s in plain (CPython 3.11, one core of a 2-vCPU
-    Xeon VM).
+    json, and 0.12 s and 0.52 s in plain (CPython 3.11.7, one core of a 2-vCPU
+    AMD EPYC VM).
     """
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:

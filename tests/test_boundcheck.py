@@ -536,14 +536,21 @@ def _ratio_lists(draw):
     return draw(st.permutations(pairs))
 
 
-# u/v then 3u/3v moved by a unit past the top 64 bits, where the tops' powers
-# of two differ by 1 and the ranges of the cross products overlap
+# u/v then 3u/3v moved by a unit past the top 64 bits: the floor keys are
+# equal, so only the exact cross-multiply orders the two
 _U, _V = 0x79EEFAA4C5CE786BA33, 0x8141552B16169EEAB4B  # candidate below the least
 _X, _Y = 0x15220D672B15AD9A9D, 0x1B489C80C4DE9367ED9  # candidate above the least
 
 
 @example([(_U, _V), ((3 * _U << 64) - 2, 3 * _V << 64)])
 @example([(_X, _Y), ((3 * _X << 64) + 1, 3 * _Y << 64)])
+# equal floor keys, the smaller ratio first and last, then every key 0
+@example([(5, 7), ((5 << 70) + 1, 7 << 70)])
+@example([((5 << 70) + 1, 7 << 70), (5, 7)])
+@example([(5, 7), ((5 << 70) - 1, 7 << 70)])
+@example([((5 << 70) - 1, 7 << 70), (5, 7)])
+@example([(3, 1 << 70), (1, 1 << 65), (2, 1 << 66), (1, 3 << 64)])
+@example([(3 << 200, 1), (1 << 201, 1), (5 << 261, 2 << 60)])  # ratios above 2^200
 # ratios far outside float range, equal values in other forms, one pair, none
 @example([(1 << 3000, 1), (1, 1 << 3000), (3 << 1100, 1 << 1100)])
 @example([(5, 7), (10, 14), (15 << 200, 21 << 200), ((5 << 200) - 1, 7 << 200)])
@@ -559,6 +566,35 @@ def test_least_ratio_matches_the_fraction_minimum(pairs):
     expected = min(Fraction(n, d) for n, d in pairs)
     assert type(least) is Fraction
     assert (least.numerator, least.denominator) == (expected.numerator, expected.denominator)
+
+
+class _CountingInt(int):
+    """An int that counts the products it is the left operand of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return int(self) * int(other)
+
+
+def test_least_ratio_cross_multiplies_only_on_equal_keys():
+    # thm21's candidates at m=100, then ratios far from them
+    row, row_next = _rows(100)
+    pairs = [
+        (r.rhs_side[0] << 2, r.rhs_side[1] * r.lhs_side[0])
+        for r in boundcheck._growth_interior(row.scaled, row_next.scaled)
+    ]
+    pairs += [(1 << 3000, 1), (1, 1 << 3000), (5, 7)]
+    keys = [(n << 64) // d for n, d in pairs]
+    assert len(set(keys)) == len(keys)
+    counted = [(_CountingInt(n), _CountingInt(d)) for n, d in pairs]
+    _CountingInt.products = 0
+    assert _least_ratio(counted) == min(Fraction(n, d) for n, d in pairs)
+    assert _CountingInt.products == 0
+    tied = counted + [(_CountingInt(3), _CountingInt(1 << 3001))]  # key 0, as 1/2^3000's
+    assert _least_ratio(tied) == Fraction(1, 1 << 3000)
+    assert _CountingInt.products == 2
 
 
 # the trailing zeros of n against shift, even and odd small, zero and signs
@@ -595,6 +631,7 @@ _SIDES = st.tuples(
 @example([((0, 5, 7), (0, 1, 0))], False, 1, 0)
 @example([((1, 3, 0), (1, 1, 0)), ((5, 7, 3), (5, 7, 1))], False, 1, 0)
 @example([((7, 1, 4), (3, 9, 2)), ((6, 4, 0), (1, 1, 0))], True, 3, 2)
+@example([((5, 6, 3), (7, 6, 1)), ((-9, 4, 0), (-9, 4, 2))], False, 1, 0)  # equal smalls
 @given(
     st.lists(st.tuples(_SIDES, _SIDES), max_size=4),
     st.booleans(),
