@@ -16,14 +16,14 @@ first access, for printing and JSON.  The generation routes are
 plus the four-term contiguous relation recu4, which must vanish identically
 on every valid row and therefore doubles as a corruption detector.
 
-The closed form is a Taylor shift: sum_i e_i x^i = sum_k w_k (x+1)^k, which
-Horner's rule in (x+1) evaluates with bigint additions only.  The weights come
-from one central binomial by exact term ratios.  No route keeps a binomial
-table: the top entries of recu2 and recu3 take one ``math.comb`` per row, and
-the double sum builds its binomials by term ratios.  Every recurrence step works
-on the integer vectors directly and is one exact integer division, which is
-asserted exact.  Out-of-range entries follow the convention
-d_{-1}(m) = d_{m+1}(m) = 0.
+The closed form's row, sum_i e_i x^i = sum_k w_k (x+1)^k, is built without
+its weights: P_m is a Jacobi polynomial, and its differential equation read on
+x^i gives each entry from the two above it, down from e_m = w_m.  No route
+keeps a binomial table: the closed form and the top entries of recu2 and recu3
+take one ``math.comb`` per row, and the double sum builds its binomials by term
+ratios.  Every recurrence step works on the integer vectors directly and is one
+exact integer division, which is asserted exact.  Out-of-range entries follow
+the convention d_{-1}(m) = d_{m+1}(m) = 0.
 
 P_m can also be evaluated exactly at any rational point by three routes that
 must agree: the defining (j,k) double sum, the terminating 2F1-style series
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from operator import add
 from typing import Iterable
 
 from .exactnum import Dyadic, as_fraction, decimal_string
@@ -109,28 +108,28 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def closed_form_row(m: int) -> CoeffRow:
-    """Generate {d_i(m)} from the single-sum closed form, as a Taylor shift.
+    """Generate {d_i(m)} from the single-sum closed form, by the Jacobi equation.
 
-    The weights w_k = 2^k C(2m-2k, m-k) C(m+k, k) of C(k, i) follow from
-    C(2m, m) by the term ratio (m-k)(m+k+1) / (2(2m-2k-1)(k+1)), with the 2^k
-    applied separately; Horner's rule p <- p*(x+1) + w_k then yields
-    sum_k w_k (x+1)^k, whose coefficients are the e_i = 4^m d_i(m).
+    P_m is the Jacobi polynomial P_m^(a,b) with a = m + 1/2 and b = -a, so
+    (1-x^2) P'' - (2m+1+2x) P' + m(m+1) P = 0.  In u = x + 1 that equation
+    holds for sum_k w_k u^k if and only if
+    (k+1)(2m-2k-1) w_{k+1} = (m-k)(m+k+1) w_k, the term ratio of the weights
+    w_k = 2^k C(2m-2k, m-k) C(m+k, k), so the closed form solves it.  Read on
+    x^i, the equation is
+    (m-i)(m+i+1) e_i = (2m+1)(i+1) e_{i+1} - (i+1)(i+2) e_{i+2},
+    whose solution of degree m is fixed by its top entry: each e_i is one
+    exact division, down from e_m = w_m = 2^m C(2m, m) with e_{m+1} = 0.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    v = math.comb(2 * m, m)  # C(2m-2k, m-k) C(m+k, k) at k = 0
-    weights = [v]
-    for k in range(m):
-        v = _exact_div(
-            v * (m - k) * (m + k + 1),
-            2 * (2 * m - 2 * k - 1) * (k + 1),
+    e = [0] * (m + 2)
+    e[m] = math.comb(2 * m, m) << m
+    for i in range(m - 1, -1, -1):
+        e[i] = _exact_div(
+            (2 * m + 1) * (i + 1) * e[i + 1] - (i + 1) * (i + 2) * e[i + 2],
+            (m - i) * (m + i + 1),
         )
-        weights.append(v << (k + 1))
-    p = [weights[m]]
-    for w in reversed(weights[:m]):
-        # p*(x+1) + w: entry i becomes p_i + p_{i-1}, with p_{-1} = w
-        p = list(map(add, p + [0], [w] + p))
-    return CoeffRow(m, p, Method.CLOSED_FORM)
+    return CoeffRow(m, e[: m + 1], Method.CLOSED_FORM)
 
 
 def recu1_row(prev: CoeffRow) -> CoeffRow:

@@ -413,11 +413,10 @@ _MAX_M = 2000
 def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
     """Run the requested checks at one m, generating the rows once.
 
-    Raises ValueError for an unknown bound id or an m above 2000.  Row
-    generation and the records' sizes grow faster than m squared: ``bmtk
-    bounds``, start-up included, took 0.37 s at m=1000 and 2.0 s at 2000 in
-    json, and 0.12 s and 0.52 s in plain (CPython 3.11.7, one core of a 2-vCPU
-    AMD EPYC VM).
+    Raises ValueError for an unknown bound id or an m above 2000.  The
+    records' sizes grow faster than m squared: ``bmtk bounds``, start-up
+    included, took 0.33 s at m=1000 and 1.7 s at 2000 in json, and 0.084 s
+    and 0.23 s in plain (CPython 3.11.7, one core of a 2-vCPU AMD EPYC VM).
     """
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:

@@ -3,8 +3,9 @@
 Subcommands: gen, check, bounds, identities, quad, scan.  Shared flags:
 --format {plain,json,csv} and --out FILE.  Exit codes: 0 when every requested
 check holds, 1 when a mathematical check fails (the report carries the
-witness), 2 for usage or domain errors and for an --out or --ledger path that
-cannot be read or written.
+witness), 2 for usage or domain errors, for an --out or --ledger path that
+cannot be read or written, and for an ArithmeticError of an internal
+cross-check, such as a scan's recu1 walk that disagrees with the closed form.
 
 Each handler runs its command once and returns ``(ok, body)``, where body is
 built only for the requested format: the JSON payload, or the plain or CSV
@@ -29,8 +30,10 @@ from .exactnum import decimal_string, parse_exact
 
 __all__ = ["main", "build_parser"]
 
-# ``closed_form_row`` took 2.1 s at m=4000 and grows about as m^3 (CPython
-# 3.11.7, one core of a 2-vCPU AMD EPYC VM).
+# The largest m whose row is built.  A row holds about 3.7*m^2 bits, 7.4 MB at
+# m=4000, where ``closed_form_row`` takes 0.015 s (CPython 3.11.7, one core of a
+# 2-vCPU AMD EPYC VM).  From about m=1200 on, the row divided by its gcd is
+# past ``seqprops._EXACT_BITS``, so only the enclosure phase can decide it.
 _MAX_ROW_M = 4000
 
 PROP_TOKENS = {
@@ -281,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -30,8 +30,8 @@ in seconds rounded to the microsecond; generating the row is not part of it.
 
 Rows are walked, not rebuilt: the m still to do are cut into segments of at
 most ``_SEGMENT`` consecutive values.  A segment is seeded with the closed-form
-row of its first m and stepped with ``recu1_row``, and each row is checked as
-soon as it is made.  At the segment's end the walked row must equal the
+row of the m before its first, and ``recu1_row`` steps to each of its m, whose
+row is checked as soon as it is made.  The walk's last row must equal the
 closed-form row bit for bit, and the four-term relation recu4 must vanish on it
 at a few indices; only then are the segment's cells appended.  A mismatch is an
 ArithmeticError naming m, and none of that segment's cells is recorded.
@@ -223,7 +223,7 @@ def verify_cell(row: CoeffRow, depth: int, strict: bool) -> ScanRecord:
 
 
 def _scan_segment(first: int, last: int, depth: int, strict: bool) -> list[ScanRecord]:
-    """Records for m = first..last, from a recu1 walk seeded by the closed form.
+    """Records for m = first..last, walked by recu1 from the closed form at first-1.
 
     Each row is checked as soon as it is made and only the current one is
     kept.  The walk's last row must equal the closed form and satisfy recu4
@@ -231,17 +231,16 @@ def _scan_segment(first: int, last: int, depth: int, strict: bool) -> list[ScanR
     step's division is inexact, this raises an ArithmeticError naming m and
     returns no record.
     """
-    row = closed_form_row(first)
-    records = [verify_cell(row, depth, strict)]
-    for m in range(first + 1, last + 1):
+    row = closed_form_row(first - 1)
+    records = []
+    for m in range(first, last + 1):
         try:
             row = recu1_row(row)
         except ArithmeticError as exc:
             raise ArithmeticError(f"recu1 walk from m={first} fails at m={m}: {exc}") from None
         records.append(verify_cell(row, depth, strict))
-    if last > first and (
-        row.scaled != closed_form_row(last).scaled
-        or any(recu4_residual(row, i).num for i in (2, (last + 3) // 2, last + 1))
+    if row.scaled != closed_form_row(last).scaled or any(
+        recu4_residual(row, i).num for i in (2, (last + 3) // 2, last + 1)
     ):
         raise ArithmeticError(
             f"recu1 walk from m={first} disagrees with the closed form at m={last}"

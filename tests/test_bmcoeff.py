@@ -179,7 +179,7 @@ def test_json_round_trip_every_route(method):
 
 def _binomial_sum_row(m, table):
     """4^m d_i(m) by the defining sum over k, evaluated term by term from a
-    binomial table: the O(m^2) reference for the Taylor shift."""
+    binomial table: the O(m^2) reference for the closed form."""
     table.ensure_rows(2 * m)
     weights = [
         (1 << k) * table.binomial(2 * m - 2 * k, m - k) * table.binomial(m + k, k)
@@ -191,10 +191,18 @@ def _binomial_sum_row(m, table):
     )
 
 
-def test_taylor_shift_matches_binomial_sum():
+def test_closed_form_matches_binomial_sum():
     table = BinomialCache()
     for m in [*range(201), 400]:
         assert closed_form_row(m).scaled == _binomial_sum_row(m, table), f"m={m}"
+
+
+@pytest.mark.parametrize("m", (1000, 2000, 4000))
+def test_one_step_routes_match_closed_form_at_far_m(m):
+    seed = closed_form_row(m - 1)
+    expected = closed_form_row(m).scaled
+    assert recu1_row(seed).scaled == expected
+    assert recu2_row(seed).scaled == expected
 
 
 NO_TABLE_RUNS = (

@@ -461,6 +461,28 @@ def test_scan_command(capsys, tmp_path):
     )
 
 
+def test_scan_walk_that_disagrees_with_the_closed_form_exits_2(capsys, monkeypatch, tmp_path):
+    real = scanner.recu1_row
+    bad_m = 2 + scanner._SEGMENT + 5  # in the second segment
+
+    def corrupted(prev):
+        row = real(prev)
+        if row.m != bad_m:
+            return row
+        scaled = list(row.scaled)
+        scaled[10] += 1
+        return bmcoeff.CoeffRow(row.m, scaled, row.method)
+
+    monkeypatch.setattr(scanner, "recu1_row", corrupted)
+    ledger = tmp_path / "scan.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--from", "2", "--to", "100", "--depth", "2", "--ledger", str(ledger)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: recu1 walk from m={2 + scanner._SEGMENT} ")
+    assert sorted(scanner.load_ledger(ledger).records) == list(range(2, 2 + scanner._SEGMENT))
+
+
 def test_scan_ledger_naming_a_directory_exits_2(capsys, tmp_path):
     code, out, err = run(
         capsys, "scan", "--from", "2", "--to", "4", "--depth", "1", "--ledger", str(tmp_path)

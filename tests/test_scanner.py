@@ -699,6 +699,41 @@ def test_corrupted_walk_raises_and_records_no_cell_of_its_segment(tmp_path, monk
     assert sorted(load_ledger(path).records) == list(range(2, SECOND[0]))
 
 
+def _corrupt_closed_form_at(monkeypatch, bad_m):
+    real = scanner.closed_form_row
+
+    def corrupted(m):
+        row = real(m)
+        if m != bad_m:
+            return row
+        scaled = list(row.scaled)
+        scaled[m // 2] += 1  # still ratio monotone to depth 2
+        return CoeffRow(m, scaled, row.method)
+
+    monkeypatch.setattr(scanner, "closed_form_row", corrupted)
+
+
+def test_one_m_worker_segment_is_walked_and_cross_checked(tmp_path, monkeypatch):
+    # 9 cells for 64 workers: one segment per m, run in order at submission
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    _corrupt_closed_form_at(monkeypatch, 6)
+    path = tmp_path / "par.jsonl"
+    with pytest.raises(ArithmeticError, match=r"^recu1 walk from m=6 disagrees .* at m=6$"):
+        scan(2, 10, 2, True, path, workers=64)
+    assert 6 not in load_ledger(path).records
+
+
+def test_resume_filling_one_m_gap_is_walked_and_cross_checked(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    scan(2, 10, 2, True, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if json.loads(line).get("m") != 6))
+    _corrupt_closed_form_at(monkeypatch, 6)
+    with pytest.raises(ArithmeticError, match=r"^recu1 walk from m=6 disagrees .* at m=6$"):
+        scan(2, 10, 2, True, path)
+    assert sorted(load_ledger(path).records) == [2, 3, 4, 5, 7, 8, 9, 10]
+
+
 def test_cell_past_the_exact_size_limit_ends_the_scan(tmp_path, monkeypatch):
     # every level exact, with the limit at the first m of the second segment
     # minus one bit: that cell raises, and the first segment stays recorded
