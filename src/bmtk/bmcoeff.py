@@ -274,19 +274,30 @@ def hypergeometric_eval(m: int, a: Fraction | Dyadic | int) -> Fraction:
     return Fraction(math.comb(2 * m, m), 1 << (2 * m)) * total
 
 
+def _horner(scaled: tuple[int, ...], p: int, q: int) -> int:
+    """sum_i e_i p^i q^(m-i) for the row e_0..e_m, by Horner's rule on integers.
+
+    This is q^m 4^m P_m(p/q) for the row of P_m; q > 0, and p/q need not be
+    in lowest terms.
+    """
+    acc = 0
+    q_pow = 1
+    for e in reversed(scaled):
+        acc = acc * p + e * q_pow
+        q_pow *= q
+    return acc
+
+
 def eval_poly(row: CoeffRow, a: Fraction | Dyadic | int) -> Fraction:
     """P_m(a) by Horner evaluation of a generated row, exactly.
 
-    With a = p/q the sum runs on integers: q^m 4^m P_m(a) = sum_i e_i p^i q^(m-i).
+    With a = p/q the sum runs on integers, in :func:`_horner`:
+    q^m 4^m P_m(a) = sum_i e_i p^i q^(m-i), and only its quotient by
+    q^m 4^m is a Fraction.
     """
     af = as_fraction(a)
     p, q = af.numerator, af.denominator
-    acc = 0
-    q_pow = 1
-    for e in reversed(row.scaled):
-        acc = acc * p + e * q_pow
-        q_pow *= q
-    return Fraction(acc, q**row.m << (2 * row.m))
+    return Fraction(_horner(row.scaled, p, q), q**row.m << (2 * row.m))
 
 
 # -- serialization ------------------------------------------------------------

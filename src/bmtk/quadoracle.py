@@ -22,12 +22,16 @@ The rule is adaptive Gauss-Kronrod 7-15, as in QUADPACK's QAG: each panel's
 value is its 15-point Kronrod sum, and its error estimate is |K15 - G7|, the
 gap to the embedded 7-point Gauss sum.  That estimate bounds the error of the
 Gauss sum, so it overstates the error of the Kronrod value that is returned.
-The rule never evaluates the integrand at 0 or 1.
+The integrand is evaluated once per panel, at its 15 nodes together, and
+never at 0 or 1.
 
-The right-hand side is computed in exact rational arithmetic (the polynomial
-value at the exact binary rational the float a denotes) and converted to
-binary64 only for the final comparison.  Binary64 is ample: the integrands
-are smooth, positive and rapidly decaying, and the target is 1e-8 relative.
+The right-hand side is taken at the binary rational p/q that the float a
+denotes.  Its rational factor P_m(a) / (2^m (a+1)^m) is computed on
+integers, as sum_i e_i p^i q^(m-i) over (p+q)^m 2^(3m) with e_i = 4^m d_i(m),
+and reaches binary64 by one int/int division, which is correctly rounded;
+only the final factor pi / (2 sqrt(2 (a+1))) is formed in floating point.
+Binary64 is ample for the comparison: the integrands are smooth, positive
+and rapidly decaying, and the target is 1e-8 relative.
 Where it is not, because the integrand or the exact right-hand side overflows,
 underflows to zero or is not a number, :func:`quartic_integral` raises a
 ValueError naming m and a.
@@ -46,11 +50,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .bmcoeff import CoeffRow, closed_form_row, eval_poly
+from .bmcoeff import CoeffRow, _horner, closed_form_row
+from .bmcoeff import eval_poly  # noqa: F401  perfbench's tracer patches it here
 
 __all__ = [
     "QuadResult",
@@ -119,18 +123,25 @@ _NODES = tuple(-x for x in KRONROD_NODES) + KRONROD_NODES[-2::-1]
 _K15 = KRONROD_WEIGHTS + KRONROD_WEIGHTS[-2::-1]
 _G7 = GAUSS_WEIGHTS + GAUSS_WEIGHTS[-2::-1]
 
+# an integrand evaluated on a whole panel: its values at the given nodes
+Panel = Callable[[list[float]], list[float]]
 
-def _kronrod_gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """The 15-point Kronrod and 7-point Gauss values of the integral of f on
-    [a, b], from the same 15 evaluations."""
+
+def _kronrod_gauss(f: Panel, a: float, b: float) -> tuple[float, float]:
+    """The 15-point Kronrod and 7-point Gauss values of the integral on [a, b],
+    from one call of f.
+
+    f takes the panel's 15 nodes, in ``_NODES`` order, and returns the
+    integrand's values at them, in the same order; both sums use them.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fs = [f(c + h * x) for x in _NODES]
+    fs = f([c + h * x for x in _NODES])
     return h * sum(map(mul, _K15, fs)), h * sum(map(mul, _G7, fs[1::2]))
 
 
 def _adaptive_gauss_kronrod(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Panel, lo: float, hi: float, tol: float
 ) -> tuple[float, float, bool]:
     """Worst-panel-first adaptive Gauss-Kronrod 7-15 on [lo, hi] to relative
     ``tol``.
@@ -169,14 +180,20 @@ def _adaptive_gauss_kronrod(
     return value, err, err <= tol * abs(value)
 
 
-def _exact_rhs(row: CoeffRow, a_exact: Fraction) -> float:
-    """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a) for the row of P_m, rounded
-    only at the end."""
+def _exact_rhs(row: CoeffRow, a: float) -> float:
+    """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a) for the row of P_m, at the
+    binary rational that the float a denotes.
+
+    With a = p/q, the rational factor P_m(a) / (2^m (a+1)^m) is the integer
+    sum_i e_i p^i q^(m-i) over the integer (p+q)^m 2^(3m), rounded once by
+    int/int true division, which is correctly rounded and raises
+    OverflowError past the binary64 range.  The float sum 1.0 + a is a+1
+    correctly rounded, too.
+    """
     m = row.m
-    p_value = eval_poly(row, a_exact)
-    base = a_exact + 1
-    exact_part = p_value / ((1 << m) * base**m)
-    return math.pi * float(exact_part) / (2.0 * math.sqrt(2.0 * float(base)))
+    p, q = a.as_integer_ratio()
+    exact_part = _horner(row.scaled, p, q) / ((p + q) ** m << 3 * m)
+    return math.pi * exact_part / (2.0 * math.sqrt(2.0 * (1.0 + a)))
 
 
 def quartic_integral(
@@ -206,13 +223,15 @@ def quartic_integral(
     two_b = 2.0 * (1.0 + a)
     power = 4 * m + 2
 
-    def integrand(x: float) -> float:
-        d = (1.0 - x) * (1.0 + x)
-        return (1.0 + x**power) / (d * d + two_b * (x * x)) ** (m + 1)
+    def integrand(xs: list[float]) -> list[float]:
+        return [
+            (1.0 + x**power) / ((d := (1.0 - x) * (1.0 + x)) * d + two_b * (x * x)) ** (m + 1)
+            for x in xs
+        ]
 
     try:
         value, err, converged = _adaptive_gauss_kronrod(integrand, 0.0, 1.0, tol)
-        rhs = _exact_rhs(closed_form_row(m) if row is None else row, Fraction(a))
+        rhs = _exact_rhs(closed_form_row(m) if row is None else row, a)
     except (OverflowError, ZeroDivisionError):
         value = rhs = math.nan
     if not (0.0 < value < math.inf and 0.0 < rhs < math.inf):

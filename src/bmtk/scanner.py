@@ -54,7 +54,9 @@ records.  The ledger is opened for writing only when a cell is due, so a rerun
 with nothing to do writes nothing.  Workers may walk distinct segments
 concurrently; all appends go through the single coordinating process, and
 verdicts are order-independent, so interrupt patterns and worker counts never
-change the outcome.
+change the outcome.  A segment that raises ends the scan: the segments still
+waiting in the pool are cancelled, and the error is raised once those already
+handed to a worker end.
 
 Each row is checked once, by :func:`~bmtk.seqprops.k_property`, as the
 integer vector 4^m d_i(m) over the unit 4^-m.  It decides every level on
@@ -427,7 +429,12 @@ def scan(
                         pool.submit(_scan_segment, first, last, depth, strict)
                         for first, last in segments
                     ]
-                    for future in as_completed(futures):
-                        for record in future.result():
-                            append(record)
+                    try:
+                        for future in as_completed(futures):
+                            for record in future.result():
+                                append(record)
+                    except BaseException:
+                        # wait only for the segments handed to a worker, not every queued one
+                        pool.shutdown(cancel_futures=True)
+                        raise
     return ledger

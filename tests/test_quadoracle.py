@@ -3,11 +3,15 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bmtk import quadoracle
-from bmtk.bmcoeff import closed_form_row
+from bmtk.bmcoeff import closed_form_row, eval_poly
 from bmtk.quadoracle import (
     QuadratureConvergenceError,
     identity_sweep,
@@ -221,7 +225,7 @@ def test_quad_result_json_shape():
 
 @pytest.mark.parametrize("k", range(23))
 def test_kronrod_rule_integrates_monomials_to_degree_22(k):
-    kronrod, gauss = quadoracle._kronrod_gauss(lambda x: x**k, 0.0, 1.0)
+    kronrod, gauss = quadoracle._kronrod_gauss(lambda xs: [x**k for x in xs], 0.0, 1.0)
     assert abs(kronrod * (k + 1) - 1.0) <= 1e-15
     if k <= 13:
         assert abs(gauss * (k + 1) - 1.0) <= 1e-15
@@ -230,7 +234,7 @@ def test_kronrod_rule_integrates_monomials_to_degree_22(k):
 def test_gauss_rule_misses_degree_14():
     # so |K15 - G7|, the error estimate, is not vacuous: the Gauss error on
     # x^14 over [0, 1] is about 5.7e-9
-    kronrod, gauss = quadoracle._kronrod_gauss(lambda x: x**14, 0.0, 1.0)
+    kronrod, gauss = quadoracle._kronrod_gauss(lambda xs: [x**14 for x in xs], 0.0, 1.0)
     assert abs(kronrod - gauss) > 1e-9
 
 
@@ -262,3 +266,97 @@ def test_given_row_matches_the_built_row():
 def test_row_of_another_m_is_a_value_error():
     with pytest.raises(ValueError, match=re.escape("need the row of m=8, got m=7")):
         quartic_integral(8, 0.5, row=closed_form_row(7))
+
+
+# -- the scalar, Fraction-based formulation as a reference -------------------
+#
+# quartic_integral evaluates its integrand once per panel and its right side
+# on integers; this is the same quadrature with a scalar integrand called once
+# per node and the right side in Fraction arithmetic.  Both must give the same
+# bits, which no digest of the benchmark checks.
+
+
+def _scalar_kronrod_gauss(f, a, b):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fs = [f(c + h * x) for x in quadoracle._NODES]
+    return h * sum(map(mul, quadoracle._K15, fs)), h * sum(map(mul, quadoracle._G7, fs[1::2]))
+
+
+def _fraction_rhs(row, a_exact):
+    m = row.m
+    p_value = eval_poly(row, a_exact)
+    base = a_exact + 1
+    exact_part = p_value / ((1 << m) * base**m)
+    return math.pi * float(exact_part) / (2.0 * math.sqrt(2.0 * float(base)))
+
+
+def _scalar_quartic_integral(m, a, tol, *, row=None):
+    """quartic_integral with a scalar integrand and the Fraction right side;
+    the caller routes _adaptive_gauss_kronrod to the scalar rule."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    if not (math.isfinite(a) and a > -1.0):
+        raise ValueError(f"the identity requires finite a > -1, got a={a}")
+    if not 0.0 < tol < 0.1:
+        raise ValueError(f"tolerance must be in (0, 0.1), got {tol}")
+    two_b = 2.0 * (1.0 + a)
+    power = 4 * m + 2
+
+    def integrand(x):
+        d = (1.0 - x) * (1.0 + x)
+        return (1.0 + x**power) / (d * d + two_b * (x * x)) ** (m + 1)
+
+    try:
+        value, err, converged = quadoracle._adaptive_gauss_kronrod(integrand, 0.0, 1.0, tol)
+        rhs = _fraction_rhs(closed_form_row(m) if row is None else row, Fraction(a))
+    except (OverflowError, ZeroDivisionError):
+        value = rhs = math.nan
+    if not (0.0 < value < math.inf and 0.0 < rhs < math.inf):
+        raise ValueError(f"m={m}, a={a} leaves the binary64 range of the quadrature")
+    result = quadoracle.QuadResult(m, a, value, rhs, err, abs(value - rhs) / abs(rhs))
+    if not converged:
+        raise QuadratureConvergenceError(
+            f"tolerance {tol} not reached within {quadoracle.MAX_SPLITS} splits "
+            f"(error estimate {err:.3e})",
+            result,
+        )
+    return result
+
+
+def _cells(cells):
+    return [(c.m, c.a, c.result, c.error, c.flagged) for c in cells]
+
+
+@pytest.mark.parametrize("splits", [quadoracle.MAX_SPLITS, 8])
+def test_identity_sweep_matches_the_scalar_fraction_formulation(monkeypatch, splits):
+    # the benchmark's a values, then ones whose cells leave the binary64 range;
+    # 8 splits leaves most cells unconverged, with their error texts
+    monkeypatch.setattr(quadoracle, "MAX_SPLITS", splits)
+    a_values = A_GRID + (-0.909, 181.1, 1e100, 1e308, 1e15, -0.9999999999999998)
+    cells = _cells(identity_sweep(40, a_values))
+    monkeypatch.setattr(quadoracle, "quartic_integral", _scalar_quartic_integral)
+    monkeypatch.setattr(quadoracle, "_kronrod_gauss", _scalar_kronrod_gauss)
+    assert cells == _cells(identity_sweep(40, a_values))
+    assert any(error for *_, error, _ in cells)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is what must match
+        return type(exc)
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.floats(min_value=-1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+)
+@example(3, 1e308)
+@example(60, 1e15)
+@example(40, -0.9999999999999998)
+@example(60, 5e-324)
+@example(0, 1.7976931348623157e308)
+def test_integer_rhs_matches_the_fraction_rhs(m, a):
+    row = closed_form_row(m)
+    assert _outcome(quadoracle._exact_rhs, row, a) == _outcome(_fraction_rhs, row, Fraction(a))

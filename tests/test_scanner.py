@@ -5,6 +5,7 @@ import errno
 import fcntl
 import json
 import math
+import multiprocessing
 import re
 from concurrent.futures import Future, ProcessPoolExecutor
 from decimal import Decimal
@@ -732,6 +733,34 @@ def test_resume_filling_one_m_gap_is_walked_and_cross_checked(tmp_path, monkeypa
     with pytest.raises(ArithmeticError, match=r"^recu1 walk from m=6 disagrees .* at m=6$"):
         scan(2, 10, 2, True, path)
     assert sorted(load_ledger(path).records) == [2, 3, 4, 5, 7, 8, 9, 10]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must inherit the patch"
+)
+def test_failing_worker_segment_cancels_the_queued_ones(tmp_path, monkeypatch):
+    # scan(2, 1500) with 2 workers cuts 47 segments of 32 m, the first from 2
+    real = scanner.recu1_row
+    starts = tmp_path / "starts"
+
+    def failing_at_40(prev):
+        m = prev.m + 1
+        if (m - 2) % scanner._SEGMENT == 0:
+            with starts.open("a") as fh:
+                fh.write(f"{m}\n")
+        if m == 40:
+            raise ArithmeticError("stop")
+        return real(prev)
+
+    monkeypatch.setattr(scanner, "recu1_row", failing_at_40)
+    path = tmp_path / "par.jsonl"
+    with pytest.raises(ArithmeticError, match=r"^recu1 walk from m=34 fails at m=40: stop$"):
+        scan(2, 1500, 3, True, path, workers=2)
+    started = starts.read_text().split()
+    assert "34" in started
+    # the running segments and the few the pool had queued, not all 47
+    assert len(started) < 24
+    assert 34 not in load_ledger(path).records
 
 
 def test_cell_past_the_exact_size_limit_ends_the_scan(tmp_path, monkeypatch):
