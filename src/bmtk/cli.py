@@ -33,7 +33,9 @@ __all__ = ["main", "build_parser"]
 # The largest m whose row is built.  A row holds about 3.7*m^2 bits, 7.4 MB at
 # m=4000, where ``closed_form_row`` takes 0.015 s (CPython 3.11.7, one core of a
 # 2-vCPU AMD EPYC VM).  From about m=1200 on, the row divided by its gcd is
-# past ``seqprops._EXACT_BITS``, so only the enclosure phase can decide it.
+# past ``seqprops._EXACT_BITS``, so only the enclosure phase can decide it;
+# its 128-bit rung proves the strict ratio comparisons of row m=4000 through
+# level 67.
 _MAX_ROW_M = 4000
 
 PROP_TOKENS = {

@@ -23,7 +23,13 @@ value is its 15-point Kronrod sum, and its error estimate is |K15 - G7|, the
 gap to the embedded 7-point Gauss sum.  That estimate bounds the error of the
 Gauss sum, so it overstates the error of the Kronrod value that is returned.
 The integrand is evaluated once per panel, at its 15 nodes together, and
-never at 0 or 1.
+never at 0 or 1.  Of its terms only the numerator 1 + x^(4m+2) and the
+power m+1 depend on m.  A panel's 15 nodes, and its 15 denominators
+d^2 + 2(1+a) x^2 at each a, are computed on first use and memoized (LRU,
+``_MEMO_SIZE`` entries each): every panel is a dyadic piece of [0, 1], so
+the cells of a sweep meet the same few panels at every m and reuse them.
+A memoized float is the one the same expression gives on the same operands,
+so every cell keeps its bits.
 
 The right-hand side is taken at the binary rational p/q that the float a
 denotes.  Its rational factor P_m(a) / (2^m (a+1)^m) is computed on
@@ -50,6 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
@@ -123,20 +130,44 @@ _NODES = tuple(-x for x in KRONROD_NODES) + KRONROD_NODES[-2::-1]
 _K15 = KRONROD_WEIGHTS + KRONROD_WEIGHTS[-2::-1]
 _G7 = GAUSS_WEIGHTS + GAUSS_WEIGHTS[-2::-1]
 
-# an integrand evaluated on a whole panel: its values at the given nodes
-Panel = Callable[[list[float]], list[float]]
+# The most panels, and separately the most (2(1+a), panel) pairs, whose
+# nodes and denominators are kept.  A sweep of m <= 40 over 8 values of a
+# meets 37 panels in 118 pairs.
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _nodes(lo: float, hi: float) -> tuple[float, ...]:
+    """The 15 nodes of the panel [lo, hi], in ``_NODES`` order."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    return tuple([c + h * x for x in _NODES])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quartic_terms(
+    two_b: float, lo: float, hi: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The nodes of the panel [lo, hi] and the quartic's denominators
+    d^2 + two_b x^2, d = (1-x)(1+x), at them; two_b is 2(1+a).
+
+    Panel ends are nonnegative and two_b positive, so keys that compare
+    equal have the same bits (no -0.0 meets a 0.0)."""
+    xs = _nodes(lo, hi)
+    return xs, tuple([(d := (1.0 - x) * (1.0 + x)) * d + two_b * (x * x) for x in xs])
+
+
+# an integrand evaluated on a whole panel [lo, hi]: its values at the
+# panel's 15 nodes, in ``_NODES`` order
+Panel = Callable[[float, float], list[float]]
 
 
 def _kronrod_gauss(f: Panel, a: float, b: float) -> tuple[float, float]:
     """The 15-point Kronrod and 7-point Gauss values of the integral on [a, b],
-    from one call of f.
-
-    f takes the panel's 15 nodes, in ``_NODES`` order, and returns the
-    integrand's values at them, in the same order; both sums use them.
-    """
-    c = 0.5 * (a + b)
+    from one call of f, which returns the integrand's values at the 15 nodes
+    of [a, b]; both sums use them."""
     h = 0.5 * (b - a)
-    fs = f([c + h * x for x in _NODES])
+    fs = f(a, b)
     return h * sum(map(mul, _K15, fs)), h * sum(map(mul, _G7, fs[1::2]))
 
 
@@ -221,15 +252,16 @@ def quartic_integral(
         raise ValueError(f"need the row of m={m}, got m={row.m}")
 
     two_b = 2.0 * (1.0 + a)
-    power = 4 * m + 2
 
-    def integrand(xs: list[float]) -> list[float]:
-        return [
-            (1.0 + x**power) / ((d := (1.0 - x) * (1.0 + x)) * d + two_b * (x * x)) ** (m + 1)
-            for x in xs
-        ]
+    def integrand(lo: float, hi: float) -> list[float]:
+        xs, dens = _quartic_terms(two_b, lo, hi)
+        return [(1.0 + x**power) / den**m1 for x, den in zip(xs, dens)]
 
     try:
+        # float ** int converts the int to a double before it calls pow, so
+        # converting the exponents once gives the same bits, and raises the
+        # same OverflowError for an m past the binary64 range
+        power, m1 = float(4 * m + 2), float(m + 1)
         value, err, converged = _adaptive_gauss_kronrod(integrand, 0.0, 1.0, tol)
         rhs = _exact_rhs(closed_form_row(m) if row is None else row, a)
     except (OverflowError, ZeroDivisionError):
@@ -279,7 +311,10 @@ def identity_sweep(
 ) -> list[SweepCell]:
     """:func:`sweep_cell` over the (m, a) grid; a ValueError is recorded as
     a flagged cell without a result, not raised.  Each m's row is built
-    once, for all its a."""
+    once, for all its a.  The cells share the memoized nodes of each panel
+    and, per a, its denominators (see the module docstring), computed on
+    first use rather than once per m; each cell has the bits that a lone
+    :func:`quartic_integral` call gives."""
     cells = []
     if not a_values:
         return cells

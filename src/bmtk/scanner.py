@@ -60,10 +60,11 @@ handed to a worker end.
 
 Each row is checked once, by :func:`~bmtk.seqprops.k_property`, as the
 integer vector 4^m d_i(m) over the unit 4^-m.  It decides every level on
-enclosures of the ``L`` iterates, at 30 bits and, from the first level those
-miss, at 64, which need no gcd and prove a verified cell without forming any
-iterate exactly.  From the first level that neither precision proves, the
-row divided by its gcd is iterated exactly, and every
+enclosures of the ``L`` iterates, at 30 bits and, from the first level each
+precision misses, at 64 and then 128, which need no gcd and prove a verified
+cell without forming any iterate exactly (128 bits reach level 68 on the
+ratio comparisons of row m=4000).  From the first level that no precision
+proves, the row divided by its gcd is iterated exactly, and every
 failing verdict and witness comes from that exact path; witnesses print as the
 dyadic values of the row's iterates.  A cell whose exact iterate would pass
 ``k_property``'s size limit raises ValueError, which ends the scan; the

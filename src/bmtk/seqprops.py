@@ -72,16 +72,17 @@ is enclosed by (-hi_{i-1} hi_{i+1}, 1 - lo_{i-1} lo_{i+1}, k_{i-1} + k_{i+1}),
 whose lo is negative.  So an enclosure level costs the same at any depth.
 
 The enclosure phase climbs a ladder of precisions, 30 bits (one CPython
-digit, so most products stay within two) and then 64.  Each rung builds its
-enclosures from level 0, steps L without certifying through the levels a
-lower rung proved, and certifies from the first level none proved.  A level
-proved at 30 bits is proved, and the 64-bit enclosures of a level lie inside
-its 30-bit ones (level 0 truncates each entry further down, and L and the
-outward rounding keep that order), so their lo's are positive too and L may
-step them.  An enclosure's relative width doubles at each level, so a row
-misses at the first level past its rung's reach: at 30 bits level 12 or
-later up to m=128 but level 4 or 5 from m=163 on, at 64 bits level 50 at
-m=100 and 36 at m=400.
+digit, so most products stay within two), then 64, then 128.  Each rung
+builds its enclosures from level 0, steps L without certifying through the
+levels a lower rung proved, and certifies from the first level none proved.
+A level proved on a lower rung is proved, and a higher rung's enclosures of
+a level lie inside the lower rung's (level 0 truncates each entry further
+down, and L and the outward rounding keep that order), so their lo's are
+positive too and L may step them.  An enclosure's relative width doubles at
+each level, so a row misses at the first level past its rung's reach: at 30
+bits level 12 or later up to m=128 but level 4 or 5 from m=163 on, at 64
+bits level 50 at m=100, 36 at m=400 and 9 at m=2000, at 128 bits level 115
+at m=100, 79 at m=2000 and 68 at m=4000 (the strict ratio comparisons).
 
 :func:`k_property` runs in two phases.  On each rung the enclosure phase
 goes on to the next level's enclosures while every lo is positive and every
@@ -200,8 +201,8 @@ def _integer_form(seq: CoeffRow | ExactSequence) -> tuple[Sequence[int], Callabl
 
 
 # The enclosure phase's precisions in bits, tried in this order: one CPython
-# digit, then 64.
-_RUNGS = (30, 64)
+# digit, then 64, then 128.
+_RUNGS = (30, 64, 128)
 
 # The most bits, summed over its entries, that an exact iterate may hold
 # before L squares it.

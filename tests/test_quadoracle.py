@@ -85,8 +85,8 @@ def test_converges_next_to_a_equal_minus_1(m, a, deviation):
 
 def test_out_of_binary64_range_is_a_value_error():
     # the exact right side underflows to 0.0; the integrand overflows; the
-    # integrand's denominator underflows to 0.0
-    for m, a in ((3, 1e308), (3, 1e100), (40, -0.9999999999999998)):
+    # integrand's denominator underflows to 0.0; its exponents pass binary64
+    for m, a in ((3, 1e308), (3, 1e100), (40, -0.9999999999999998), (10**400, 0.5)):
         with pytest.raises(ValueError, match=re.escape(f"m={m}, a={a} leaves the binary64")):
             quartic_integral(m, a)
 
@@ -225,7 +225,9 @@ def test_quad_result_json_shape():
 
 @pytest.mark.parametrize("k", range(23))
 def test_kronrod_rule_integrates_monomials_to_degree_22(k):
-    kronrod, gauss = quadoracle._kronrod_gauss(lambda xs: [x**k for x in xs], 0.0, 1.0)
+    kronrod, gauss = quadoracle._kronrod_gauss(
+        lambda lo, hi: [x**k for x in quadoracle._nodes(lo, hi)], 0.0, 1.0
+    )
     assert abs(kronrod * (k + 1) - 1.0) <= 1e-15
     if k <= 13:
         assert abs(gauss * (k + 1) - 1.0) <= 1e-15
@@ -234,7 +236,9 @@ def test_kronrod_rule_integrates_monomials_to_degree_22(k):
 def test_gauss_rule_misses_degree_14():
     # so |K15 - G7|, the error estimate, is not vacuous: the Gauss error on
     # x^14 over [0, 1] is about 5.7e-9
-    kronrod, gauss = quadoracle._kronrod_gauss(lambda xs: [x**14 for x in xs], 0.0, 1.0)
+    kronrod, gauss = quadoracle._kronrod_gauss(
+        lambda lo, hi: [x**14 for x in quadoracle._nodes(lo, hi)], 0.0, 1.0
+    )
     assert abs(kronrod - gauss) > 1e-9
 
 
@@ -270,10 +274,11 @@ def test_row_of_another_m_is_a_value_error():
 
 # -- the scalar, Fraction-based formulation as a reference -------------------
 #
-# quartic_integral evaluates its integrand once per panel and its right side
-# on integers; this is the same quadrature with a scalar integrand called once
-# per node and the right side in Fraction arithmetic.  Both must give the same
-# bits, which no digest of the benchmark checks.
+# quartic_integral evaluates its integrand once per panel, from nodes and
+# denominators memoized across cells, and its right side on integers; this is
+# the same quadrature with a scalar integrand called once per node, every node
+# and denominator computed afresh, and the right side in Fraction arithmetic.
+# Both must give the same bits, which no digest of the benchmark checks.
 
 
 def _scalar_kronrod_gauss(f, a, b):
@@ -328,17 +333,53 @@ def _cells(cells):
     return [(c.m, c.a, c.result, c.error, c.flagged) for c in cells]
 
 
+# The benchmark's a values, those whose cells leave the binary64 range or
+# converge slowly next to a = -1, and one more.
+EXTENDED_A = A_GRID + (-0.909, 181.1, 1e100, 1e308, 1e15, -0.9999999999999998, 0.3)
+
+
+def _reference_cells(m_max, a_values):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadoracle, "quartic_integral", _scalar_quartic_integral)
+        patch.setattr(quadoracle, "_kronrod_gauss", _scalar_kronrod_gauss)
+        return _cells(identity_sweep(m_max, a_values))
+
+
 @pytest.mark.parametrize("splits", [quadoracle.MAX_SPLITS, 8])
 def test_identity_sweep_matches_the_scalar_fraction_formulation(monkeypatch, splits):
-    # the benchmark's a values, then ones whose cells leave the binary64 range;
-    # 8 splits leaves most cells unconverged, with their error texts
+    # 8 splits leaves most cells unconverged, with their error texts; the sweep
+    # runs from an empty memo, then a full one, since a cell's bits must not
+    # depend on which cells filled it
     monkeypatch.setattr(quadoracle, "MAX_SPLITS", splits)
-    a_values = A_GRID + (-0.909, 181.1, 1e100, 1e308, 1e15, -0.9999999999999998)
-    cells = _cells(identity_sweep(40, a_values))
-    monkeypatch.setattr(quadoracle, "quartic_integral", _scalar_quartic_integral)
-    monkeypatch.setattr(quadoracle, "_kronrod_gauss", _scalar_kronrod_gauss)
-    assert cells == _cells(identity_sweep(40, a_values))
+    quadoracle._nodes.cache_clear()
+    quadoracle._quartic_terms.cache_clear()
+    reference = _reference_cells(60, EXTENDED_A)
+    cells = _cells(identity_sweep(60, EXTENDED_A))
+    assert cells == reference
+    assert _cells(identity_sweep(60, EXTENDED_A)) == reference
     assert any(error for *_, error, _ in cells)
+
+
+def test_denominators_keyed_on_the_panel_alone_fail_the_reference(monkeypatch):
+    # a memo that ignores a hands one a's denominators to the others
+    terms = quadoracle._quartic_terms.__wrapped__
+    by_panel = {}
+
+    def keyed_on_the_panel(two_b, lo, hi):
+        if (lo, hi) not in by_panel:
+            by_panel[lo, hi] = terms(two_b, lo, hi)
+        return by_panel[lo, hi]
+
+    monkeypatch.setattr(quadoracle, "_quartic_terms", keyed_on_the_panel)
+    assert _cells(identity_sweep(60, EXTENDED_A)) != _reference_cells(60, EXTENDED_A)
+
+
+def test_memo_stays_within_its_bound_over_more_a_values_than_it_holds():
+    size = quadoracle._MEMO_SIZE
+    a_values = [k / size for k in range(size + 1)]  # each meets the panel [0, 1]
+    assert not any(cell.flagged for cell in identity_sweep(0, a_values))
+    info = quadoracle._quartic_terms.cache_info()
+    assert (info.maxsize, info.currsize) == (size, size)
 
 
 def _outcome(fn, *args):
@@ -360,3 +401,4 @@ def _outcome(fn, *args):
 def test_integer_rhs_matches_the_fraction_rhs(m, a):
     row = closed_form_row(m)
     assert _outcome(quadoracle._exact_rhs, row, a) == _outcome(_fraction_rhs, row, Fraction(a))
+

@@ -1,5 +1,6 @@
 """Tests for the sequence property predicates and the iterated operator."""
 
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -590,12 +591,29 @@ def _within(inner, outer):
 @example([1, 1, 1 << 300])
 def test_64_bit_enclosures_lie_inside_the_30_bit_ones(seq):
     # so the 64-bit rung may step L through every level the 30-bit rung proved
-    inner, outer = seqprops._enclosures(seq, 64), seqprops._enclosures(seq, 30)
+    _assert_nested(seq, 64, 30)
+
+
+@settings(deadline=None)
+@given(st.one_of(moderate_ints, below_filter, deep_ties, nudged_ties, moderate_rows))
+@example(closed_form_row(400).scaled)
+@example([1, 1, 1 << 300])
+def test_128_bit_enclosures_lie_inside_the_64_bit_ones(seq):
+    # so the 128-bit rung may step L through every level the 64-bit rung proved
+    _assert_nested(seq, 128, 64)
+
+
+def _assert_nested(seq, inner_bits, outer_bits):
+    """Assert that the ``inner_bits`` enclosures of levels 0..7 of ``seq`` lie
+    inside its ``outer_bits`` ones, up to the first level whose outer lo's are
+    not all positive."""
+    inner, outer = seqprops._enclosures(seq, inner_bits), seqprops._enclosures(seq, outer_bits)
     for level in range(8):
         assert all(map(_within, inner, outer)), level
         if any(lo <= 0 for lo, _, _ in outer):
             break
-        inner, outer = seqprops._l_enclosure(inner, 64), seqprops._l_enclosure(outer, 30)
+        inner = seqprops._l_enclosure(inner, inner_bits)
+        outer = seqprops._l_enclosure(outer, outer_bits)
 
 
 def test_dip_enclosures_contain_the_iterate_past_a_128_bit_gap():
@@ -831,8 +849,10 @@ FIRST_MISS_30 = (
 )
 FIRST_MISS_64 = {
     2: 68, 3: 67, 4: 66, 8: 65, 12: 63, 50: 55, 100: 50, 150: 46, 200: 43, 300: 39,
-    400: 36, 1000: 24,
+    400: 36, 1000: 24, 2000: 9,
 }
+# At 128 bits, per m: row m=4000 is the largest that the CLI builds.
+FIRST_MISS_128 = {2: 133, 100: 115, 400: 101, 2000: 79, 4000: 68}
 
 
 def test_first_missed_level_of_each_rung_is_pinned():
@@ -845,6 +865,8 @@ def test_first_missed_level_of_each_rung_is_pinned():
     assert misses == pinned
     misses = {m: _first_miss(closed_form_row(m).scaled, 64, 80) for m in FIRST_MISS_64}
     assert misses == FIRST_MISS_64
+    misses = {m: _first_miss(closed_form_row(m).scaled, 128, 140) for m in FIRST_MISS_128}
+    assert misses == FIRST_MISS_128
 
 
 def test_least_log_concavity_ratio_of_a_row_is_about_1_plus_4_over_m():
@@ -900,6 +922,67 @@ def test_row_missed_at_30_bits_is_decided_on_the_64_bit_rung(monkeypatch):
     verdict = k_property(row, 8, RATIO_MONOTONE, True)
     assert (verdict.holds, verdict.level) == (True, 7)
     assert calls == [(30, True)] * miss + [(30, False)] + [(64, True)] * (8 - miss)
+
+
+def test_row_missed_at_64_bits_is_certified_on_the_128_bit_rung(monkeypatch):
+    # row 2000 misses at level 2 on 30 bits and at level 9 on 64; the 128-bit
+    # rung certifies levels 9 and after, with no exact iterate
+    rungs = []
+    enclosures = seqprops._enclosures
+
+    def counted(values, bits):
+        rungs.append(bits)
+        return enclosures(values, bits)
+
+    monkeypatch.setattr(seqprops, "_enclosures", counted)
+    monkeypatch.setattr(seqprops, "l_operator", _refuse)
+    verdict = k_property(closed_form_row(2000), 10, RATIO_MONOTONE, True)
+    assert (verdict.holds, verdict.level, verdict.witness) == (True, 9, None)
+    assert rungs == [30, 64, 128]
+
+
+# Every property with the strictness it reads: spiral and mid-peak
+# unimodality fix their own.
+PROPERTY_STRICTNESS = (
+    (RATIO_MONOTONE, False),
+    (RATIO_MONOTONE, True),
+    (LOG_CONCAVE, False),
+    (LOG_CONCAVE, True),
+    (SPIRAL, False),
+    (UNIMODAL_MIDPEAK, True),
+)
+
+
+@functools.cache
+def _references_to_depth_6():
+    """Per sequence and (property, strictness), the exact reference's verdicts
+    at depths 1..6: for rows m <= 100, and for the same rows with d_{m//3}
+    raised by 3%, most of which fail, at levels 0 to 4."""
+    cases = []
+    for m in range(2, 101):
+        for seq in (closed_form_row(m).scaled, _tampered(m, m // 3, 3).scaled):
+            iterates = [seq]
+            for _ in range(5):
+                iterates.append(l_operator(iterates[-1]))
+            for prop, strict in PROPERTY_STRICTNESS:
+                reference = EXACT_REFERENCE[prop][1]
+                levels = [replace(reference(x, strict), level=j) for j, x in enumerate(iterates)]
+                expected = [
+                    next((v for v in levels[:depth] if not v.holds), levels[depth - 1])
+                    for depth in range(1, 7)
+                ]
+                cases.append((seq, prop, strict, expected))
+    return cases
+
+
+@pytest.mark.parametrize("bits", RUNGS)
+def test_each_rung_alone_matches_the_exact_reference_to_depth_6(monkeypatch, bits):
+    # the rung certifies the rows; the raised rows reach the exact path from
+    # its first miss
+    monkeypatch.setattr(seqprops, "_RUNGS", (bits,))
+    for seq, prop, strict, expected in _references_to_depth_6():
+        for depth in range(1, 7):
+            assert k_property(seq, depth, prop, strict) == expected[depth - 1], (seq, prop, depth)
 
 
 @pytest.mark.parametrize("seq", ([], [5], [5, 1]))
