@@ -95,6 +95,99 @@ def test_evaluate_accepts_fractions():
     assert p.evaluate(Fraction(1, 2), Fraction(1, 3)) == Fraction(4, 3)
 
 
+def test_constructor_refuses_exponents_that_are_not_ints_at_least_zero():
+    # a float exponent once became int(1.5) = 1, and a negative one made
+    # evaluate return the float 0.5 at (2, 3)
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        MultiPoly({(1.5, 0): 1})
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        MultiPoly({(-1, 0): 1})
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        MultiPoly({(0, -2): 0})
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        grid_nonnegativity([MultiPoly({(-1, 0): -1})], "triangle", 3)
+
+
+def test_constant_hashes_as_the_int_it_equals():
+    for poly, value in ((MultiPoly.constant(3), 3), (MultiPoly(), 0), (N - N, 0),
+                        (MultiPoly.constant(-1), -1), (3 * N**0, 3)):
+        assert poly == value
+        assert hash(poly) == hash(value)
+    table = {3: "three", 0: "zero"}
+    assert table[MultiPoly.constant(3)] == "three"
+    assert table[I * 0] == "zero"
+    assert {MultiPoly.constant(3): "three"}[3] == "three"
+    assert hash(N + I) == hash(I + N)
+
+
+def test_powers_take_one_product_per_bit_past_the_first(monkeypatch):
+    products = []
+    real = MultiPoly.__mul__
+
+    def counting(p, q):
+        products.append(q)
+        return real(p, q)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    for power, count in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        products.clear()
+        assert (N + I) ** power == functools.reduce(real, [N + I] * power, MultiPoly.constant(1))
+        assert len(products) == count, power
+
+
+# Reference arithmetic on plain dicts, with zeros left in: every result goes
+# through the validating MultiPoly(dict), which drops them.
+
+
+def _dict_sum(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return MultiPoly(out)
+
+
+def _dict_product(p, q):
+    out = {}
+    for (a0, a1), ca in p.terms.items():
+        for (b0, b1), cb in q.terms.items():
+            out[a0 + b0, a1 + b1] = out.get((a0 + b0, a1 + b1), 0) + ca * cb
+    return MultiPoly(out)
+
+
+def _dict_scaled(p, k):
+    return MultiPoly({e: k * c for e, c in p.terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys, small_polys, st.integers(-4, 4), st.integers(0, 4))
+# products and sums that cancel, and the zero scalar
+@example(N + I, N - I, 0, 2)
+@example(N * I - 1, N * I + 1, -1, 3)
+@example(N, N, 0, 0)
+def test_arithmetic_results_match_the_validating_constructor(p, q, k, power):
+    kp = MultiPoly.constant(k)
+    power_ref = functools.reduce(_dict_product, [p] * power, MultiPoly.constant(1))
+    pairs = [
+        (p + q, _dict_sum(p, q)),
+        (p - q, _dict_sum(p, q, -1)),
+        (p - p, MultiPoly()),
+        (-p, _dict_scaled(p, -1)),
+        (p * q, _dict_product(p, q)),
+        (k * p, _dict_scaled(p, k)),
+        (p * k, _dict_scaled(p, k)),
+        (p + k, _dict_sum(p, kp)),
+        (k + p, _dict_sum(p, kp)),
+        (p - k, _dict_sum(p, kp, -1)),
+        (k - p, _dict_sum(kp, p, -1)),
+        (p**power, power_ref),
+    ]
+    for result, reference in pairs:
+        # dict equality: a stored zero coefficient would make them differ
+        assert result.terms == reference.terms
+        assert 0 not in result.terms.values()
+        assert all(type(e0) is int and type(e1) is int for e0, e1 in result.terms)
+
+
 # -- the identity suite --------------------------------------------------------
 
 
@@ -319,15 +412,47 @@ def test_grid_reports_violations_in_lattice_order():
     assert report.violations[:4] == [(0, 0, 0, "0"), (1, 0, 0, "-2"), (2, 0, 0, "-1"), (0, 1, 0, "0")]
 
 
+def _shifted_reference(poly, region):
+    """The region substitution by composition, as grid_nonnegativity built it
+    before the binomial expansion: MultiPoly() + p.evaluate(shift, Y)."""
+    T, Y = MultiPoly.variables()
+    shift = Y + T if region == "triangle" else 2 * Y + T
+    # evaluate returns the int 0 for the zero polynomial
+    return MultiPoly() + poly.evaluate(shift, Y)
+
+
+shift_polys = st.builds(
+    MultiPoly,
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 3)),
+        st.integers(-50, 50),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_polys | grid_polys | factored_polys, st.sampled_from(["triangle", "half"]))
+@example(MultiPoly(), "triangle")
+@example(MultiPoly(), "half")
+@example(MultiPoly.constant(-4), "half")
+@example(MultiPoly.constant(7), "triangle")
+@example(N - 2 * I, "half")
+def test_shifted_terms_match_the_composed_substitution(poly, region):
+    slope = 1 if region == "triangle" else 2
+    shifted = polyident._shifted_terms(poly, slope)
+    # dict equality, so no zero coefficient may be left in either
+    assert shifted == _shifted_reference(poly, region).terms
+
+
 def _walked(monkeypatch):
-    """Record every lattice point at which grid_nonnegativity evaluates a
-    polynomial; its proof step evaluates at MultiPoly arguments instead."""
+    """Record every point at which grid_nonnegativity evaluates a polynomial;
+    its proof step reads the terms' coefficients and evaluates nothing."""
     points = []
     real = MultiPoly.evaluate
 
     def counting(poly, x, y):
-        if isinstance(x, int):
-            points.append((x, y))
+        points.append((x, y))
         return real(poly, x, y)
 
     monkeypatch.setattr(MultiPoly, "evaluate", counting)
