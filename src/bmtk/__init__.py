@@ -21,13 +21,7 @@ from .bmcoeff import (
     recu4_residual,
     rows,
 )
-from .exactnum import (
-    BinomialCache,
-    Dyadic,
-    binomial,
-    decimal_string,
-    default_cache,
-)
+from .exactnum import Dyadic, decimal_string
 from .seqprops import (
     PropertyVerdict,
     Witness,
@@ -42,16 +36,13 @@ from .seqprops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialCache",
     "CoeffRow",
     "Dyadic",
     "Method",
     "PropertyVerdict",
     "Witness",
-    "binomial",
     "closed_form_row",
     "decimal_string",
-    "default_cache",
     "double_sum_eval",
     "eval_poly",
     "hypergeometric_eval",

@@ -28,10 +28,10 @@ are decided once per row pair, keyed on the rows' values.  Each report
 builds its own records from them; thm21 takes ``holds = margin >= 0`` and the
 same margin Fractions.  B(m,i)'s numerator and denominator and l33's
 numerator, which l32, l33 and l34 read, are built once as polynomials in
-(m, i) and tabulated once per m by :func:`_table`: collapsed to coefficients
-in i and evaluated by Horner's rule.  thm21's minimum ratio orders its
-candidates n/d by the floor quotient of n·2^64 by d, and cross-multiplies two
-candidates only when those quotients are equal.
+(m, i) and tabulated once per m by :meth:`~bmtk.polyident.MultiPoly.tabulate`.
+thm21's minimum ratio orders its candidates n/d by the floor quotient of
+n·2^64 by d, and cross-multiplies two candidates only when those quotients
+are equal.
 
 Check ids (the CLI tokens):
 
@@ -329,25 +329,13 @@ _BOUND_NUM, _BOUND_DEN = ratio_bound_numerator(_M, _I), ratio_bound_denominator(
 _L33_NUM = 2 * (_M + 1) * predecessor_ratio_numerator(_M, _I)
 
 
-def _table(poly: MultiPoly, m: int) -> list[int]:
-    """poly(m, i) at 0 <= i <= m: poly collapsed to its coefficients in i at
-    this m, constant first, then evaluated by Horner's rule in i."""
-    coeffs = [0] * (max(e1 for _, e1 in poly.terms) + 1)
-    for (e0, e1), c in poly.terms.items():
-        coeffs[e1] += c * m**e0
-    values = [coeffs[-1]] * (m + 1)
-    for c in reversed(coeffs[:-1]):
-        values = [v * i + c for i, v in enumerate(values)]
-    return values
-
-
 @functools.lru_cache(maxsize=1)
 def _bound_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """B(m,i)'s numerator and denominator and l33's numerator at 0 <= i <= m.
 
     l32, l33 and l34 all read them at the same m, so a size-1 memo keyed on m
     builds them once for the three checks."""
-    return tuple(tuple(_table(poly, m)) for poly in (_BOUND_NUM, _BOUND_DEN, _L33_NUM))
+    return tuple(tuple(poly.tabulate(m, m + 1)) for poly in (_BOUND_NUM, _BOUND_DEN, _L33_NUM))
 
 
 def check_growth_upper_bound(row_m: CoeffRow, row_next: CoeffRow) -> BoundReport:
@@ -415,8 +403,9 @@ def run_checks(m: int, which: Sequence[str] = BOUND_IDS) -> list[BoundReport]:
 
     Raises ValueError for an unknown bound id or an m above 2000.  The
     records' sizes grow faster than m squared: ``bmtk bounds``, start-up
-    included, took 0.33 s at m=1000 and 1.7 s at 2000 in json, and 0.084 s
-    and 0.23 s in plain (CPython 3.11.7, one core of a 2-vCPU AMD EPYC VM).
+    included, took 0.56 s at m=1000 and 2.9 s at 2000 in json, and 0.15 s
+    and 0.42 s in plain (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM,
+    median of 4 to 6 runs).
     """
     unknown = [w for w in which if w not in BOUND_IDS]
     if unknown:

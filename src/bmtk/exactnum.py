@@ -15,10 +15,17 @@ Past that limit, an int is printed and a digit string read by divide and
 conquer: halves that ``str()`` and ``int()`` accept, joined by one exact
 multiply-add each, in time subquadratic in the digits.
 
+A Dyadic's Fraction is built without a gcd: in the canonical form the
+exponent is 0 or the numerator odd, so ``num`` and ``2**exp`` are coprime
+already, and :func:`as_fraction`, :func:`decimal_string`, ``==`` against a
+Fraction, ``hash`` and the dyadic tokens of :func:`parse_exact` pay no
+row-sized gcd.
+
 All values are immutable and safe to share between threads or processes.
-:class:`BinomialCache` (with :func:`default_cache` and :func:`binomial`) is a
-reference utility that no toolkit code path uses: an additive-recurrence
-table, grown on demand under a lock, independent of ``math.comb``.
+:class:`BinomialCache` and :func:`default_cache` are an additive-recurrence
+table, grown on demand under a lock, that no toolkit code path uses; they are
+kept only because perfbench's ``tracer.install`` and ``child.py`` read the
+shared table.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ __all__ = [
     "Dyadic",
     "BinomialCache",
     "as_fraction",
-    "binomial",
     "default_cache",
     "decimal_string",
     "exact_str",
@@ -90,7 +96,8 @@ class Dyadic:
         return cls(_parse_int(mo.group(1)), int(mo.group(2)))
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
+        # canonical form: exp == 0 or num odd, so num and 2^exp are coprime
+        return _coprime_fraction(self.num, 1 << self.exp)
 
     def __str__(self) -> str:
         return f"{_int_str(self.num)}/2^{self.exp}"
@@ -174,6 +181,9 @@ class BinomialCache:
     ``C(n,0) = C(n,n) = 1``; out-of-range ``k`` yields 0.  Growth is guarded
     by a lock so a single instance can serve concurrent readers; per-worker
     instances are equally fine (the table is pure data).
+
+    No toolkit code uses it; it is kept only because perfbench's
+    ``tracer.install`` grows the shared table and ``child.py`` reads its size.
     """
 
     def __init__(self, rows: int = 0) -> None:
@@ -211,13 +221,9 @@ _DEFAULT_CACHE = BinomialCache()
 
 
 def default_cache() -> BinomialCache:
-    """The process-wide shared binomial table."""
+    """The process-wide shared binomial table; kept only because perfbench's
+    ``tracer.install`` and ``child.py`` read it."""
     return _DEFAULT_CACHE
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact ``C(n, k)`` from the shared table (0 outside ``0 <= k <= n``)."""
-    return _DEFAULT_CACHE.binomial(n, k)
 
 
 def _int_str(n: int) -> str:

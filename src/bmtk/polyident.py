@@ -19,8 +19,8 @@ terms, and the other polynomials the proofs need of one sign, are proved so
 on the regions where the proofs use them, for every n, by one substitution
 each, read exactly off the binomial expansion of each term (see
 :func:`grid_nonnegativity`); a polynomial the substitution does not prove is
-walked over the lattice points of its region, one :meth:`MultiPoly.evaluate`
-each.
+walked over the lattice points of its region, one :meth:`MultiPoly.tabulate`
+per x.
 
 Variables are fixed internally as (n, i); identities stated in other letters
 are mapped by renaming at this table layer.
@@ -177,6 +177,21 @@ class MultiPoly:
             total += coeff * x**e0 * y**e1
         return total
 
+    def tabulate(self, x: int, count: int) -> list[int]:
+        """The values at (x, 0), (x, 1), ..., (x, count - 1): the terms
+        collapsed to coefficients in the second variable at this x, constant
+        first, then evaluated by Horner's rule; ``[0] * count`` for the zero
+        polynomial."""
+        if not self.terms:
+            return [0] * count
+        coeffs = [0] * (max(e1 for _, e1 in self.terms) + 1)
+        for (e0, e1), c in self.terms.items():
+            coeffs[e1] += c * x**e0
+        values = [coeffs[-1]] * count
+        for c in reversed(coeffs[:-1]):
+            values = [v * y + c for y, v in enumerate(values)]
+        return values
+
     def to_string(self) -> str:
         """The terms in descending exponent order, in the variables n and i."""
         if not self.terms:
@@ -232,7 +247,8 @@ def _operand(value: object) -> Mapping[tuple[int, int], int] | None:
 # -- the named polynomial families --------------------------------------------
 # Builders are generic: pass ints for numeric instances, Fractions for exact
 # bound evaluation, or MultiPoly variables for symbolic work; boundcheck
-# builds its bound polynomials here and tabulates them one m at a time.
+# builds its bound polynomials here and tabulates them one m at a time with
+# MultiPoly.tabulate.
 
 
 def ratio_bound_numerator(m, i):
@@ -576,9 +592,10 @@ def grid_nonnegativity(
     in integers, from the binomial expansion of each term of p (see
     :func:`_shifted_terms`).  If every one is nonnegative, q(t, y) >=
     q(0, 0) = p(0, 0) there, so p has no violation unless strict and
-    p(0, 0) <= 0.  Only a p this misses is walked, point by point with
-    MultiPoly.evaluate.  Violations come out in lattice order, (x, y) then
-    the index g, as (g, x, y, str(value)).
+    p(0, 0) <= 0.  Only a p this misses is walked: at each x, one
+    :meth:`MultiPoly.tabulate` gives its values at every y of the region.
+    Violations come out in lattice order, (x, y) then the index g, as (g, x,
+    y, str(value)).
     """
     if bound < 1:
         raise ValueError(f"grid bound must be >= 1, got {bound}")
@@ -604,11 +621,12 @@ def grid_nonnegativity(
     if not walked:
         return report
     for x in range(bound + 1):
-        for y in range(x + 1 if region == "triangle" else x // 2 + 1):
-            for g in walked:
-                value = polys[g].evaluate(x, y)
-                if fails(value):
-                    report.violations.append((g, x, y, str(value)))
+        count = x + 1 if region == "triangle" else x // 2 + 1
+        tables = [(g, polys[g].tabulate(x, count)) for g in walked]
+        for y in range(count):
+            for g, values in tables:
+                if fails(values[y]):
+                    report.violations.append((g, x, y, str(values[y])))
     return report
 
 

@@ -80,9 +80,10 @@ a level lie inside the lower rung's (level 0 truncates each entry further
 down, and L and the outward rounding keep that order), so their lo's are
 positive too and L may step them.  An enclosure's relative width doubles at
 each level, so a row misses at the first level past its rung's reach: at 30
-bits level 12 or later up to m=128 but level 4 or 5 from m=163 on, at 64
-bits level 50 at m=100, 36 at m=400 and 9 at m=2000, at 128 bits level 115
-at m=100, 79 at m=2000 and 68 at m=4000 (the strict ratio comparisons).
+bits level 12 or later up to m=128, then level 5 at m=163, 4 at m=400, 3 at
+m=1000 and 2 at m=2000, 3000 and 4000, at 64 bits level 50 at m=100, 36 at
+m=400 and 9 at m=2000, at 128 bits level 115 at m=100, 79 at m=2000 and 68
+at m=4000 (the strict ratio comparisons).
 
 :func:`k_property` runs in two phases.  On each rung the enclosure phase
 goes on to the next level's enclosures while every lo is positive and every
@@ -96,7 +97,8 @@ products of every comparison exactly, so every failing verdict and its
 witness come from exact products.  The bits of an exact iterate double at
 each level, so before each exact step the phase raises ValueError if the
 entries to square hold more than 2^22 bits in total (the steps up to that
-size take about a second).
+size take about a second); the error names the first level that neither
+phase decided.
 """
 
 from __future__ import annotations
@@ -462,7 +464,8 @@ def k_property(
         if level:
             if sum(x.bit_length() for x in current) > _EXACT_BITS:
                 raise ValueError(
-                    f"level {level}: the exact iterate to square holds over {_EXACT_BITS} bits"
+                    f"level {max(level, missed)}: the exact iterate to square holds over "
+                    f"{_EXACT_BITS} bits"
                 )
             current = l_operator(current)
         if level >= missed:

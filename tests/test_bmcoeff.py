@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import bmtk
 from bmtk import (
-    BinomialCache,
     CoeffRow,
     Dyadic,
     Method,
@@ -177,24 +176,22 @@ def test_json_round_trip_every_route(method):
         assert tuple(map(Dyadic.parse, obj["coeffs"])) == row.coeffs
 
 
-def _binomial_sum_row(m, table):
-    """4^m d_i(m) by the defining sum over k, evaluated term by term from a
-    binomial table: the O(m^2) reference for the closed form."""
-    table.ensure_rows(2 * m)
+def _binomial_sum_row(m):
+    """4^m d_i(m) by the defining sum over k, evaluated term by term with
+    math.comb: the O(m^2) reference for the closed form."""
     weights = [
-        (1 << k) * table.binomial(2 * m - 2 * k, m - k) * table.binomial(m + k, k)
+        (1 << k) * math.comb(2 * m - 2 * k, m - k) * math.comb(m + k, k)
         for k in range(m + 1)
     ]
     return tuple(
-        sum(weights[k] * table.binomial(k, i) for k in range(i, m + 1))
+        sum(weights[k] * math.comb(k, i) for k in range(i, m + 1))
         for i in range(m + 1)
     )
 
 
 def test_closed_form_matches_binomial_sum():
-    table = BinomialCache()
     for m in [*range(201), 400]:
-        assert closed_form_row(m).scaled == _binomial_sum_row(m, table), f"m={m}"
+        assert closed_form_row(m).scaled == _binomial_sum_row(m), f"m={m}"
 
 
 @pytest.mark.parametrize("m", (1000, 2000, 4000))
@@ -224,9 +221,10 @@ NO_TABLE_RUNS = (
 
 def test_closed_form_builds_no_binomial_table():
     src = str(Path(bmtk.__file__).resolve().parent.parent)
+    probe = "print(bmtk.exactnum.default_cache().row_count)"
     for code in NO_TABLE_RUNS:
         out = subprocess.run(
-            [sys.executable, "-c", f"import bmtk\n{code}print(bmtk.default_cache().row_count)"],
+            [sys.executable, "-c", f"import bmtk\n{code}{probe}"],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bmtk import CoeffRow, binomial, boundcheck, closed_form_row, recu1_row
+from bmtk import CoeffRow, boundcheck, closed_form_row, recu1_row
 from bmtk.boundcheck import (
     BOUND_IDS,
     BoundRecord,
@@ -117,7 +117,7 @@ def test_bound_tables_match_the_polynomials():
     # the per-m tables of l32, l33 and l34 against polyident's builders on ints
     for m in range(81):
         nums, dens, preds = (
-            boundcheck._table(poly, m)
+            poly.tabulate(m, m + 1)
             for poly in (boundcheck._BOUND_NUM, boundcheck._BOUND_DEN, boundcheck._L33_NUM)
         )
         assert len(nums) == len(dens) == len(preds) == m + 1
@@ -335,7 +335,7 @@ def _reference_reports(row, nxt):
     thm22.records += [
         rec(0, "==", dn[0], Fraction(4 * m + 3, 2 * (m + 1)) * d[0]),
         rec(m, "==", dn[m], Fraction((2 * m + 3) * (2 * m + 1), 2 * (m + 1)) * d[m]),
-        rec(m, "==", d[m], Fraction(binomial(2 * m, m), 1 << m)),
+        rec(m, "==", d[m], Fraction(math.comb(2 * m, m), 1 << m)),
     ]
     l31 = BoundReport(
         "l31", m, [rec(j, ">", Fraction(m - j, j + 1), d[j + 1] / d[j]) for j in range(1, m)]
@@ -351,8 +351,8 @@ def _reference_reports(row, nxt):
     for i in range(m // 2 + 1):
         denom = 2 * (m + 1) * growth_upper_bound(m, m - i) - (6 * m - 2 * i + 3)
         l34.records.append(rec(i, ">", Fraction(2 * (2 * m - i)) / denom, predecessor(i)[1]))
-    central = binomial(2 * m, m)
-    closed = Fraction(binomial(2 * m - 1, m) + m * central, central)
+    central = math.comb(2 * m, m)
+    closed = Fraction(math.comb(2 * m - 1, m) + m * central, central)
     sec4 = BoundReport("sec4", m, [
         rec(1, "<", d[1] / d[0], Fraction(m)),
         rec(m - 1, ">", d[m - 1] / d[m], Fraction(m)),

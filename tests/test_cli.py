@@ -289,6 +289,16 @@ def test_check_refuses_a_negative_m_and_an_empty_entry(capsys, argv, problem):
     assert run(capsys, "check", *argv, "--props", "ratio") == (2, "", f"error: {problem}\n")
 
 
+def test_exact_size_refusal_names_the_first_level_no_phase_decided(capsys):
+    # row 1000's enclosures prove levels 0..88 (the last on 128 bits); the
+    # exact phase passes its size limit before level 2, yet 89 is the first
+    # level left undecided
+    argv = ("check", "--m", "1000", "--depth", "200", "--props", "ratio", "--strict")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: level 89: .* 4194304 bits\n", err), err
+
+
 def test_scan_without_workers_exits_2_and_creates_no_ledger(capsys, tmp_path):
     ledger = tmp_path / "scan.jsonl"
     argv = ("scan", "--from", "2", "--to", "4", "--depth", "1", "--ledger", str(ledger))

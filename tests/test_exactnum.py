@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bmtk import BinomialCache, Dyadic, binomial, decimal_string, exactnum
-from bmtk.exactnum import as_fraction, exact_str, parse_exact
+from bmtk import Dyadic, decimal_string, exactnum
+from bmtk.exactnum import BinomialCache, as_fraction, exact_str, parse_exact
 
 nums = st.integers(min_value=-(10**12), max_value=10**12)
 exps = st.integers(min_value=0, max_value=64)
@@ -111,6 +111,20 @@ def test_int_interop():
 def test_fraction_conversions():
     assert Dyadic(21, 3).as_fraction() == Fraction(21, 8)
     assert Dyadic(21, 3) == Fraction(21, 8)
+
+
+@given(st.integers(), st.integers(min_value=0, max_value=300))
+@example(0, 0)
+@example(0, 300)
+@example(12, 3)
+@example(-(3 << 300), 300)
+@example(-1, 300)
+def test_as_fraction_is_the_reduced_fraction(num, exp):
+    d, expected = Dyadic(num, exp), Fraction(num, 1 << exp)
+    got = d.as_fraction()
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert hash(d) == hash(expected)
+    assert d == expected and expected == d
 
 
 @given(nums, exps)
@@ -301,23 +315,14 @@ def test_immutability():
         d.num = 5
 
 
-def test_binomial_known_values():
-    assert binomial(16, 8) == 12870
-    assert binomial(4, 2) == 6
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-
-
-def test_binomial_negative_n_raises():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
 def test_binomial_matches_math_comb():
     cache = BinomialCache()
     for n in range(121):
         for k in range(n + 1):
             assert cache.binomial(n, k) == math.comb(n, k)
+    assert cache.binomial(5, 7) == cache.binomial(5, -1) == 0
+    with pytest.raises(ValueError):
+        cache.binomial(-1, 0)
 
 
 def test_binomial_pascal_recurrence_spot():

@@ -412,6 +412,27 @@ def test_grid_reports_violations_in_lattice_order():
     assert report.violations[:4] == [(0, 0, 0, "0"), (1, 0, 0, "-2"), (2, 0, 0, "-1"), (0, 1, 0, "0")]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    small_polys
+    | grid_polys
+    | factored_polys
+    | st.builds(
+        MultiPoly,
+        st.dictionaries(st.tuples(st.integers(0, 5), st.just(0)), st.integers(-50, 50)),
+    ),
+    st.integers(0, 50),
+    st.integers(0, 60),
+)
+@example(MultiPoly(), 0, 0)
+@example(MultiPoly(), 9, 5)
+@example(MultiPoly.constant(-3), 4, 3)
+@example(N**3 - 2 * N, 7, 1)
+@example(I**4 - 3 * N * I, 0, 60)
+def test_tabulate_matches_evaluate(poly, x, count):
+    assert poly.tabulate(x, count) == [poly.evaluate(x, y) for y in range(count)]
+
+
 def _shifted_reference(poly, region):
     """The region substitution by composition, as grid_nonnegativity built it
     before the binomial expansion: MultiPoly() + p.evaluate(shift, Y)."""
@@ -446,16 +467,16 @@ def test_shifted_terms_match_the_composed_substitution(poly, region):
 
 
 def _walked(monkeypatch):
-    """Record every point at which grid_nonnegativity evaluates a polynomial;
+    """Record every point at which grid_nonnegativity tabulates a polynomial;
     its proof step reads the terms' coefficients and evaluates nothing."""
     points = []
-    real = MultiPoly.evaluate
+    real = MultiPoly.tabulate
 
-    def counting(poly, x, y):
-        points.append((x, y))
-        return real(poly, x, y)
+    def counting(poly, x, count):
+        points.extend((x, y) for y in range(count))
+        return real(poly, x, count)
 
-    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    monkeypatch.setattr(MultiPoly, "tabulate", counting)
     return points
 
 
@@ -494,6 +515,12 @@ def test_unproved_polynomial_is_walked_point_by_point(monkeypatch):
     assert points == _triangle(4)
     report = grid_nonnegativity([I**2 - I], "triangle", 4, strict=True)
     assert report.violations == _grid_reference([I**2 - I], "triangle", 4, True)[1] != []
+
+
+def test_zero_polynomial_fails_strict_at_every_point():
+    report = grid_nonnegativity([MultiPoly()], "triangle", 3, strict=True)
+    assert report.violations == [(0, x, y, "0") for x, y in _triangle(3)]
+    assert len(report.violations) == report.points == 10
 
 
 def test_suite_rows_are_proved_without_point_evaluation(monkeypatch):

@@ -1160,12 +1160,13 @@ def test_exact_iterates_stop_at_the_size_limit():
 
 def test_catch_up_to_a_deep_miss_stops_at_the_size_limit(monkeypatch):
     # d_1(12) raised by 3% misses at level 3; level 1's exact iterate is
-    # formed, level 2's would pass the limit
+    # formed, level 2's would pass the limit, and the error names level 3,
+    # the first level that neither phase decided
     row = _tampered(12, 1, 3)
     g = math.gcd(*row.scaled)
     level_one = l_operator([v // g for v in row.scaled])
     monkeypatch.setattr(seqprops, "_EXACT_BITS", sum(x.bit_length() for x in level_one) - 1)
-    with pytest.raises(ValueError, match=r"^level 2: "):
+    with pytest.raises(ValueError, match=r"^level 3: "):
         k_property(row, 5, RATIO_MONOTONE)
 
 
